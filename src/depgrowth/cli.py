@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+import urllib.error
 import urllib.request
 from datetime import timedelta
 from pathlib import Path
@@ -27,6 +28,7 @@ from . import __version__
 from .complexity import (
     MIN_NOTE_CHARS,
     MockModelClient,
+    RequestRejected,
     RetryPolicy,
     agreement_stats,
     build_prompt,
@@ -95,18 +97,21 @@ class DataError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _provenance(config: PipelineConfig, inputs: Mapping[str, str | Path]) -> dict:
-    digests: dict[str, str] = {}
-    for name in sorted(inputs):
-        path = inputs[name]
-        try:
-            digests[name] = file_sha256(path)
-        except OSError as exc:
-            raise DataError(f"cannot read input {name} at {path}: {exc}") from exc
+def _file_digest(name: str, path: str | Path) -> str:
+    try:
+        return file_sha256(path)
+    except OSError as exc:
+        raise DataError(f"cannot read input {name} at {path}: {exc}") from exc
+
+
+def _provenance(
+    config: PipelineConfig, inputs: Mapping[str, str | Path], corpus: Corpus | None = None
+) -> dict:
+    digest = corpus.digest if corpus is not None else _file_digest
     return {
         "tool_version": __version__,
         "config_sha256": config_sha256(config),
-        "inputs": digests,
+        "inputs": {name: digest(name, inputs[name]) for name in sorted(inputs)},
     }
 
 
@@ -163,30 +168,65 @@ def _load_releases(path: str | Path) -> tuple[list[PackageRelease], int]:
     return releases, len(reader.violations)
 
 
-def _load_repo_index(path: str | Path) -> tuple[RepoIndex, int]:
-    reader = read_repo_snapshots(path)
-    index = RepoIndex()
-    for snap in reader:
-        index.add(snap)
-    return index, len(reader.violations)
+CORPUS_INPUTS = ("releases", "repo_snapshots", "dependent_edges")
 
 
-def _feed_counter(
-    releases: Sequence[PackageRelease],
-    edges_path: str | Path,
-    offsets: Sequence[int],
-) -> tuple[StreamingDependentCounter, int]:
-    counter = StreamingDependentCounter()
-    one_day = timedelta(days=1)
-    for release in releases:
-        counter.request(release.package_name, release.ecosystem, release.release_date - one_day)
-        for offset in offsets:
-            counter.request(
-                release.package_name, release.ecosystem, release.release_date + timedelta(days=offset)
-            )
-    reader = read_dependent_edges(edges_path)
-    counter.feed(reader)
-    return counter, len(reader.violations)
+class Corpus:
+    """The input corpora of one command, each hashed and parsed at most once.
+
+    ``all`` builds one and hands it to every stage; a standalone stage builds
+    its own. Artifacts in ``out_dir`` change between stages, so their digests
+    are never memoized.
+    """
+
+    def __init__(self, config: PipelineConfig, offsets: Sequence[int] = ()) -> None:
+        self._config = config
+        self._offsets = tuple(offsets)
+        self._digests: dict[str, str] = {}
+        self._repos: tuple[RepoIndex, int] | None = None
+        self._counter: tuple[StreamingDependentCounter, int] | None = None
+
+    def digest(self, name: str, path: str | Path) -> str:
+        if name not in CORPUS_INPUTS:
+            return _file_digest(name, path)
+        if name not in self._digests:
+            self._digests[name] = _file_digest(name, path)
+        return self._digests[name]
+
+    def repos(self) -> tuple[RepoIndex, int]:
+        """Repo index over every snapshot row, and the snapshot violation count."""
+        if self._repos is None:
+            reader = read_repo_snapshots(self._config.repo_snapshots)
+            index = RepoIndex()
+            for snap in reader:
+                index.add(snap)
+            self._repos = index, len(reader.violations)
+        return self._repos
+
+    def counter(self, releases: Sequence[PackageRelease]) -> tuple[StreamingDependentCounter, int]:
+        """Dependent counter fed once from the edge file, and the edge violation count.
+
+        The first caller's releases each register the pre-release day plus
+        ``offsets`` days after the release date; later callers get the same
+        counter, so their releases must be among the first caller's.
+        Registering more cells than a stage needs gives the same counts:
+        ``feed`` keeps or drops a row on its (package, date) and the
+        requested dates alone, so extra requests only keep more buckets
+        whole, and ``count`` resolves coverage from every row whatever was
+        requested.
+        """
+        if self._counter is None:
+            counter = StreamingDependentCounter()
+            one_day = timedelta(days=1)
+            for release in releases:
+                name, eco, day = release.package_name, release.ecosystem, release.release_date
+                counter.request(name, eco, day - one_day)
+                for offset in self._offsets:
+                    counter.request(name, eco, day + timedelta(days=offset))
+            reader = read_dependent_edges(self._config.dependent_edges)
+            counter.feed(reader)
+            self._counter = counter, len(reader.violations)
+        return self._counter
 
 
 def _count_provider(
@@ -227,20 +267,16 @@ def _release_key(release: PackageRelease) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_filter(config: PipelineConfig) -> int:
+def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> int:
+    corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance(
-        config,
-        {
-            "releases": config.releases,
-            "repo_snapshots": config.repo_snapshots,
-            "dependent_edges": config.dependent_edges,
-        },
+        config, {name: getattr(config, name) for name in CORPUS_INPUTS}, corpus
     )
     releases, rel_violations = _load_releases(config.releases)
-    repos, repo_violations = _load_repo_index(config.repo_snapshots)
-    counter, edge_violations = _feed_counter(releases, config.dependent_edges, offsets=())
+    repos, repo_violations = corpus.repos()
+    counter, edge_violations = corpus.counter(releases)
     count = _count_provider(counter, repos)
 
     def pre_count(item: ClassifiedRelease) -> int | None:
@@ -312,7 +348,9 @@ def _sample_row(sample: LogDiffSample) -> dict:
     }
 
 
-def cmd_metrics(config: PipelineConfig) -> int:
+def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
+    grid = LookaheadGrid(*config.grid)
+    corpus = corpus or Corpus(config, offsets=(0,) + grid.offsets)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     filtered = _require(
@@ -325,6 +363,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
             "repo_snapshots": config.repo_snapshots,
             "dependent_edges": config.dependent_edges,
         },
+        corpus,
     )
     releases, rel_violations = _load_releases(filtered)
     classified, semver_report = filter_semver(releases, zero_split=config.zero_split)
@@ -332,11 +371,8 @@ def cmd_metrics(config: PipelineConfig) -> int:
         raise DataError(
             f"{filtered} contains rows that no longer parse as semver: {dict(semver_report.reasons)}"
         )
-    repos, repo_violations = _load_repo_index(config.repo_snapshots)
-    grid = LookaheadGrid(*config.grid)
-    counter, edge_violations = _feed_counter(
-        releases, config.dependent_edges, offsets=(0,) + grid.offsets
-    )
+    repos, repo_violations = corpus.repos()
+    counter, edge_violations = corpus.counter(releases)
     count = _count_provider(counter, repos)
     records, skipped = build_release_records(classified, repos, count, grid)
     n_records = _write_records(
@@ -415,12 +451,25 @@ def cmd_analyze(config: PipelineConfig) -> int:
     records_path = _require(
         out / "release_records.jsonl", "run the metrics stage first (depgrowth metrics)"
     )
+    report_path = _require(
+        out / "metrics_report.json", "run the metrics stage first (depgrowth metrics)"
+    )
+    grid = LookaheadGrid(*config.grid)
+    offset = grid.final_offset
+    try:
+        with open(report_path, encoding="utf-8") as handle:
+            built_on = json.load(handle)["exclusions"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{report_path} is unreadable ({exc!r}); rerun depgrowth metrics") from exc
+    if f"dependents@{offset}" not in built_on:
+        raise DataError(
+            f"{samples_path} was built on another look-ahead grid than "
+            f"{grid.horizon_days},{grid.step_days}; rerun depgrowth metrics with the same --grid"
+        )
     provenance = _provenance(
         config, {"log_diff_samples": samples_path, "release_records": records_path}
     )
     samples = _load_samples(samples_path)
-    grid = LookaheadGrid(*config.grid)
-    offset = grid.final_offset
     dependents = [s for s in samples if s.metric == "dependents"]
 
     for strat_by, stem in (("bin", "table_bins"), ("series", "table_series")):
@@ -533,7 +582,8 @@ class HttpModelClient:
     POSTs ``{"model", "system", "user"}`` and expects ``{"text": ...}``
     back. The auth token, when present in the environment, rides in an
     Authorization header. Network and envelope failures surface as OSError
-    so the retry policy treats them as transient.
+    so the retry policy treats them as transient; a 4xx other than 408
+    (timeout) and 429 (throttled) surfaces as RequestRejected, never retried.
     """
 
     def __init__(self, endpoint: str, model_id: str, token: str | None = None, timeout: float = 60.0) -> None:
@@ -550,7 +600,13 @@ class HttpModelClient:
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
-        with urllib.request.urlopen(request, timeout=self._timeout) as response:
+        try:
+            response = urllib.request.urlopen(request, timeout=self._timeout)
+        except urllib.error.HTTPError as exc:
+            if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise RequestRejected(f"model endpoint refused the request: HTTP {exc.code}") from exc
+            raise
+        with response:
             try:
                 body = json.load(response)
             except json.JSONDecodeError as exc:
@@ -560,7 +616,8 @@ class HttpModelClient:
         return body["text"]
 
 
-def cmd_complexity(config: PipelineConfig) -> int:
+def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
+    corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     filtered = _require(
@@ -572,14 +629,14 @@ def cmd_complexity(config: PipelineConfig) -> int:
     }
     if config.human_ratings:
         inputs["human_ratings"] = config.human_ratings
-    provenance = _provenance(config, inputs)
+    provenance = _provenance(config, inputs, corpus)
     releases, _ = _load_releases(filtered)
     classified, semver_report = filter_semver(releases, zero_split=config.zero_split)
     if semver_report.reasons:
         raise DataError(
             f"{filtered} contains rows that no longer parse as semver: {dict(semver_report.reasons)}"
         )
-    repos, _ = _load_repo_index(config.repo_snapshots)
+    repos, _ = corpus.repos()
 
     items = []
     meta: dict[str, dict] = {}
@@ -673,9 +730,13 @@ def cmd_complexity(config: PipelineConfig) -> int:
 
 
 def cmd_all(config: PipelineConfig) -> int:
-    cmd_filter(config)
-    cmd_metrics(config)
-    cmd_complexity(config)
+    # one corpus for every stage: filter's counter feed also registers the
+    # cells metrics reads, for every input release (see Corpus.counter)
+    corpus = Corpus(config, offsets=(0,) + LookaheadGrid(*config.grid).offsets)
+    cmd_filter(config, corpus)
+    cmd_metrics(config, corpus)
+    cmd_complexity(config, corpus)
+    del corpus  # analyze reads no corpus; free the index and counter first
     cmd_analyze(config)
     return EXIT_OK
 

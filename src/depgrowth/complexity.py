@@ -36,6 +36,7 @@ __all__ = [
     "NotEligible",
     "MalformedResponse",
     "ExhaustedRetries",
+    "RequestRejected",
     "PromptBundle",
     "ComplexityRating",
     "AgreementStats",
@@ -69,6 +70,10 @@ class MalformedResponse(ValueError):
 
 class ExhaustedRetries(RuntimeError):
     """All rating attempts failed; the last cause is chained."""
+
+
+class RequestRejected(RuntimeError):
+    """The model endpoint refused the request itself; a retry cannot help."""
 
 
 SYSTEM_PROMPT = (
@@ -395,6 +400,7 @@ def rate_release(
 
     Raises:
         NotEligible: release notes below the minimum length.
+        RequestRejected: the client refused the request; never retried.
         ExhaustedRetries: every attempt failed; last cause chained.
     """
     policy = policy or RetryPolicy()
@@ -455,7 +461,8 @@ def rate_many(
     ``skip_keys`` are not re-rated (resume support). ``on_result`` fires as
     each rating completes, in completion order; callers wanting stable
     order sort by key afterwards. Returns (ratings by key, failure reason
-    by key). Ineligible releases are reported as failures, not errors.
+    by key). Ineligible, rejected and exhausted releases are reported as
+    failures, not errors.
     """
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
@@ -476,7 +483,7 @@ def rate_many(
             key = futures[future]
             try:
                 _, rating = future.result()
-            except (NotEligible, ExhaustedRetries) as exc:
+            except (NotEligible, RequestRejected, ExhaustedRetries) as exc:
                 failures[key] = f"{type(exc).__name__}: {exc}"
                 continue
             ratings[key] = rating

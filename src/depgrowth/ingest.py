@@ -381,13 +381,12 @@ class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
     Rows are stored as parallel arrays per repository (ordinal date, stars,
-    forks, fork flag) so that multi-million-row corpora stay compact;
-    description/topics/language are kept only when ``keep_metadata`` is true
-    (the complexity pipeline needs them, the filters do not).
+    forks, fork flag) so that multi-million-row corpora stay compact; each
+    row's description/topics/language is one interned tuple, shared by the
+    days on which it did not change.
     """
 
-    def __init__(self, keep_metadata: bool = True) -> None:
-        self._keep_metadata = keep_metadata
+    def __init__(self) -> None:
         # key -> [ordinals, stars, forks, fork_flags, metas]; parallel arrays
         # instead of per-row tuples keep multi-million-row loads in the tens
         # of megabytes
@@ -398,19 +397,16 @@ class RepoIndex:
         self._meta_intern: dict[tuple, tuple] = {}
 
     @classmethod
-    def build(cls, snapshots: Iterable[RepoSnapshot], keep_metadata: bool = True) -> "RepoIndex":
-        index = cls(keep_metadata=keep_metadata)
+    def build(cls, snapshots: Iterable[RepoSnapshot]) -> "RepoIndex":
+        index = cls()
         for snap in snapshots:
             index.add(snap)
         return index
 
     def add(self, snap: RepoSnapshot) -> None:
         key = (snap.owner, snap.name)
-        if self._keep_metadata:
-            meta = (snap.description, snap.topics, snap.language)
-            meta = self._meta_intern.setdefault(meta, meta)
-        else:
-            meta = None
+        meta = (snap.description, snap.topics, snap.language)
+        meta = self._meta_intern.setdefault(meta, meta)
         store = self._rows.get(key)
         if store is None:
             frozen = self._frozen.pop(key, None)
@@ -452,7 +448,7 @@ class RepoIndex:
         stars = array("l")
         forks = array("l")
         fork_flags = array("b")
-        metas: list[tuple | None] = []
+        metas: list[tuple] = []
         for i in order:
             if len(ordinals) and ordinals[-1] == raw_ordinals[i]:
                 stars[-1] = raw_stars[i]
@@ -480,7 +476,7 @@ class RepoIndex:
         pos = bisect_right(ordinals, target) - 1
         if pos < 0 or target - ordinals[pos] > JOIN_WINDOW_DAYS:
             return None
-        meta = metas[pos] or (None, (), None)
+        meta = metas[pos]
         return RepoSnapshot(
             snapshot_date=date.fromordinal(ordinals[pos]),
             owner=owner,

@@ -3,13 +3,23 @@
 import io
 import json
 import shutil
+import urllib.error
 import urllib.request
+from collections import Counter
+from datetime import date
 
 import pytest
 
 from depgrowth import cli
-from depgrowth.complexity import MockModelClient
-from depgrowth.ingest import read_releases
+from depgrowth.complexity import (
+    SYSTEM_PROMPT,
+    MockModelClient,
+    RequestRejected,
+    RetryPolicy,
+    build_prompt,
+    rate_release,
+)
+from depgrowth.ingest import PackageRelease, RepoSnapshot, read_releases
 from depgrowth.synth import build_world, small_config, write_corpus
 
 
@@ -280,6 +290,44 @@ class TestDeterminism:
         assert cli.main(["metrics", *_pipeline_args(corpus_dir, out_dir)]) == 0
         assert (out_dir / "log_diff_samples.jsonl").read_bytes() == before
 
+    @pytest.mark.parametrize("extra", [(), ("--min-dependents", "0")])
+    def test_all_matches_stages_run_one_by_one(self, corpus_dir, out_dir, extra):
+        # same out_dir path for both runs, so the config hash matches
+        path = out_dir.parent / "staged"
+        args = _pipeline_args(corpus_dir, path, *extra)
+        assert cli.main(["all", *args]) == 0
+        together = {p.name: p.read_bytes() for p in path.iterdir()}
+        shutil.rmtree(path)
+        for stage in ("filter", "metrics", "complexity", "analyze"):
+            assert cli.main([stage, *args]) == 0
+        staged = {p.name: p.read_bytes() for p in path.iterdir()}
+        shutil.rmtree(path)
+        assert staged == together
+
+
+class TestParseOnce:
+    def test_all_reads_and_hashes_each_corpus_once(self, corpus_dir, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(arg):
+                calls[name, str(arg)] += 1
+                return fn(arg)
+
+            return wrapper
+
+        for name in ("read_repo_snapshots", "read_dependent_edges", "file_sha256"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert cli.main(["all", *_pipeline_args(corpus_dir, tmp_path / "out")]) == 0
+        snapshots = str(corpus_dir / "repo_snapshots.jsonl")
+        edges = str(corpus_dir / "dependent_edges.jsonl")
+        releases = str(corpus_dir / "releases.jsonl")
+        assert calls["read_repo_snapshots", snapshots] == 1
+        assert calls["read_dependent_edges", edges] == 1
+        assert sum(n for (name, _), n in calls.items() if name.startswith("read_")) == 2
+        for path in (releases, snapshots, edges):
+            assert calls["file_sha256", path] == 1
+
 
 class TestExitCodes:
     def test_unknown_ecosystem_is_config_error(self, corpus_dir, tmp_path):
@@ -321,6 +369,24 @@ class TestExitCodes:
 
     def test_analyze_before_metrics_is_data_error(self, corpus_dir, tmp_path):
         assert cli.main(["analyze", *_pipeline_args(corpus_dir, tmp_path / "fresh2")]) == 3
+
+    @pytest.mark.parametrize("fault", ["other grid", "truncated report"])
+    def test_analyze_on_mismatched_metrics_is_data_error(
+        self, corpus_dir, out_dir, tmp_path, capsys, fault
+    ):
+        work = tmp_path / "regrid"
+        work.mkdir()
+        for name in ("log_diff_samples.jsonl", "release_records.jsonl", "metrics_report.json"):
+            shutil.copy(out_dir / name, work / name)
+        args = _pipeline_args(corpus_dir, work)
+        if fault == "other grid":
+            args[args.index("180,45")] = "365,90"
+        else:
+            report = work / "metrics_report.json"
+            report.write_bytes(report.read_bytes()[:40])
+        assert cli.main(["analyze", *args]) == 3
+        assert "rerun depgrowth metrics" in capsys.readouterr().err
+        assert not (work / "table_bins.txt").exists()
 
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -402,6 +468,55 @@ class TestHttpModelClient:
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         assert self._client().complete("a", "b") == "ok"
         assert seen["request"].get_header("Authorization") is None
+
+    def _rate(self, monkeypatch, statuses):
+        """Rate one release through the client; ``statuses`` are the endpoint's
+        replies in order, 200 answering with a valid rating. Returns the
+        outcome, the number of requests and the backoff sleeps."""
+        release = PackageRelease(
+            release_date=date(2023, 5, 2),
+            ecosystem="npm",
+            package_name="widget",
+            owner="acme",
+            repo_name="widget",
+            version_text="2.1.0",
+            release_notes="Reworked the scheduler. " * 40,
+        )
+        repo = RepoSnapshot(date(2023, 5, 1), "acme", "widget", 3, 1, False)
+        answer = MockModelClient().complete(SYSTEM_PROMPT, build_prompt(release, repo).user_text)
+        replies = list(statuses)
+        requests = []
+
+        def fake_urlopen(request, timeout=None):
+            requests.append(request)
+            status = replies.pop(0)
+            if status != 200:
+                raise urllib.error.HTTPError(request.full_url, status, "refused", {}, None)
+            return _FakeResponse(json.dumps({"text": answer}).encode("utf-8"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        sleeps = []
+        policy = RetryPolicy(max_attempts=3, backoff=0.5, sleeper=sleeps.append)
+        try:
+            outcome = rate_release(release, repo, self._client(), policy)
+        except RequestRejected as exc:
+            outcome = exc
+        return outcome, len(requests), sleeps
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_fails_fast(self, monkeypatch, status):
+        outcome, requests, sleeps = self._rate(monkeypatch, [status])
+        assert isinstance(outcome, RequestRejected)
+        assert f"HTTP {status}" in str(outcome)
+        assert requests == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [503, 500, 408, 429])
+    def test_server_error_and_throttling_are_retried(self, monkeypatch, status):
+        outcome, requests, sleeps = self._rate(monkeypatch, [status, 200])
+        assert 1 <= outcome.rating <= 7
+        assert requests == 2
+        assert sleeps == [0.5]
 
     @pytest.mark.parametrize("body", [b"[]", b'{"no_text": 1}', b'{"text": 5}', b"{bad"])
     def test_malformed_envelope_raises_oserror(self, monkeypatch, body):

@@ -20,6 +20,7 @@ from depgrowth.complexity import (
     MockModelClient,
     NotEligible,
     PromptBundle,
+    RequestRejected,
     RetryPolicy,
     _TokenBucket,
     agreement_stats,
@@ -482,6 +483,17 @@ def test_rate_many_reports_exhausted_retries_as_failure():
     ratings, failures = rate_many(_batch(1), client, policy=policy)
     assert ratings == {}
     assert failures["npm:pkg-0"].startswith("ExhaustedRetries")
+
+
+def test_rate_many_reports_rejected_request_as_failure():
+    client = ScriptedClient([RequestRejected("model endpoint refused the request: HTTP 404")])
+    sleeps = []
+    policy = RetryPolicy(max_attempts=3, sleeper=sleeps.append)
+    ratings, failures = rate_many(_batch(1), client, policy=policy)
+    assert ratings == {}
+    assert failures["npm:pkg-0"].startswith("RequestRejected")
+    assert client.calls == 1
+    assert sleeps == []
 
 
 def test_rate_many_parallel_matches_serial():

@@ -270,14 +270,6 @@ class TestRepoIndex:
         assert not index.quality_ok("fork", "r", when)
         assert not index.quality_ok("absent", "r", when)
 
-    def test_metadata_dropped_when_not_kept(self):
-        snaps = [make_snap("a", "r", "2023-03-10", description="desc", language="Go")]
-        lean = RepoIndex.build(snaps, keep_metadata=False)
-        snap = lean.nearest("a", "r", D("2023-03-10"))
-        assert snap is not None
-        assert snap.description is None and snap.language is None
-        assert snap.stars == 5  # join fields always survive
-
     def test_out_of_order_input(self):
         index = RepoIndex.build(
             [
@@ -288,6 +280,18 @@ class TestRepoIndex:
         )
         snap = index.nearest("a", "r", D("2023-03-07"))
         assert snap is not None and snap.stars == 2
+
+    def test_metadata_comes_from_the_joined_row(self):
+        index = RepoIndex.build(
+            [
+                make_snap("a", "r", "2023-03-01", description="old", topics=("x",), language="Go"),
+                make_snap("a", "r", "2023-03-05", description="new", language="Rust"),
+            ]
+        )
+        old = index.nearest("a", "r", D("2023-03-04"))
+        new = index.nearest("a", "r", D("2023-03-06"))
+        assert (old.description, old.topics, old.language) == ("old", ("x",), "Go")
+        assert (new.description, new.topics, new.language) == ("new", (), "Rust")
 
 
 def make_edge(pkg, dep, day, eco="npm"):
