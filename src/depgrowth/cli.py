@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import http.client
 import io
 import json
 import os
@@ -22,7 +24,7 @@ import urllib.error
 import urllib.request
 from datetime import timedelta
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .complexity import (
@@ -115,10 +117,25 @@ def _provenance(
     }
 
 
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[IO[str]]:
+    """A text handle on a temp file beside ``path``, moved onto ``path`` once
+    closed, so a stage that fails or is killed mid-write leaves the previous
+    artifact (or none) in place, never a truncated one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_records(path: Path, schema: str, provenance: dict, rows: Iterable[Mapping]) -> int:
     header = {"schema": schema, "version": 1, "provenance": provenance}
     n = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for row in rows:
             handle.write(json.dumps(row, separators=(",", ":")) + "\n")
@@ -127,13 +144,13 @@ def _write_records(path: Path, schema: str, provenance: dict, rows: Iterable[Map
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def _write_text(path: Path, provenance: dict, body: str, comment: str = "#") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.write(f"{comment} provenance: {json.dumps(provenance, sort_keys=True)}\n")
         handle.write(body)
 
@@ -383,7 +400,7 @@ def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     )
     exclusions: dict[str, dict[str, int]] = {}
     n_samples = 0
-    with open(out / "log_diff_samples.jsonl", "w", encoding="utf-8") as handle:
+    with _replacing(out / "log_diff_samples.jsonl") as handle:
         header = {"schema": "log-diff-samples", "version": 1, "provenance": provenance}
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for metric in METRICS:
@@ -491,7 +508,7 @@ def cmd_analyze(config: PipelineConfig) -> int:
                 title=eco,
             )
             svg_path = out / f"heatmap_{stem[len('table_'):]}_{eco}.svg"
-            with open(svg_path, "w", encoding="utf-8") as handle:
+            with _replacing(svg_path) as handle:
                 handle.write(f"<!-- provenance: {json.dumps(provenance, sort_keys=True)} -->\n")
                 handle.write(svg)
             for row_label, row in zip(bundle.row_labels, matrix):
@@ -601,16 +618,17 @@ class HttpModelClient:
             headers["Authorization"] = f"Bearer {self._token}"
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
         try:
-            response = urllib.request.urlopen(request, timeout=self._timeout)
+            with urllib.request.urlopen(request, timeout=self._timeout) as response:
+                body = json.load(response)
         except urllib.error.HTTPError as exc:
             if 400 <= exc.code < 500 and exc.code not in (408, 429):
                 raise RequestRejected(f"model endpoint refused the request: HTTP {exc.code}") from exc
             raise
-        with response:
-            try:
-                body = json.load(response)
-            except json.JSONDecodeError as exc:
-                raise OSError(f"model endpoint returned invalid JSON: {exc.msg}") from exc
+        except http.client.HTTPException as exc:
+            # IncompleteRead, BadStatusLine: a broken exchange, not an OSError
+            raise OSError(f"model endpoint broke off the response: {exc!r}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise OSError(f"model endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
             raise OSError("model endpoint response lacks a text field")
         return body["text"]

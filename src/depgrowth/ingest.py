@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
     "DateOutOfRange",
@@ -50,6 +50,7 @@ SCHEMA_VERSION = 1
 JOIN_WINDOW_DAYS = 7
 
 _ECOSYSTEM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
+_raw_decode = json.JSONDecoder().raw_decode
 
 Source = Union[str, Path, IO[str], Iterable[str]]
 
@@ -75,8 +76,9 @@ class DateOutOfRange(LookupError):
     """A dependent-count lookup has no edge coverage within the join window."""
 
 
-@dataclass(frozen=True)
-class RepoSnapshot:
+# Snapshot and edge rows number in the millions, so they are NamedTuples
+# (cheap to build); the few thousand releases stay a frozen dataclass.
+class RepoSnapshot(NamedTuple):
     snapshot_date: date
     owner: str
     name: str
@@ -99,8 +101,7 @@ class PackageRelease:
     release_notes: str | None = None
 
 
-@dataclass(frozen=True)
-class DependentEdge:
+class DependentEdge(NamedTuple):
     snapshot_date: date
     dependent_owner: str
     dependent_repo: str
@@ -277,6 +278,49 @@ def _topics(obj: dict) -> tuple[str, ...]:
 
 
 def _repo_snapshot(obj: dict) -> RepoSnapshot:
+    # One pass over the fields with the helpers' rules (at most stricter);
+    # any row it refuses goes through the helper chain, which writes the
+    # message for the first bad field or builds the row after all.
+    get = obj.get
+    raw_date = get("snapshot_date")
+    owner = get("owner")
+    name = get("name")
+    stars = get("stars")
+    forks = get("forks")
+    is_fork = get("is_fork")
+    description = get("description")
+    topics = get("topics", [])
+    language = get("language")
+    if (
+        type(raw_date) is str
+        and type(owner) is str
+        and owner
+        and type(name) is str
+        and name
+        and type(stars) is int
+        and stars >= 0
+        and type(forks) is int
+        and forks >= 0
+        and type(is_fork) is bool
+        and (description is None or type(description) is str)
+        and type(topics) is list
+        and (not topics or all(type(topic) is str for topic in topics))
+        and (language is None or type(language) is str)
+    ):
+        try:
+            return RepoSnapshot(
+                date.fromisoformat(raw_date),
+                owner,
+                name,
+                stars,
+                forks,
+                is_fork,
+                description,
+                tuple(topics),
+                language,
+            )
+        except ValueError:
+            pass  # a bad date: the chain below reports it
     return RepoSnapshot(
         snapshot_date=_parse_date(obj.get("snapshot_date"), "snapshot_date"),
         owner=_req_str(obj, "owner"),
@@ -303,6 +347,28 @@ def _package_release(obj: dict) -> PackageRelease:
 
 
 def _dependent_edge(obj: dict) -> DependentEdge:
+    # the same fast check as _repo_snapshot's, with the same fallback
+    get = obj.get
+    raw_date = get("snapshot_date")
+    owner = get("dependent_owner")
+    repo = get("dependent_repo")
+    ecosystem = get("ecosystem")
+    package = get("package_name")
+    if (
+        type(raw_date) is str
+        and type(owner) is str
+        and owner
+        and type(repo) is str
+        and repo
+        and type(ecosystem) is str
+        and _ECOSYSTEM_RE.match(ecosystem)
+        and type(package) is str
+        and package
+    ):
+        try:
+            return DependentEdge(date.fromisoformat(raw_date), owner, repo, ecosystem, package)
+        except ValueError:
+            pass
     return DependentEdge(
         snapshot_date=_parse_date(obj.get("snapshot_date"), "snapshot_date"),
         dependent_owner=_req_str(obj, "dependent_owner"),
@@ -329,13 +395,23 @@ class RecordReader:
 
     def __iter__(self) -> Iterator[object]:
         for line_no, line in enumerate(_iter_lines(self._source), start=1):
-            if not line.strip():
-                continue
+            # json.loads(line) rejects a leading BOM, runs raw_decode(line,
+            # idx) with idx past any leading whitespace, and rejects anything
+            # but whitespace after the value. When raw_decode at 0 consumes
+            # the whole line, the line has no BOM, no leading whitespace and
+            # nothing after the value, so json.loads returns the same object.
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                self.violations.append(SchemaViolation(line_no, f"invalid JSON: {exc.msg}"))
-                continue
+                obj, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    self.violations.append(SchemaViolation(line_no, f"invalid JSON: {exc.msg}"))
+                    continue
             if not isinstance(obj, dict):
                 self.violations.append(SchemaViolation(line_no, "record must be an object"))
                 continue

@@ -394,6 +394,43 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class TestAtomicWrites:
+    def test_failed_writer_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        cli._write_records(path, "rows", {}, [{"n": 1}, {"n": 2}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"n": 3}
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError):
+            cli._write_records(path, "rows", {}, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+    def test_failed_metrics_stage_keeps_previous_samples(
+        self, corpus_dir, out_dir, tmp_path, monkeypatch
+    ):
+        for name in ("filtered_releases.jsonl", "log_diff_samples.jsonl"):
+            shutil.copy(out_dir / name, tmp_path / name)
+        before = (tmp_path / "log_diff_samples.jsonl").read_bytes()
+        calls = []
+        samples = cli.log_diff_samples
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("killed mid-write")
+            return samples(*args)
+
+        monkeypatch.setattr(cli, "log_diff_samples", failing)
+        with pytest.raises(RuntimeError):
+            cli.main(["metrics", *_pipeline_args(corpus_dir, tmp_path)])
+        assert (tmp_path / "log_diff_samples.jsonl").read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestEmptyInputs:
     def test_empty_files_make_empty_outputs(self, tmp_path):
         for name in ("releases", "repos", "edges"):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import http.client
+import io
 import pathlib
+import urllib.request
 from datetime import date
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from depgrowth.cli import HttpModelClient
 from depgrowth.complexity import (
     MIN_NOTE_CHARS,
     SYSTEM_PROMPT,
@@ -494,6 +498,35 @@ def test_rate_many_reports_rejected_request_as_failure():
     assert failures["npm:pkg-0"].startswith("RequestRejected")
     assert client.calls == 1
     assert sleeps == []
+
+
+def _cut_short(request, timeout=None):
+    raise http.client.IncompleteRead(b'{"text": "<cla')
+
+
+def _garbled_status(request, timeout=None):
+    raise http.client.BadStatusLine("HTTP/1.1 2OO OK")
+
+
+def _latin1_body(request, timeout=None):
+    return io.BytesIO('{"text": "caf\u00e9"}'.encode("latin-1"))
+
+
+@pytest.mark.parametrize("urlopen", [_cut_short, _garbled_status, _latin1_body])
+def test_rate_many_reports_broken_http_response_as_exhausted(monkeypatch, urlopen):
+    calls = []
+
+    def fake_urlopen(request, timeout=None):
+        calls.append(request)
+        return urlopen(request, timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    client = HttpModelClient("http://model.test/v1", "remote-model")
+    policy = RetryPolicy(max_attempts=3, sleeper=lambda s: None)
+    ratings, failures = rate_many(_batch(1), client, policy=policy)
+    assert ratings == {}
+    assert failures["npm:pkg-0"].startswith("ExhaustedRetries")
+    assert len(calls) == 3
 
 
 def test_rate_many_parallel_matches_serial():

@@ -5,13 +5,17 @@ from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from depgrowth import ingest
 from depgrowth.ingest import (
     DateOutOfRange,
     DependentEdge,
     EdgeIndex,
     HttpSource,
     PackageRelease,
+    RecordReader,
     RepoIndex,
     RepoSnapshot,
     SchemaHeaderError,
@@ -213,6 +217,132 @@ def make_snap(owner, name, day, stars=5, forks=1, is_fork=False, **kw):
         is_fork=is_fork,
         **kw,
     )
+
+
+# The helper chain alone, field by field: the reference the readers' one-pass
+# checks must agree with on every row.
+def _snapshot_by_helpers(obj):
+    return RepoSnapshot(
+        snapshot_date=ingest._parse_date(obj.get("snapshot_date"), "snapshot_date"),
+        owner=ingest._req_str(obj, "owner"),
+        name=ingest._req_str(obj, "name"),
+        stars=ingest._req_count(obj, "stars"),
+        forks=ingest._req_count(obj, "forks"),
+        is_fork=ingest._req_bool(obj, "is_fork"),
+        description=ingest._opt_str(obj, "description"),
+        topics=ingest._topics(obj),
+        language=ingest._opt_str(obj, "language"),
+    )
+
+
+def _edge_by_helpers(obj):
+    return DependentEdge(
+        snapshot_date=ingest._parse_date(obj.get("snapshot_date"), "snapshot_date"),
+        dependent_owner=ingest._req_str(obj, "dependent_owner"),
+        dependent_repo=ingest._req_str(obj, "dependent_repo"),
+        ecosystem=ingest._req_ecosystem(obj),
+        package_name=ingest._req_str(obj, "package_name"),
+    )
+
+
+_MISSING = object()
+_DATE = [_MISSING, None, "", "2023-02-30", "03/01/2023", "2023-3-1", 20230301, True]
+_REQ_STR = [_MISSING, None, "", 5, True, ["acme"], "x"]
+_COUNT = [_MISSING, None, -1, True, False, 1.5, "10", 0, 2**40]
+_BOOL = [_MISSING, None, 0, 1, "false", True]
+_OPT_STR = [_MISSING, None, "", 7, False, ["a"], "text"]
+_TOPICS = [_MISSING, None, "x", [], [1], ["a", None], ["a", True], ["a", "b"], {"a": "b"}]
+_ECOSYSTEM = [_MISSING, None, "", "NPM", "0bad", "npm\n", "pypi", 5]
+_SNAPSHOT_MUTATIONS = {
+    "snapshot_date": _DATE,
+    "owner": _REQ_STR,
+    "name": _REQ_STR,
+    "stars": _COUNT,
+    "forks": _COUNT,
+    "is_fork": _BOOL,
+    "description": _OPT_STR,
+    "topics": _TOPICS,
+    "language": _OPT_STR,
+}
+_EDGE_MUTATIONS = {
+    "snapshot_date": _DATE,
+    "dependent_owner": _REQ_STR,
+    "dependent_repo": _REQ_STR,
+    "ecosystem": _ECOSYSTEM,
+    "package_name": _REQ_STR,
+}
+
+
+def _mutated_lines(line_fn, mutations):
+    """Lines of valid rows, each with up to three fields dropped or replaced."""
+    edit = st.sampled_from([(f, v) for f, values in mutations.items() for v in values])
+    row = st.lists(edit, max_size=3).map(lambda edits: _edited(line_fn(), edits))
+    return st.lists(row, min_size=1, max_size=8)
+
+
+def _edited(line, edits):
+    obj = json.loads(line)
+    for field, value in edits:
+        if value is _MISSING:
+            obj.pop(field, None)
+        else:
+            obj[field] = value
+    return json.dumps(obj)
+
+
+def _read(reader):
+    rows = list(reader)
+    return rows, [(v.line_no, v.message) for v in reader.violations]
+
+
+class TestLeanValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_lines(snap_line, _SNAPSHOT_MUTATIONS))
+    def test_snapshot_rows_match_the_helper_chain(self, lines):
+        assert _read(read_repo_snapshots(lines)) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_lines(edge_line, _EDGE_MUTATIONS))
+    def test_edge_rows_match_the_helper_chain(self, lines):
+        assert _read(read_dependent_edges(lines)) == _read(
+            RecordReader(lines, "dependent-edges", _edge_by_helpers)
+        )
+
+    def test_first_bad_field_in_field_order_is_reported(self):
+        reader = read_repo_snapshots([snap_line(stars=-1, owner="", topics=[1])])
+        assert list(reader) == []
+        assert [(v.line_no, v.message) for v in reader.violations] == [
+            (1, "owner must be a non-empty string")
+        ]
+
+    @pytest.mark.parametrize(
+        "line, rows, violation",
+        [
+            ("  " + snap_line() + " \t", 1, None),
+            ("\ufeff" + snap_line(), 0, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ("{} {}", 0, "invalid JSON: Extra data"),
+            ("1,2", 0, "invalid JSON: Extra data"),
+            (snap_line()[:25], 0, "invalid JSON: Unterminated string starting at"),
+            ("[1", 0, "invalid JSON: Expecting ',' delimiter"),
+            ("[]", 0, "record must be an object"),
+            ("", 0, None),
+            (" \t ", 0, None),
+        ],
+    )
+    def test_decoding_matches_json_loads(self, line, rows, violation):
+        reader = read_repo_snapshots([snap_line(), line])
+        assert len(list(reader)) == 1 + rows
+        expected = [] if violation is None else [(2, violation)]
+        assert [(v.line_no, v.message) for v in reader.violations] == expected
+        if line.strip():
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                assert violation == f"invalid JSON: {exc.msg}"
+            else:
+                assert (violation is None) == isinstance(obj, dict)
 
 
 class TestRepoIndex:
