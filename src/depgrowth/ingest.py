@@ -24,6 +24,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
+from operator import lt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -49,8 +50,11 @@ __all__ = [
 SCHEMA_VERSION = 1
 JOIN_WINDOW_DAYS = 7
 
-_ECOSYSTEM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
+_ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
 _raw_decode = json.JSONDecoder().raw_decode
+# the start of a compact snapshot or edge line with its date first, as synth
+# writes them; see RecordReader.__iter__
+_DATED_PREFIX = '{"snapshot_date":"'
 
 Source = Union[str, Path, IO[str], Iterable[str]]
 
@@ -265,7 +269,7 @@ def _req_bool(obj: dict, field: str) -> bool:
 
 def _req_ecosystem(obj: dict) -> str:
     value = _req_str(obj, "ecosystem")
-    if not _ECOSYSTEM_RE.match(value):
+    if not _ECOSYSTEM_RE.fullmatch(value):
         raise ValueError(f"ecosystem must be a lowercase identifier, got {value!r}")
     return value
 
@@ -361,7 +365,7 @@ def _dependent_edge(obj: dict) -> DependentEdge:
         and type(repo) is str
         and repo
         and type(ecosystem) is str
-        and _ECOSYSTEM_RE.match(ecosystem)
+        and _ECOSYSTEM_RE.fullmatch(ecosystem)
         and type(package) is str
         and package
     ):
@@ -385,16 +389,78 @@ class RecordReader:
     ``violations`` (with their 1-based line numbers) and iteration
     continues. A schema header naming the wrong schema aborts with
     :class:`SchemaHeaderError` since nothing after it can be trusted.
+
+    Given the ``row_type`` that ``parse`` builds (a tuple whose first field
+    is the ``snapshot_date``) and the number of fields after the date that
+    name a row's subject (``key_fields``), the reader decodes each distinct
+    row body of a compact, date-first line once; see :meth:`__iter__`.
     """
 
-    def __init__(self, source: Source, schema: str, parse: Callable[[dict], object]) -> None:
+    def __init__(
+        self,
+        source: Source,
+        schema: str,
+        parse: Callable[[dict], object],
+        row_type: type[tuple] | None = None,
+        key_fields: int = 0,
+    ) -> None:
         self._source = source
         self._schema = schema
         self._parse = parse
+        self._row_type = row_type
+        self._key_fields = key_fields
         self.violations: list[SchemaViolation] = []
 
     def __iter__(self) -> Iterator[object]:
+        # Body memo. A line that starts with _DATED_PREFIX and has '",' at
+        # 28-29 splits into a date D = line[18:28] and a body B = line[30:].
+        # - A D that date.fromisoformat accepts holds no '"', '\' or control
+        #   character, so the string literal ends at index 28.
+        # - After the ',' the scanner is where it is after the '{' of
+        #   "{" + B, except that a '}' there is a trailing comma. So the line
+        #   is one valid object exactly when "{" + B is a non-empty one, and
+        #   json(line) == {"snapshot_date": D} | json("{" + B).
+        # - When that object has no "snapshot_date" of its own, the row is
+        #   date(D) followed by fields of B alone, validated when B first
+        #   yielded a row. A later line with a known B and a D that parses
+        #   yields the same row without a decode. (A header is only ever
+        #   line 1, which no known body precedes.)
+        # Any other line takes the full path below, which writes every
+        # violation.
+        # The memo keeps the last body of each subject (the first key_fields
+        # fields after the date: a repository, or a whole edge), so it never
+        # holds more bodies than the input has subjects. The rows of the
+        # first date have little before them to repeat, so they are allowed
+        # for: once the later rows that missed the memo outnumber its hits
+        # plus those first rows, bodies do not repeat here, and the memo is
+        # dropped for the rest of the read.
+        row_type = self._row_type
+        key_fields = self._key_fields
+        days: dict[str, date] = {}  # D -> date(D), for each D that parsed
+        # B -> the row's fields after the date; None once the memo is dropped
+        bodies: dict[str, tuple] | None = None if row_type is None else {}
+        subjects: dict[tuple, str] = {}  # a tail's key fields -> its B
+        strings: dict[str, str] = {}  # one copy of each key field string
+        first_day = None
+        first_rows = missed = hits = 0
         for line_no, line in enumerate(_iter_lines(self._source), start=1):
+            if bodies is not None and line[28:30] == '",' and line.startswith(_DATED_PREFIX):
+                raw_day = line[18:28]
+                body = line[30:]
+                tail = bodies.get(body)
+                if tail is not None:
+                    day = days.get(raw_day)
+                    if day is None:
+                        try:
+                            day = days[raw_day] = date.fromisoformat(raw_day)
+                        except ValueError:
+                            pass  # the full path reports the date
+                    if day is not None:
+                        hits += 1
+                        yield row_type(day, *tail)
+                        continue
+            else:
+                body = None
             # json.loads(line) rejects a leading BOM, runs raw_decode(line,
             # idx) with idx past any leading whitespace, and rejects anything
             # but whitespace after the value. When raw_decode at 0 consumes
@@ -428,14 +494,50 @@ class RecordReader:
                     )
                 continue
             try:
-                yield self._parse(obj)
+                row = self._parse(obj)
             except ValueError as exc:
                 self.violations.append(SchemaViolation(line_no, str(exc)))
+                continue
+            yield row
+            if body is None:
+                continue
+            if first_day is None:
+                first_day = raw_day
+            if raw_day == first_day:
+                first_rows += 1
+            else:
+                missed += 1
+                if missed > hits + first_rows:
+                    bodies = None
+                    subjects.clear()
+                    strings.clear()
+                    continue
+            if raw_day not in days:
+                try:
+                    days[raw_day] = date.fromisoformat(raw_day)
+                except ValueError:
+                    continue  # D may end in '\', and B is then no body
+            # D parsed and the line decoded, so "{" + B is an object (see
+            # above). Without a '\' in B, a "snapshot_date" key of its own
+            # would show as that text.
+            if '"snapshot_date"' in body:
+                continue
+            if "\\" in body and "snapshot_date" in _raw_decode("{" + body)[0]:
+                continue
+            # the key fields' strings are shared across bodies, and their
+            # table is bounded as the memo is: by the input's subjects
+            key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
+            tail = key + row[1 + key_fields :]
+            old = subjects.get(key)
+            if old is not None:
+                del bodies[old]
+            subjects[key] = body
+            bodies[body] = tail
 
 
 def read_repo_snapshots(source: Source) -> RecordReader:
     """Reader for repository snapshot records (schema ``repo-snapshots``)."""
-    return RecordReader(source, "repo-snapshots", _repo_snapshot)
+    return RecordReader(source, "repo-snapshots", _repo_snapshot, RepoSnapshot, 2)
 
 
 def read_releases(source: Source) -> RecordReader:
@@ -445,7 +547,7 @@ def read_releases(source: Source) -> RecordReader:
 
 def read_dependent_edges(source: Source) -> RecordReader:
     """Reader for dependent edge records (schema ``dependent-edges``)."""
-    return RecordReader(source, "dependent-edges", _dependent_edge)
+    return RecordReader(source, "dependent-edges", _dependent_edge, DependentEdge, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -515,29 +617,30 @@ class RepoIndex:
         if store is None:
             return None
         raw_ordinals, raw_stars, raw_forks, raw_flags, raw_metas = store
-        n = len(raw_ordinals)
-        order = range(n)
-        if any(raw_ordinals[i] > raw_ordinals[i + 1] for i in range(n - 1)):
+        if all(map(lt, raw_ordinals, raw_ordinals[1:])):
+            # strictly increasing: already sorted with no same-day duplicates
+            # (add thaws by copying, so these arrays are never appended to)
+            frozen = tuple(store)
+        else:
+            ordinals = array("l")
+            stars = array("l")
+            forks = array("l")
+            fork_flags = array("b")
+            metas: list[tuple] = []
             # stable, so same-day duplicates keep arrival order: last wins
-            order = sorted(order, key=raw_ordinals.__getitem__)
-        ordinals = array("l")
-        stars = array("l")
-        forks = array("l")
-        fork_flags = array("b")
-        metas: list[tuple] = []
-        for i in order:
-            if len(ordinals) and ordinals[-1] == raw_ordinals[i]:
-                stars[-1] = raw_stars[i]
-                forks[-1] = raw_forks[i]
-                fork_flags[-1] = raw_flags[i]
-                metas[-1] = raw_metas[i]
-                continue
-            ordinals.append(raw_ordinals[i])
-            stars.append(raw_stars[i])
-            forks.append(raw_forks[i])
-            fork_flags.append(raw_flags[i])
-            metas.append(raw_metas[i])
-        frozen = (ordinals, stars, forks, fork_flags, metas)
+            for i in sorted(range(len(raw_ordinals)), key=raw_ordinals.__getitem__):
+                if len(ordinals) and ordinals[-1] == raw_ordinals[i]:
+                    stars[-1] = raw_stars[i]
+                    forks[-1] = raw_forks[i]
+                    fork_flags[-1] = raw_flags[i]
+                    metas[-1] = raw_metas[i]
+                    continue
+                ordinals.append(raw_ordinals[i])
+                stars.append(raw_stars[i])
+                forks.append(raw_forks[i])
+                fork_flags.append(raw_flags[i])
+                metas.append(raw_metas[i])
+            frozen = (ordinals, stars, forks, fork_flags, metas)
         self._frozen[key] = frozen
         del self._rows[key]
         return frozen

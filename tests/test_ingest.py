@@ -174,6 +174,15 @@ class TestReaders:
         assert list(reader) == []
         assert len(reader.violations) == 1
 
+    def test_ecosystem_with_a_trailing_newline_is_refused(self):
+        message = "ecosystem must be a lowercase identifier, got 'npm\\n'"
+        for reader in (
+            read_releases([release_line(ecosystem="npm\n")]),
+            read_dependent_edges([edge_line(ecosystem="npm\n")]),
+        ):
+            assert list(reader) == []
+            assert [(v.line_no, v.message) for v in reader.violations] == [(1, message)]
+
     def test_release_notes_optional(self):
         with_notes = release_line(release_notes="Fixed a bug")
         null_notes = release_line(release_notes=None)
@@ -345,6 +354,261 @@ class TestLeanValidation:
                 assert (violation is None) == isinstance(obj, dict)
 
 
+def _dated(day, body):
+    """A compact line with ``snapshot_date`` first, as synth writes it."""
+    return '{"snapshot_date":' + json.dumps(day) + "," + body
+
+
+def _body(line, edits):
+    """The compact text after the date of an edited row.
+
+    An edit of ``snapshot_date`` puts a second date key into the body.
+    """
+    obj = json.loads(line)
+    del obj["snapshot_date"]
+    for field, value in edits:
+        if value is _MISSING:
+            obj.pop(field, None)
+        else:
+            obj[field] = value
+    return json.dumps(obj, separators=(",", ":"))[1:]
+
+
+_MEMO_DATES = ["2023-03-01", "2023-03-02", "2023-02-30", "2023-W01-1", ""]
+
+
+@st.composite
+def _dated_lines(draw, line_fn, mutations):
+    """A few bodies, some edited, on a few dates each, in one of three orders."""
+    edits = [(f, v) for f, values in mutations.items() for v in values]
+    # a valid date inside the body too: the body's own date then wins
+    edit = st.sampled_from(edits + [("snapshot_date", "2023-03-09")])
+    body = st.lists(edit, max_size=2).map(lambda edits: _body(line_fn(), edits))
+    bodies = draw(st.lists(body, min_size=1, max_size=4))
+    days = draw(st.lists(st.sampled_from(_MEMO_DATES), min_size=1, max_size=3))
+    order = draw(st.sampled_from(["date-major", "body-major", "shuffled"]))
+    if order == "date-major":
+        return [_dated(day, b) for day in days for b in bodies]
+    lines = [_dated(day, b) for b in bodies for day in days]
+    return lines if order == "body-major" else draw(st.permutations(lines))
+
+
+_BODY = _body(snap_line(), [])
+_OTHER_BODY = _body(snap_line(), [("owner", "other")])
+
+
+class TestBodyMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(_dated_lines(snap_line, _SNAPSHOT_MUTATIONS))
+    def test_snapshot_rows_match_the_memo_free_reader(self, lines):
+        assert _read(read_repo_snapshots(lines)) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dated_lines(edge_line, _EDGE_MUTATIONS))
+    def test_edge_rows_match_the_memo_free_reader(self, lines):
+        assert _read(read_dependent_edges(lines)) == _read(
+            RecordReader(lines, "dependent-edges", _edge_by_helpers)
+        )
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # a body that sets snapshot_date again: its own date wins
+            [
+                _dated("2023-03-01", _BODY[:-1] + ',"snapshot_date":"2023-03-09"}'),
+                _dated("2023-03-02", _BODY[:-1] + ',"snapshot_date":"2023-03-09"}'),
+                _dated("2023-03-02", _BODY),
+            ],
+            [
+                _dated("2023-03-01", _BODY[:-1] + ',"snapshot\\u005fdate":"2023-03-09"}'),
+                _dated("2023-03-02", _BODY[:-1] + ',"snapshot\\u005fdate":"2023-03-09"}'),
+                _dated("2023-03-02", _BODY),
+            ],
+            # an escape in the body, and the key's text as a value
+            [_dated("2023-03-01", _BODY[:-1] + ',"description":"caf\\u00e9"}')] * 2,
+            [_dated("2023-03-01", _BODY[:-1] + ',"description":"\\"snapshot_date\\""}')] * 2,
+            # trailing commas after the date
+            [_dated("2023-01-01", _BODY), '{"snapshot_date":"2023-01-01",}'],
+            [_dated("2023-01-01", _BODY), '{"snapshot_date":"2023-01-01", }'],
+            # whitespace after the value: read by json.loads, memoized with it
+            [_dated("2023-03-01", _BODY), _dated("2023-03-01", _BODY + " ")],
+            [_dated("2023-03-01", _BODY + " \t")] * 2,
+            # a date ending in a backslash escapes the quote after it
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-0\\",' + _BODY],
+            [
+                _dated("2023-03-01", _BODY),
+                '{"snapshot_date":"2023-03-0\\",",' + _dated("2023-03-01", _BODY)[1:],
+            ],
+            # a bad date on a known body, also after a line with that date
+            # that yields a row because its body sets a date of its own
+            [_dated("2023-03-01", _BODY), _dated("2023-02-30", _BODY)],
+            [
+                _dated("2023-03-01", _BODY),
+                _dated("2023-02-30", _BODY[:-1] + ',"snapshot_date":"2023-03-09"}'),
+                _dated("2023-02-30", _BODY),
+            ],
+            [_dated("2023-03-01", _BODY), _dated("2023-03-1", _BODY)],
+        ],
+    )
+    def test_adversarial_lines_match_the_memo_free_reader(self, lines):
+        # repeats of another repository's row first, so the memo is still
+        # in use when the adversarial lines arrive
+        lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
+        assert _read(read_repo_snapshots(lines)) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+
+    def test_a_header_on_line_1_is_skipped_and_the_same_text_later_is_a_row(self):
+        lines = [_dated("2023-03-01", '"schema":"repo-snapshots","version":1,' + _BODY)] * 2
+        assert _read(read_repo_snapshots(lines)) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+
+    def test_a_known_body_is_not_decoded_again(self, monkeypatch):
+        decoded = _count_decodes(monkeypatch)
+        days = ("2023-03-01", "2023-03-02", "2023-03-02", "2023-03-01")
+        lines = [_dated(day, _BODY) for day in days]
+        rows = list(read_repo_snapshots(lines))
+        assert rows == [make_snap("acme", "libfoo", day, stars=10, forks=2) for day in days]
+        assert decoded == [lines[0]]
+
+    def test_the_memo_keeps_one_body_per_repository(self, monkeypatch):
+        # three repositories over 30 days, date-major; each one's stars
+        # change every third day, so a new body replaces the last one
+        lines = [
+            _dated(
+                (date(2023, 3, 1) + timedelta(days=d)).isoformat(),
+                _body(snap_line(), [("owner", owner), ("stars", d // 3)]),
+            )
+            for d in range(30)
+            for owner in ("a", "b", "c")
+        ]
+        reader = read_repo_snapshots(lines)
+        rows, sizes = _read_with_memo_sizes(reader)
+        assert (rows, reader.violations) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+        assert max(sizes) == 3 and None not in sizes
+        # a body that was replaced is decoded again when it comes back
+        decoded = _count_decodes(monkeypatch)
+        list(read_repo_snapshots(lines[:3] + lines[9:12] + lines[:3]))
+        assert decoded.count(lines[0]) == 2
+
+    def test_the_edge_memo_keeps_one_body_per_edge(self):
+        edges = [_body(edge_line(), [("package_name", f"lib{i}")]) for i in range(4)]
+        # key order differs, the edge is the same: the later text replaces
+        # the earlier one
+        reordered = json.dumps(
+            dict(reversed(json.loads("{" + edges[0]).items())), separators=(",", ":")
+        )[1:]
+        days = [(date(2023, 3, 1) + timedelta(days=d)).isoformat() for d in range(5)]
+        lines = [_dated(day, b) for day in days for b in edges + [reordered]]
+        rows, sizes = _read_with_memo_sizes(read_dependent_edges(lines))
+        assert rows == list(RecordReader(lines, "dependent-edges", _edge_by_helpers))
+        assert max(sizes) == 4 and None not in sizes
+
+    def test_memoized_edges_share_their_strings(self):
+        bodies = [_body(edge_line(), []), _body(edge_line(), [("package_name", "libbar")])]
+        lines = [_dated("2023-03-01", body) for body in bodies * 2]
+        first, second, third, fourth = read_dependent_edges(lines)
+        assert (third, fourth) == (first, second)
+        # the last two rows come from the memo
+        assert third.dependent_owner is fourth.dependent_owner
+        assert third.ecosystem is fourth.ecosystem
+
+    @pytest.mark.parametrize("order", ["date-major", "repository-major"])
+    def test_the_memo_is_dropped_when_bodies_do_not_repeat(self, order, monkeypatch):
+        # an ignored field that changes on every line: each body is new
+        owners = [f"o{i}" for i in range(20)]
+        pairs = [(d, o) for d in range(30) for o in owners]
+        if order == "repository-major":
+            pairs.sort(key=lambda pair: pair[1])
+        lines = [
+            _dated(
+                (date(2023, 3, 1) + timedelta(days=d)).isoformat(),
+                _body(snap_line(), [("owner", o), ("updated_at", f"{d}:{o}")]),
+            )
+            for d, o in pairs
+        ]
+        decoded = _count_decodes(monkeypatch)
+        reader = read_repo_snapshots(lines)
+        rows, sizes = _read_with_memo_sizes(reader)
+        monkeypatch.undo()
+        assert (rows, reader.violations) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+        # dropped once the first row of the third date is read, at the
+        # latest, having held no more bodies than there are repositories
+        assert sizes[2 * len(owners) + 1] is None
+        assert max(size for size in sizes if size is not None) <= len(owners)
+        # memoized bodies were never decoded again to check them
+        assert len(decoded) == len(lines)
+
+    def test_the_memo_stays_when_most_bodies_repeat(self, monkeypatch):
+        # one repository of ten changes every day, date-major and
+        # repository-major: the other nine are decoded once each. (Sorted
+        # by repository, the reader judges from the rows read so far, so
+        # this one is not the first: see the dropped-memo test.)
+        for major in (0, 1):
+            pairs = sorted(((d, i) for d in range(30) for i in range(10)), key=lambda p: p[major])
+            lines = [
+                _dated(
+                    (date(2023, 3, 1) + timedelta(days=d)).isoformat(),
+                    _body(snap_line(), [("owner", f"o{i}"), ("stars", d if i == 9 else 1)]),
+                )
+                for d, i in pairs
+            ]
+            with monkeypatch.context() as patch:
+                decoded = _count_decodes(patch)
+                rows, sizes = _read_with_memo_sizes(read_repo_snapshots(lines))
+            assert rows == list(RecordReader(lines, "repo-snapshots", _snapshot_by_helpers))
+            assert None not in sizes
+            # one line of each stable repository is decoded
+            assert len([text for text in decoded if '"owner":"o9"' not in text]) == 9
+
+
+def _count_decodes(monkeypatch):
+    """Record every text ``ingest._raw_decode`` is given."""
+    decoded = []
+    decode = ingest._raw_decode
+    monkeypatch.setattr(ingest, "_raw_decode", lambda text: decoded.append(text) or decode(text))
+    return decoded
+
+
+def _read_with_memo_sizes(reader):
+    """The rows, and after each one the number of bodies in the reader's memo.
+
+    The size is None once the reader has dropped its memo.
+    """
+    rows, sizes = [], []
+    it = iter(reader)
+    for row in it:
+        rows.append(row)
+        bodies = it.gi_frame.f_locals["bodies"]
+        sizes.append(None if bodies is None else len(bodies))
+    return rows, sizes
+
+
+def _brute_nearest(snaps, when):
+    best = None
+    for snap in snaps:  # arrival order, so a later same-day row wins
+        if 0 <= (when - snap.snapshot_date).days <= 7:
+            if best is None or snap.snapshot_date >= best.snapshot_date:
+                best = snap
+    return best
+
+
+def _assert_lookups_match_a_scan(index, snaps, start):
+    for offset in range(-2, 50):
+        when = start + timedelta(days=offset)
+        expected = _brute_nearest(snaps, when)
+        assert index.nearest("a", "r", when) == expected
+        quality = expected is not None and not expected.is_fork and expected.stars >= 1
+        assert index.quality_ok("a", "r", when) == quality
+
+
 class TestRepoIndex:
     def test_exact_day_match(self):
         index = RepoIndex.build([make_snap("a", "r", "2023-03-10", stars=7)])
@@ -422,6 +686,41 @@ class TestRepoIndex:
         new = index.nearest("a", "r", D("2023-03-06"))
         assert (old.description, old.topics, old.language) == ("old", ("x",), "Go")
         assert (new.description, new.topics, new.language) == ("new", (), "Rust")
+
+    @pytest.mark.parametrize("shape", ["in-order", "out-of-order", "same-day duplicates"])
+    def test_lookups_match_a_brute_force_scan(self, shape):
+        rng = random.Random(shape)
+        start = D("2023-03-01")
+        offsets = sorted(rng.sample(range(40), 15))
+        if shape == "out-of-order":
+            rng.shuffle(offsets)
+        elif shape == "same-day duplicates":
+            offsets = sorted(offsets + rng.sample(offsets, 5))
+        snaps = [
+            make_snap(
+                "a",
+                "r",
+                start + timedelta(days=offset),
+                stars=rng.randrange(3),
+                is_fork=rng.random() < 0.2,
+                description=f"row {i}",
+            )
+            for i, offset in enumerate(offsets)
+        ]
+        _assert_lookups_match_a_scan(RepoIndex.build(snaps), snaps, start)
+
+    def test_rows_added_after_a_lookup_join_the_timeline(self):
+        start = D("2023-03-01")
+        snaps = [
+            make_snap("a", "r", start + timedelta(days=d), stars=d % 3) for d in range(0, 21, 2)
+        ]
+        index = RepoIndex.build(snaps)
+        _assert_lookups_match_a_scan(index, snaps, start)  # freezes the in-order timeline
+        for offset, stars in ((5, 9), (4, 0), (30, 4), (4, 7)):
+            snap = make_snap("a", "r", start + timedelta(days=offset), stars=stars)
+            index.add(snap)
+            snaps.append(snap)
+            _assert_lookups_match_a_scan(index, snaps, start)
 
 
 def make_edge(pkg, dep, day, eco="npm"):
