@@ -15,13 +15,10 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import http.client
 import io
 import json
 import os
 import sys
-import urllib.error
-import urllib.request
 from datetime import timedelta
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -214,10 +211,7 @@ class Corpus:
         """Repo index over every snapshot row, and the snapshot violation count."""
         if self._repos is None:
             reader = read_repo_snapshots(self._config.repo_snapshots)
-            index = RepoIndex()
-            for snap in reader:
-                index.add(snap)
-            self._repos = index, len(reader.violations)
+            self._repos = RepoIndex.build(reader), len(reader.violations)
         return self._repos
 
     def counter(self, releases: Sequence[PackageRelease]) -> tuple[StreamingDependentCounter, int]:
@@ -616,6 +610,10 @@ class HttpModelClient:
         headers = {"Content-Type": "application/json"}
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"
+        import http.client  # on use, so other commands skip the HTTP stack
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
         try:
             with urllib.request.urlopen(request, timeout=self._timeout) as response:

@@ -23,9 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
-from xml.sax.saxutils import escape as _xml_escape
-from xml.sax.saxutils import unescape as _xml_unescape
-
 from .ingest import PackageRelease, RepoSnapshot
 from .stats import DegenerateInput, pearson, spearman
 
@@ -53,6 +50,18 @@ __all__ = [
     "prompt_sha256",
     "rating_record",
 ]
+
+
+# xml.sax.saxutils' escape and unescape with no extra entities: "&" goes
+# first on the way in and last on the way out. (The xml.sax package imports
+# urllib.request, and with it http.client.)
+def _xml_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _xml_unescape(text: str) -> str:
+    return text.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
+
 
 # Minimum size of usable release notes, in Unicode code points after
 # stripping leading/trailing whitespace. Shorter notes carry too little

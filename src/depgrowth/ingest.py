@@ -14,12 +14,9 @@ The same staleness bound applies to dependent-edge coverage dates.
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -161,6 +158,10 @@ class HttpSource:
 
     def lines(self, name: str) -> Iterator[str]:
         """Stream decoded lines of ``<base_url>/<name>``, resuming on drops."""
+        import http.client  # on use, so importing the package skips the HTTP stack
+        import urllib.error
+        import urllib.request
+
         url = f"{self.base_url}/{name}"
         received = 0
         buffer = b""
@@ -393,7 +394,7 @@ class RecordReader:
     Given the ``row_type`` that ``parse`` builds (a tuple whose first field
     is the ``snapshot_date``) and the number of fields after the date that
     name a row's subject (``key_fields``), the reader decodes each distinct
-    row body of a compact, date-first line once; see :meth:`__iter__`.
+    row body of a compact, date-first line once; see :meth:`compiled`.
     """
 
     def __init__(
@@ -412,6 +413,35 @@ class RecordReader:
         self.violations: list[SchemaViolation] = []
 
     def __iter__(self) -> Iterator[object]:
+        row_type = self._row_type
+        if row_type is None:
+            for _, row in self.compiled(_same, _same):
+                yield row
+            return
+        # a memoized body keeps the fields after its date, the subject's
+        # strings shared across bodies
+        key_fields = self._key_fields
+        strings: dict[str, str] = {}
+
+        def fields(row: tuple) -> tuple:
+            key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
+            return key + row[1 + key_fields :]
+
+        rebuild = tuple.__new__
+        scan = self.compiled(fields, _same)
+        for day, tail in scan:
+            yield rebuild(row_type, (day, *tail))
+
+    def compiled(
+        self, compile: Callable[[tuple], object], day_of: Callable[[date], object] = date.toordinal
+    ) -> Iterator[tuple[object, object]]:
+        """Yield ``(day_of(row date), compile(row))`` for each row.
+
+        A row whose body is memoized gets the value ``compile`` built from
+        that body's first row, so a consumer that does its per-body work in
+        ``compile`` (which must not return None) does it once per distinct
+        body. Readers without a ``row_type`` yield None for the day.
+        """
         # Body memo. A line that starts with _DATED_PREFIX and has '",' at
         # 28-29 splits into a date D = line[18:28] and a body B = line[30:].
         # - A D that date.fromisoformat accepts holds no '"', '\' or control
@@ -423,8 +453,8 @@ class RecordReader:
         # - When that object has no "snapshot_date" of its own, the row is
         #   date(D) followed by fields of B alone, validated when B first
         #   yielded a row. A later line with a known B and a D that parses
-        #   yields the same row without a decode. (A header is only ever
-        #   line 1, which no known body precedes.)
+        #   yields the value compiled from that row without a decode. (A
+        #   header is only ever line 1, which no known body precedes.)
         # Any other line takes the full path below, which writes every
         # violation.
         # The memo keeps the last body of each subject (the first key_fields
@@ -436,10 +466,10 @@ class RecordReader:
         # dropped for the rest of the read.
         row_type = self._row_type
         key_fields = self._key_fields
-        days: dict[str, date] = {}  # D -> date(D), for each D that parsed
-        # B -> the row's fields after the date; None once the memo is dropped
-        bodies: dict[str, tuple] | None = None if row_type is None else {}
-        subjects: dict[tuple, str] = {}  # a tail's key fields -> its B
+        days: dict[str, object] = {}  # D -> day_of(date(D)), for each D that parsed
+        # B -> compile(its first row); None once the memo is dropped
+        bodies: dict[str, object] | None = None if row_type is None else {}
+        subjects: dict[tuple, str] = {}  # a row's key fields -> its B
         strings: dict[str, str] = {}  # one copy of each key field string
         first_day = None
         first_rows = missed = hits = 0
@@ -447,17 +477,17 @@ class RecordReader:
             if bodies is not None and line[28:30] == '",' and line.startswith(_DATED_PREFIX):
                 raw_day = line[18:28]
                 body = line[30:]
-                tail = bodies.get(body)
-                if tail is not None:
+                value = bodies.get(body)
+                if value is not None:
                     day = days.get(raw_day)
                     if day is None:
                         try:
-                            day = days[raw_day] = date.fromisoformat(raw_day)
+                            day = days[raw_day] = day_of(date.fromisoformat(raw_day))
                         except ValueError:
                             pass  # the full path reports the date
                     if day is not None:
                         hits += 1
-                        yield row_type(day, *tail)
+                        yield day, value
                         continue
             else:
                 body = None
@@ -466,17 +496,20 @@ class RecordReader:
             # but whitespace after the value. When raw_decode at 0 consumes
             # the whole line, the line has no BOM, no leading whitespace and
             # nothing after the value, so json.loads returns the same object.
+            # Both raise a plain ValueError, not a JSONDecodeError, for an
+            # integer literal longer than the interpreter converts.
             try:
                 obj, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 end = -1
             if end != len(line):
                 if not line.strip():
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    self.violations.append(SchemaViolation(line_no, f"invalid JSON: {exc.msg}"))
+                except ValueError as exc:
+                    message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    self.violations.append(SchemaViolation(line_no, f"invalid JSON: {message}"))
                     continue
             if not isinstance(obj, dict):
                 self.violations.append(SchemaViolation(line_no, "record must be an object"))
@@ -498,7 +531,8 @@ class RecordReader:
             except ValueError as exc:
                 self.violations.append(SchemaViolation(line_no, str(exc)))
                 continue
-            yield row
+            value = compile(row)
+            yield (None if row_type is None else day_of(row[0])), value
             if body is None:
                 continue
             if first_day is None:
@@ -514,7 +548,7 @@ class RecordReader:
                     continue
             if raw_day not in days:
                 try:
-                    days[raw_day] = date.fromisoformat(raw_day)
+                    days[raw_day] = day_of(date.fromisoformat(raw_day))
                 except ValueError:
                     continue  # D may end in '\', and B is then no body
             # D parsed and the line decoded, so "{" + B is an object (see
@@ -522,17 +556,40 @@ class RecordReader:
             # would show as that text.
             if '"snapshot_date"' in body:
                 continue
-            if "\\" in body and "snapshot_date" in _raw_decode("{" + body)[0]:
-                continue
-            # the key fields' strings are shared across bodies, and their
+            if "\\" in body:
+                try:
+                    if "snapshot_date" in _raw_decode("{" + body)[0]:
+                        continue
+                except ValueError:
+                    continue
+            # the key fields' strings are shared across subjects, and their
             # table is bounded as the memo is: by the input's subjects
             key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
-            tail = key + row[1 + key_fields :]
             old = subjects.get(key)
             if old is not None:
                 del bodies[old]
             subjects[key] = body
-            bodies[body] = tail
+            bodies[body] = value
+
+
+def _same(value: object) -> object:
+    return value
+
+
+def _compiled(
+    rows: Iterable[tuple], compile: Callable[[tuple], object]
+) -> Iterator[tuple[int, object]]:
+    """``(ordinal date, compile(row))`` for each dated row.
+
+    A reader compiles each memoized body once (see
+    :meth:`RecordReader.compiled`); any other iterable of rows is compiled
+    row by row. A reader is known by its ``compiled`` method, so one behind
+    a proxy that forwards attributes takes the same path.
+    """
+    compiled = getattr(rows, "compiled", None)
+    if compiled is not None:
+        return compiled(compile)
+    return ((row.snapshot_date.toordinal(), compile(row)) for row in rows)
 
 
 def read_repo_snapshots(source: Source) -> RecordReader:
@@ -555,6 +612,22 @@ def read_dependent_edges(source: Source) -> RecordReader:
 # ---------------------------------------------------------------------------
 
 
+def _joined(ordinals: Sequence[int], target: int) -> int:
+    """Position of the row joined to ordinal ``target`` (the join rule), or -1."""
+    pos = bisect_right(ordinals, target) - 1
+    if pos < 0 or target - ordinals[pos] > JOIN_WINDOW_DAYS:
+        return -1
+    return pos
+
+
+def _quality(timeline: tuple | None, target: int) -> bool:
+    if timeline is None:
+        return False
+    ordinals, stars, _forks, fork_flags, _metas = timeline
+    pos = _joined(ordinals, target)
+    return pos >= 0 and not fork_flags[pos] and stars[pos] >= 1
+
+
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
@@ -565,46 +638,81 @@ class RepoIndex:
     """
 
     def __init__(self) -> None:
-        # key -> [ordinals, stars, forks, fork_flags, metas]; parallel arrays
+        # key -> (ordinals, stars, forks, fork_flags, metas); parallel arrays
         # instead of per-row tuples keep multi-million-row loads in the tens
         # of megabytes
-        self._rows: dict[tuple[str, str], list] = {}
+        self._rows: dict[tuple[str, str], tuple] = {}
         self._frozen: dict[tuple[str, str], tuple] = {}
         # metadata rarely changes day to day; intern equal tuples so daily
         # snapshots of the same repo share one object
         self._meta_intern: dict[tuple, tuple] = {}
+        # count_quality's memos, emptied whenever a repository's timeline
+        # opens or thaws: "owner/name" -> its frozen timeline (None when
+        # absent), and target ordinal -> "owner/name" -> quality verdict
+        self._dep_timelines: dict[str, tuple | None] = {}
+        self._verdicts: dict[int, dict[str, bool]] = {}
 
     @classmethod
     def build(cls, snapshots: Iterable[RepoSnapshot]) -> "RepoIndex":
         index = cls()
-        for snap in snapshots:
-            index.add(snap)
+        index.extend(snapshots)
         return index
 
     def add(self, snap: RepoSnapshot) -> None:
-        key = (snap.owner, snap.name)
-        meta = (snap.description, snap.topics, snap.language)
-        meta = self._meta_intern.setdefault(meta, meta)
+        ordinals, stars, forks, fork_flags, metas = self._store((snap.owner, snap.name))
+        ordinals.append(snap.snapshot_date.toordinal())
+        stars.append(snap.stars)
+        forks.append(snap.forks)
+        fork_flags.append(int(snap.is_fork))
+        metas.append(self._meta(snap))
+
+    def extend(self, snapshots: Iterable[RepoSnapshot]) -> None:
+        """Add rows; a snapshot reader hands over each distinct body once."""
+        for ordinal, (
+            ordinals,
+            star_counts,
+            fork_counts,
+            fork_flags,
+            metas,
+            stars,
+            forks,
+            flag,
+            meta,
+        ) in _compiled(snapshots, self._compile):
+            ordinals.append(ordinal)
+            star_counts.append(stars)
+            fork_counts.append(forks)
+            fork_flags.append(flag)
+            metas.append(meta)
+
+    def _compile(self, snap: RepoSnapshot) -> tuple:
+        """The row's timeline arrays and the values to append to them."""
+        store = self._store((snap.owner, snap.name))
+        return store + (snap.stars, snap.forks, int(snap.is_fork), self._meta(snap))
+
+    def _store(self, key: tuple[str, str]) -> tuple:
         store = self._rows.get(key)
         if store is None:
             frozen = self._frozen.pop(key, None)
             if frozen is not None:
                 # thaw so late additions land in the same timeline
-                store = [
+                store = (
                     array("l", frozen[0]),
                     array("l", frozen[1]),
                     array("l", frozen[2]),
                     array("b", frozen[3]),
                     list(frozen[4]),
-                ]
+                )
             else:
-                store = [array("l"), array("l"), array("l"), array("b"), []]
+                store = (array("l"), array("l"), array("l"), array("b"), [])
             self._rows[key] = store
-        store[0].append(snap.snapshot_date.toordinal())
-        store[1].append(snap.stars)
-        store[2].append(snap.forks)
-        store[3].append(int(snap.is_fork))
-        store[4].append(meta)
+            self._dep_timelines.clear()
+            self._verdicts.clear()
+        return store
+
+    def _meta(self, snap: RepoSnapshot) -> tuple:
+        meta = (snap.description, snap.topics, snap.language)
+        return self._meta_intern.setdefault(meta, meta)
 
     def __len__(self) -> int:
         return len(self._rows) + len(self._frozen)
@@ -619,8 +727,8 @@ class RepoIndex:
         raw_ordinals, raw_stars, raw_forks, raw_flags, raw_metas = store
         if all(map(lt, raw_ordinals, raw_ordinals[1:])):
             # strictly increasing: already sorted with no same-day duplicates
-            # (add thaws by copying, so these arrays are never appended to)
-            frozen = tuple(store)
+            # (_store thaws by copying, so these arrays are never appended to)
+            frozen = store
         else:
             ordinals = array("l")
             stars = array("l")
@@ -651,9 +759,8 @@ class RepoIndex:
         if timeline is None:
             return None
         ordinals, stars, forks, fork_flags, metas = timeline
-        target = when.toordinal()
-        pos = bisect_right(ordinals, target) - 1
-        if pos < 0 or target - ordinals[pos] > JOIN_WINDOW_DAYS:
+        pos = _joined(ordinals, when.toordinal())
+        if pos < 0:
             return None
         meta = metas[pos]
         return RepoSnapshot(
@@ -670,15 +777,31 @@ class RepoIndex:
 
     def quality_ok(self, owner: str, name: str, when: date) -> bool:
         """True when the joined snapshot exists, is not a fork, and has >= 1 star."""
-        timeline = self._timeline((owner, name))
-        if timeline is None:
-            return False
-        ordinals, stars, _forks, fork_flags, _metas = timeline
-        target = when.toordinal()
-        pos = bisect_right(ordinals, target) - 1
-        if pos < 0 or target - ordinals[pos] > JOIN_WINDOW_DAYS:
-            return False
-        return not fork_flags[pos] and stars[pos] >= 1
+        return _quality(self._timeline((owner, name)), when.toordinal())
+
+    def count_quality(self, deps: Iterable[str], target: int) -> int:
+        """How many ``owner/name`` keys in ``deps`` pass :meth:`quality_ok` on ordinal ``target``.
+
+        Each key's timeline is resolved once, and each verdict is computed
+        once per target date.
+        """
+        verdicts = self._verdicts.get(target)
+        if verdicts is None:
+            verdicts = self._verdicts[target] = {}
+        timelines = self._dep_timelines
+        count = 0
+        for dep in deps:
+            ok = verdicts.get(dep)
+            if ok is None:
+                if dep in timelines:
+                    timeline = timelines[dep]
+                else:
+                    owner, _, name = dep.partition("/")
+                    timeline = timelines[dep] = self._timeline((owner, name))
+                ok = verdicts[dep] = _quality(timeline, target)
+            if ok:
+                count += 1
+        return count
 
 
 def nearest_repo_snapshot(
@@ -690,10 +813,8 @@ def nearest_repo_snapshot(
 
 def _resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
     """Latest coverage ordinal at or before ``target`` within the join window."""
-    pos = bisect_right(coverage, target) - 1
-    if pos < 0 or target - coverage[pos] > JOIN_WINDOW_DAYS:
-        return None
-    return coverage[pos]
+    pos = _joined(coverage, target)
+    return None if pos < 0 else coverage[pos]
 
 
 class EdgeIndex:
@@ -763,6 +884,10 @@ def count_dependents(
     return count
 
 
+# the compiled value of an edge whose package has no requested dates
+_UNREQUESTED = (None, None, None)
+
+
 class StreamingDependentCounter:
     """Single-pass distinct-dependent counting for requested package-dates.
 
@@ -776,8 +901,8 @@ class StreamingDependentCounter:
         # (eco, pkg) -> sorted list of requested ordinals is built lazily
         self._requests: dict[tuple[str, str], set[int]] = {}
         self._windows: dict[tuple[str, str], list[int]] | None = None
-        # (eco, pkg, candidate ordinal) -> distinct dependent keys
-        self._buckets: dict[tuple[str, str, int], set[str]] = {}
+        # (eco, pkg) -> candidate ordinal -> distinct dependent keys
+        self._buckets: dict[tuple[str, str], dict[int, set[str]]] = {}
         self._coverage: set[int] = set()
         self._sorted_coverage: list[int] | None = None
         self._dep_cache: dict[str, str] = {}
@@ -794,24 +919,32 @@ class StreamingDependentCounter:
     def feed(self, edges: Iterable[DependentEdge]) -> None:
         windows = self._window_lists()
         buckets = self._buckets
-        coverage = self._coverage
         cache = self._dep_cache
-        self._sorted_coverage = None
-        for edge in edges:
-            ordinal = edge.snapshot_date.toordinal()
-            coverage.add(ordinal)
+
+        def compile(edge: DependentEdge) -> tuple:
+            # the package's requested dates and buckets, and the dependent
             key = (edge.ecosystem, edge.package_name)
             requested = windows.get(key)
             if not requested:
+                return _UNREQUESTED
+            dep = f"{edge.dependent_owner}/{edge.dependent_repo}"
+            return requested, buckets.setdefault(key, {}), cache.setdefault(dep, dep)
+
+        coverage = self._coverage
+        self._sorted_coverage = None
+        for ordinal, (requested, cells, dep) in _compiled(edges, compile):
+            coverage.add(ordinal)
+            if requested is None:
                 continue
             # keep the row only if its date can serve some requested date:
             # candidate iff requested ordinal in [ordinal, ordinal + window]
             pos = bisect_left(requested, ordinal)
             if pos == len(requested) or requested[pos] - ordinal > JOIN_WINDOW_DAYS:
                 continue
-            dep = f"{edge.dependent_owner}/{edge.dependent_repo}"
-            dep = cache.setdefault(dep, dep)
-            buckets.setdefault((key[0], key[1], ordinal), set()).add(dep)
+            cell = cells.get(ordinal)
+            if cell is None:
+                cell = cells[ordinal] = set()
+            cell.add(dep)
 
     def count(
         self, package_name: str, ecosystem: str, when: date, repos: RepoIndex
@@ -823,17 +956,12 @@ class StreamingDependentCounter:
             DateOutOfRange: no edge coverage within the join window.
         """
         target = when.toordinal()
-        if target not in self._requests.get((ecosystem, package_name), set()):
+        key = (ecosystem, package_name)
+        if target not in self._requests.get(key, ()):
             raise KeyError(f"cell ({ecosystem}, {package_name}, {when}) was not requested")
         if self._sorted_coverage is None:
             self._sorted_coverage = sorted(self._coverage)
         effective = _resolve_coverage(self._sorted_coverage, target)
         if effective is None:
             raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
-        deps = self._buckets.get((ecosystem, package_name, effective), set())
-        count = 0
-        for dep in deps:
-            owner, _, name = dep.partition("/")
-            if repos.quality_ok(owner, name, when):
-                count += 1
-        return count
+        return repos.count_quality(self._buckets.get(key, {}).get(effective, ()), target)

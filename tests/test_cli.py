@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -327,6 +330,21 @@ class TestParseOnce:
         assert sum(n for (name, _), n in calls.items() if name.startswith("read_")) == 2
         for path in (releases, snapshots, edges):
             assert calls["file_sha256", path] == 1
+
+
+class TestStartup:
+    def test_importing_the_cli_leaves_the_http_stack_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys, depgrowth.cli; "
+            "print(sorted(m for m in ('http.client', 'ssl', 'email', 'urllib.request') "
+            "if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestExitCodes:

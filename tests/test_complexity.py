@@ -7,6 +7,7 @@ import io
 import pathlib
 import urllib.request
 from datetime import date
+from xml.sax.saxutils import escape, unescape
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,8 @@ from depgrowth.complexity import (
     RequestRejected,
     RetryPolicy,
     _TokenBucket,
+    _xml_escape,
+    _xml_unescape,
     agreement_stats,
     build_prompt,
     eligible_for_rating,
@@ -132,6 +135,12 @@ def test_golden_fixture_is_eligible():
 
 def test_system_prompt_matches_golden_bytes():
     assert SYSTEM_PROMPT.encode("utf-8") == (GOLDEN / "system_prompt.txt").read_bytes()
+
+
+@given(st.text() | st.text(alphabet=st.sampled_from("&<>;amplgt#x ab")))
+def test_xml_escaping_matches_saxutils(text):
+    assert _xml_escape(text) == escape(text)
+    assert _xml_unescape(text) == unescape(text)
 
 
 def test_user_template_matches_golden_bytes():

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import threading
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -586,7 +587,9 @@ def _read_with_memo_sizes(reader):
     it = iter(reader)
     for row in it:
         rows.append(row)
-        bodies = it.gi_frame.f_locals["bodies"]
+        # the memo is a local of the reader's compiled() loop, which
+        # __iter__ runs as ``scan``
+        bodies = it.gi_frame.f_locals["scan"].gi_frame.f_locals["bodies"]
         sizes.append(None if bodies is None else len(bodies))
     return rows, sizes
 
@@ -872,6 +875,212 @@ class TestStreamingCounter:
         counter.feed([make_edge("lib", "u2/b", "2023-03-01")])
         repos = quality_repo_index(["u1/a", "u2/b"])
         assert counter.count("lib", "npm", when, repos) == 2
+
+
+def _brute_quality(snaps, owner, name, when):
+    best = _brute_nearest([s for s in snaps if (s.owner, s.name) == (owner, name)], when)
+    return best is not None and not best.is_fork and best.stars >= 1
+
+
+@st.composite
+def _dump_lines(draw, line_fn, mutations):
+    """Compact date-first lines (see _dated_lines) and lines json.dumps writes."""
+    lines = draw(_dated_lines(line_fn, mutations)) + draw(_mutated_lines(line_fn, mutations))
+    return draw(st.permutations(lines)) if draw(st.booleans()) else lines
+
+
+# every date the lines above hold, and a week past the latest
+_LOOKUP_DAYS = [D("2023-02-27") + timedelta(days=d) for d in range(20)]
+
+
+class _Wrapped:
+    """A reader behind a proxy that forwards attributes, as a tracer wraps one."""
+
+    def __init__(self, reader):
+        self._reader = reader
+
+    def __getattr__(self, name):
+        return getattr(self._reader, name)
+
+    def __iter__(self):
+        raise AssertionError("the consumer built rows instead of taking compiled bodies")
+
+
+class TestFusedIngest:
+    @settings(max_examples=200, deadline=None)
+    @given(_dump_lines(snap_line, _SNAPSHOT_MUTATIONS))
+    def test_a_reader_fed_index_answers_as_one_built_from_rows(self, lines):
+        rows, violations = _read(read_repo_snapshots(lines))
+        reader = read_repo_snapshots(lines)
+        index = RepoIndex.build(_Wrapped(reader))
+        assert [(v.line_no, v.message) for v in reader.violations] == violations
+        expected = RepoIndex.build(list(rows))
+        assert len(index) == len(expected)
+        for owner, name in {(row.owner, row.name) for row in rows} | {("acme", "libfoo")}:
+            for when in _LOOKUP_DAYS:
+                assert index.nearest(owner, name, when) == expected.nearest(owner, name, when)
+                assert index.quality_ok(owner, name, when) == expected.quality_ok(owner, name, when)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dump_lines(edge_line, _EDGE_MUTATIONS), st.data())
+    def test_a_reader_fed_counter_matches_one_fed_rows(self, lines, data):
+        rows, violations = _read(read_dependent_edges(lines))
+        cells = {("libfoo", "npm")} | {(row.package_name, row.ecosystem) for row in rows}
+        days = data.draw(st.lists(st.sampled_from(_LOOKUP_DAYS), min_size=1, max_size=4))
+        fed, expected = StreamingDependentCounter(), StreamingDependentCounter()
+        for counter in (fed, expected):
+            for package, ecosystem in cells:
+                for when in days:
+                    counter.request(package, ecosystem, when)
+        reader = read_dependent_edges(lines)
+        fed.feed(_Wrapped(reader))
+        expected.feed(rows)
+        assert [(v.line_no, v.message) for v in reader.violations] == violations
+        assert fed._buckets == expected._buckets
+        assert fed._coverage == expected._coverage
+        deps = sorted({(row.dependent_owner, row.dependent_repo) for row in rows})
+        repos = RepoIndex.build(
+            make_snap(owner, repo, when, stars=i % 3, is_fork=i % 4 == 3)
+            for i, (owner, repo) in enumerate(deps)
+            for when in _LOOKUP_DAYS[::3]
+        )
+        for package, ecosystem in cells:
+            for when in days:
+                try:
+                    want = expected.count(package, ecosystem, when, repos)
+                except DateOutOfRange:
+                    with pytest.raises(DateOutOfRange):
+                        fed.count(package, ecosystem, when, repos)
+                    continue
+                assert fed.count(package, ecosystem, when, repos) == want
+
+    @pytest.mark.parametrize("order", ["date-major", "repository-major"])
+    def test_an_index_fed_past_a_dropped_memo_matches_rows(self, order):
+        # ten repositories, of which the last seven change every day: the
+        # memo is dropped partway, and the rest is read row by row
+        pairs = [(d, i) for d in range(12) for i in range(10)]
+        if order == "repository-major":
+            pairs.sort(key=lambda pair: pair[1])
+        lines = [
+            _dated(
+                (date(2023, 3, 1) + timedelta(days=d)).isoformat(),
+                _body(snap_line(), [("owner", f"o{i}"), ("stars", d if i >= 3 else 1)]),
+            )
+            for d, i in pairs
+        ]
+        _rows, sizes = _read_with_memo_sizes(read_repo_snapshots(lines))
+        assert sizes[-1] is None
+        rows = list(read_repo_snapshots(lines))
+        index = RepoIndex.build(read_repo_snapshots(lines))
+        expected = RepoIndex.build(rows)
+        for i in range(10):
+            for when in _LOOKUP_DAYS:
+                assert index.nearest(f"o{i}", "libfoo", when) == expected.nearest(f"o{i}", "libfoo", when)
+
+    def test_a_known_body_is_compiled_once(self, monkeypatch):
+        decoded = _count_decodes(monkeypatch)
+        days = ("2023-03-01", "2023-03-02", "2023-03-03")
+        lines = [_dated(day, body) for day in days for body in (_BODY, _OTHER_BODY)]
+        compiled = []
+        pairs = list(read_repo_snapshots(lines).compiled(lambda row: compiled.append(row) or row.owner))
+        assert pairs == [(D(day).toordinal(), owner) for day in days for owner in ("acme", "other")]
+        assert [row.owner for row in compiled] == ["acme", "other"]
+        assert decoded == lines[:2]
+
+    def test_memoized_counts_follow_rows_added_after_a_count(self):
+        start = D("2023-03-01")
+        deps = [(f"u{i}", f"r{i}") for i in range(6)]
+        edges = [
+            make_edge("lib", f"{owner}/{repo}", start + timedelta(days=d))
+            for owner, repo in deps
+            for d in range(0, 12, 3)
+        ]
+        # the last two dependents have no snapshot yet
+        snaps = [
+            make_snap(owner, repo, start + timedelta(days=d), stars=(i + d) % 3)
+            for i, (owner, repo) in enumerate(deps[:4])
+            for d in range(0, 12, 2)
+        ]
+        repos = RepoIndex.build(snaps)
+        counter = StreamingDependentCounter()
+        days = [start + timedelta(days=d) for d in range(14)]
+        for when in days:
+            counter.request("lib", "npm", when)
+        counter.feed(edges)
+
+        def assert_counts_match_a_scan():
+            for when in days:
+                effective = max(e.snapshot_date for e in edges if e.snapshot_date <= when)
+                bucket = {(e.dependent_owner, e.dependent_repo) for e in edges if e.snapshot_date == effective}
+                want = sum(_brute_quality(snaps, owner, repo, when) for owner, repo in bucket)
+                assert counter.count("lib", "npm", when, repos) == want
+
+        assert_counts_match_a_scan()  # freezes and memoizes every timeline
+        for i, d, stars, is_fork in (
+            (0, 5, 0, False),  # a frozen timeline thaws
+            (4, 3, 2, False),  # a dependent that had no timeline gets one
+            (1, 4, 7, True),  # a same-day duplicate replaces a row
+            (1, 4, 7, False),
+            (5, 13, 1, False),
+        ):
+            owner, repo = deps[i]
+            snap = make_snap(owner, repo, start + timedelta(days=d), stars=stars, is_fork=is_fork)
+            repos.add(snap)
+            snaps.append(snap)
+            assert_counts_match_a_scan()
+
+
+# an integer literal longer than int() converts by default (4,300 digits)
+_HUGE = "7" * 5000
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer conversion limit"
+)
+class TestOversizedIntegers:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            snap_line(stars=0).replace('"stars": 0', '"stars": ' + _HUGE),
+            _dated("2023-03-01", _BODY.replace('"stars":10', '"stars":' + _HUGE)),
+        ],
+    )
+    def test_a_snapshot_line_with_a_huge_integer_is_one_violation(self, line):
+        reader = read_repo_snapshots([line])
+        assert list(reader) == []
+        [(line_no, message)] = [(v.line_no, v.message) for v in reader.violations]
+        assert line_no == 1 and message.startswith("invalid JSON: ")
+        # the rows after it still parse, also through the index
+        lines = [_dated("2023-03-01", _BODY), line, _dated("2023-03-02", _BODY), snap_line()]
+        rows, violations = _read(read_repo_snapshots(lines))
+        assert len(rows) == 3 and [n for n, _ in violations] == [2]
+        reader = read_repo_snapshots(lines)
+        index = RepoIndex.build(reader)
+        assert [(v.line_no, v.message) for v in reader.violations] == violations
+        assert index.nearest("acme", "libfoo", D("2023-03-02")) == rows[1]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            edge_line(stars=0).replace('"stars": 0', '"stars": ' + _HUGE),
+            _dated("2023-03-01", _body(edge_line(), [("stars", 0)]).replace('"stars":0', '"stars":' + _HUGE)),
+        ],
+    )
+    def test_an_edge_line_with_a_huge_integer_is_one_violation(self, line):
+        reader = read_dependent_edges([line])
+        assert list(reader) == []
+        [(line_no, message)] = [(v.line_no, v.message) for v in reader.violations]
+        assert line_no == 1 and message.startswith("invalid JSON: ")
+        lines = [line, edge_line(), edge_line(dependent_repo="app2")]
+        rows, violations = _read(read_dependent_edges(lines))
+        assert len(rows) == 2 and [n for n, _ in violations] == [1]
+        counter = StreamingDependentCounter()
+        counter.request("libfoo", "npm", D("2023-03-01"))
+        reader = read_dependent_edges(lines)
+        counter.feed(reader)
+        assert [(v.line_no, v.message) for v in reader.violations] == violations
+        repos = quality_repo_index(["user1/app1", "user1/app2"])
+        assert counter.count("libfoo", "npm", D("2023-03-01"), repos) == 2
 
 
 PAYLOAD = "\n".join(release_line(version_text=f"1.0.{i}") for i in range(50)) + "\n"
