@@ -75,7 +75,7 @@ from .report import (
     summary_table_rows,
     timepoint_distributions,
 )
-from .semver import ReleaseType, VersionSeries
+from .semver import ReleaseType, VersionSeries, format_version
 from .stats import DegenerateInput
 
 __all__ = ["main"]
@@ -325,14 +325,13 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> int:
 
 
 def _record_row(record: ReleaseRecord) -> dict:
-    version = record.version
     return {
         "release_date": record.release_date.isoformat(),
         "ecosystem": record.ecosystem,
         "package_name": record.package_name,
         "owner": record.owner,
         "repo_name": record.repo_name,
-        "version": f"{version.major}.{version.minor}.{version.patch}",
+        "version": format_version(record.version),
         "release_type": record.release_type.value,
         "series": record.series.value,
         "pre_dependents": record.pre_dependents,

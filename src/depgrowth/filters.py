@@ -15,8 +15,7 @@ Stages (in canonical pipeline order):
 6. minimum dependents on the day before the release.
 
 Every stage returns a :class:`FilterReport` whose counts satisfy
-``records_in == records_out + sum(reasons.values())``; reports from shards of
-the same stage merge associatively.
+``records_in == records_out + sum(reasons.values())``.
 """
 
 from __future__ import annotations
@@ -88,8 +87,7 @@ class FilterReport:
     """Audit record for one filter stage.
 
     Invariant: ``records_in == records_out + sum(reasons.values())``. The
-    ``check`` method asserts it; ``merge`` combines shard reports of the
-    same stage and is associative.
+    ``check`` method asserts it.
     """
 
     stage: str
@@ -107,19 +105,6 @@ class FilterReport:
                 f"{self.stage}: conservation violated, in={self.records_in} "
                 f"out+dropped={total}"
             )
-
-    def merge(self, other: "FilterReport") -> "FilterReport":
-        if other.stage != self.stage:
-            raise ValueError(f"cannot merge {other.stage!r} into {self.stage!r}")
-        merged = FilterReport(
-            stage=self.stage,
-            records_in=self.records_in + other.records_in,
-            records_out=self.records_out + other.records_out,
-            reasons=dict(self.reasons),
-        )
-        for reason, count in other.reasons.items():
-            merged.reasons[reason] = merged.reasons.get(reason, 0) + count
-        return merged
 
     def as_dict(self) -> dict:
         return {

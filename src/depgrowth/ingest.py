@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-import time
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 __all__ = [
     "DateOutOfRange",
     "DependentEdge",
-    "EdgeIndex",
-    "HttpSource",
     "PackageRelease",
     "RepoIndex",
     "RepoSnapshot",
@@ -37,8 +34,6 @@ __all__ = [
     "SchemaViolation",
     "SourceUnavailable",
     "StreamingDependentCounter",
-    "count_dependents",
-    "nearest_repo_snapshot",
     "read_dependent_edges",
     "read_releases",
     "read_repo_snapshots",
@@ -46,6 +41,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 JOIN_WINDOW_DAYS = 7
+# the largest stars or forks value; RepoIndex stores them in 8-byte columns
+MAX_COUNT = 2**63 - 1
 
 _ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
 _raw_decode = json.JSONDecoder().raw_decode
@@ -57,7 +54,7 @@ Source = Union[str, Path, IO[str], Iterable[str]]
 
 
 class SourceUnavailable(OSError):
-    """The underlying file or HTTP source could not be read."""
+    """The underlying file could not be read."""
 
 
 class SchemaHeaderError(ValueError):
@@ -125,103 +122,8 @@ def _iter_lines(source: Source) -> Iterator[str]:
             for line in handle:
                 yield line.rstrip("\n").rstrip("\r")
         return
-    if hasattr(source, "read"):
-        for line in source:  # type: ignore[union-attr]
-            yield line.rstrip("\n").rstrip("\r")
-        return
-    for line in source:  # already an iterable of lines
+    for line in source:  # an open handle or any other iterable of lines
         yield line.rstrip("\n").rstrip("\r")
-
-
-class HttpSource:
-    """Fetches the same line-delimited payloads over HTTP.
-
-    Supports mid-stream resume: when the connection drops, the next attempt
-    sends a ``Range: bytes=<received>-`` header so already-received bytes are
-    not transferred again. Servers that ignore the range restart the stream
-    transparently.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        retries: int = 3,
-        backoff: float = 0.5,
-        sleeper: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self._sleep = sleeper
-
-    def lines(self, name: str) -> Iterator[str]:
-        """Stream decoded lines of ``<base_url>/<name>``, resuming on drops."""
-        import http.client  # on use, so importing the package skips the HTTP stack
-        import urllib.error
-        import urllib.request
-
-        url = f"{self.base_url}/{name}"
-        received = 0
-        buffer = b""
-        attempt = 0
-        while True:
-            request = urllib.request.Request(url)
-            if received:
-                request.add_header("Range", f"bytes={received}-")
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    # A server may ignore the range request and replay the
-                    # whole payload; discard the prefix we already consumed
-                    # so no line is yielded twice.
-                    skip = received if (received and resp.status != 206) else 0
-                    declared = resp.headers.get("Content-Length")
-                    expected = int(declared) if declared is not None else None
-                    got = 0
-                    while True:
-                        chunk = resp.read(65536)
-                        if not chunk:
-                            break
-                        got += len(chunk)
-                        if skip:
-                            if len(chunk) <= skip:
-                                skip -= len(chunk)
-                                continue
-                            chunk = chunk[skip:]
-                            skip = 0
-                        received += len(chunk)
-                        buffer += chunk
-                        while True:
-                            newline = buffer.find(b"\n")
-                            if newline < 0:
-                                break
-                            line = buffer[:newline]
-                            buffer = buffer[newline + 1 :]
-                            yield line.decode("utf-8").rstrip("\r")
-                    if skip:
-                        raise ConnectionError("payload ended before the resume offset")
-                    if expected is not None and got < expected:
-                        # read(amt) signals a premature close with a bare
-                        # EOF, not an exception; treat short bodies as drops
-                        raise ConnectionError("connection closed mid-payload")
-                if buffer:
-                    yield buffer.decode("utf-8").rstrip("\r")
-                return
-            except urllib.error.HTTPError as exc:
-                if exc.code < 500:
-                    raise SourceUnavailable(f"GET {url}: HTTP {exc.code}") from exc
-                attempt += 1
-            except (
-                urllib.error.URLError,
-                http.client.HTTPException,
-                ConnectionError,
-                TimeoutError,
-            ):
-                attempt += 1
-            if attempt > self.retries:
-                raise SourceUnavailable(f"GET {url}: retries exhausted")
-            self._sleep(self.backoff * (2 ** (attempt - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +158,8 @@ def _opt_str(obj: dict, field: str) -> str | None:
 
 def _req_count(obj: dict, field: str) -> int:
     value = obj.get(field)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{field} must be a non-negative integer")
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_COUNT:
+        raise ValueError(f"{field} must be an integer from 0 to {MAX_COUNT}")
     return value
 
 
@@ -303,9 +205,9 @@ def _repo_snapshot(obj: dict) -> RepoSnapshot:
         and type(name) is str
         and name
         and type(stars) is int
-        and stars >= 0
+        and 0 <= stars <= MAX_COUNT
         and type(forks) is int
-        and forks >= 0
+        and 0 <= forks <= MAX_COUNT
         and type(is_fork) is bool
         and (description is None or type(description) is str)
         and type(topics) is list
@@ -804,84 +706,10 @@ class RepoIndex:
         return count
 
 
-def nearest_repo_snapshot(
-    owner: str, name: str, when: date, index: RepoIndex
-) -> RepoSnapshot | None:
-    """Module-level alias for :meth:`RepoIndex.nearest` (the join rule)."""
-    return index.nearest(owner, name, when)
-
-
 def _resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
     """Latest coverage ordinal at or before ``target`` within the join window."""
     pos = _joined(coverage, target)
     return None if pos < 0 else coverage[pos]
-
-
-class EdgeIndex:
-    """In-memory dependent-edge index for small and medium corpora.
-
-    Stores per (ecosystem, package) per coverage date the distinct dependent
-    set. Coverage dates are the distinct snapshot dates across the whole
-    dataset: a package with no rows on a covered date genuinely had zero
-    dependents that day.
-    """
-
-    def __init__(self) -> None:
-        self._cells: dict[tuple[str, str], dict[int, set[str]]] = {}
-        self._coverage: set[int] = set()
-        self._sorted_coverage: list[int] | None = None
-
-    @classmethod
-    def build(cls, edges: Iterable[DependentEdge]) -> "EdgeIndex":
-        index = cls()
-        for edge in edges:
-            index.add(edge)
-        return index
-
-    def add(self, edge: DependentEdge) -> None:
-        ordinal = edge.snapshot_date.toordinal()
-        self._coverage.add(ordinal)
-        self._sorted_coverage = None
-        cell = self._cells.setdefault((edge.ecosystem, edge.package_name), {})
-        cell.setdefault(ordinal, set()).add(f"{edge.dependent_owner}/{edge.dependent_repo}")
-
-    @property
-    def coverage(self) -> list[int]:
-        if self._sorted_coverage is None:
-            self._sorted_coverage = sorted(self._coverage)
-        return self._sorted_coverage
-
-    def dependents_at(self, package_name: str, ecosystem: str, when: date) -> set[str]:
-        """Raw distinct dependents at the resolved coverage date (no quality check)."""
-        effective = _resolve_coverage(self.coverage, when.toordinal())
-        if effective is None:
-            raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
-        return self._cells.get((ecosystem, package_name), {}).get(effective, set())
-
-
-def count_dependents(
-    package_name: str,
-    ecosystem: str,
-    when: date,
-    edges: EdgeIndex,
-    repos: RepoIndex,
-) -> int:
-    """Distinct quality dependents of a package on a given day.
-
-    A dependent counts when its own repository snapshot joined to ``when``
-    exists, is not a fork, and has at least one star.
-
-    Raises:
-        DateOutOfRange: the edge dataset has no coverage within the join
-            window of ``when``.
-    """
-    deps = edges.dependents_at(package_name, ecosystem, when)
-    count = 0
-    for dep in deps:
-        owner, _, name = dep.partition("/")
-        if repos.quality_ok(owner, name, when):
-            count += 1
-    return count
 
 
 # the compiled value of an edge whose package has no requested dates

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .filters import ClassifiedRelease, pre_release_date
 from .ingest import RepoIndex
-from .semver import ReleaseType, Version, VersionSeries, version_series
+from .semver import ReleaseType, Version, VersionSeries, format_version, version_series
 
 __all__ = [
     "CountProvider",
@@ -237,7 +237,7 @@ def log_diff_samples(
                 ecosystem=record.ecosystem,
                 package_name=record.package_name,
                 release_date=record.release_date,
-                version_text=f"{record.version.major}.{record.version.minor}.{record.version.patch}",
+                version_text=format_version(record.version),
                 release_type=record.release_type,
                 series=record.series,
                 bin=record.bin,

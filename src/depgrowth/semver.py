@@ -27,7 +27,6 @@ __all__ = [
     "VersionParseError",
     "VersionSeries",
     "classify_release",
-    "classify_release_diff",
     "format_version",
     "parse_version",
 ]
@@ -182,32 +181,6 @@ def classify_release(version: Version, zero_split: str = "patch") -> ReleaseType
     if version.patch == 0:
         return ReleaseType.ZERO_MAJOR
     return ReleaseType.ZERO_MINOR
-
-
-def classify_release_diff(
-    previous: Version | None, version: Version, zero_split: str = "patch"
-) -> ReleaseType:
-    """Diff-based classification for sensitivity analysis.
-
-    Classifies by the highest-order component that changed relative to the
-    package's previous parsed version. Falls back to the string-based rule
-    table when there is no previous version or nothing changed.
-    """
-    if previous is None:
-        return classify_release(version, zero_split=zero_split)
-    if version.major >= 1:
-        if version.major != previous.major:
-            return ReleaseType.MAJOR
-        if version.minor != previous.minor:
-            return ReleaseType.MINOR
-        if version.patch != previous.patch:
-            return ReleaseType.PATCH
-        return classify_release(version, zero_split=zero_split)
-    if version.minor != previous.minor or version.major != previous.major:
-        return ReleaseType.ZERO_MAJOR
-    if version.patch != previous.patch:
-        return ReleaseType.ZERO_MINOR
-    return classify_release(version, zero_split=zero_split)
 
 
 def version_series(version: Version) -> VersionSeries:

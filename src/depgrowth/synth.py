@@ -38,6 +38,8 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .ingest import _resolve_coverage
+
 __all__ = [
     "BASE_DATE",
     "OPEN_END",
@@ -538,15 +540,6 @@ def _quality_pre_count(pkg: SynthPackage, cfg: SynthConfig, day: int) -> int:
     return sum(1 for s in pkg.deps if s.dep_id < cfg.pool_quality and s.start_day <= day < s.end_day)
 
 
-def _resolve(coverage: list[int], target: int, window: int = 7) -> int | None:
-    from bisect import bisect_right
-
-    pos = bisect_right(coverage, target) - 1
-    if pos < 0 or target - coverage[pos] > window:
-        return None
-    return coverage[pos]
-
-
 def _validate_world(world: SynthWorld) -> None:
     cfg = world.config
     coverage: set[int] = set()
@@ -566,7 +559,7 @@ def _validate_world(world: SynthWorld) -> None:
                 continue
             for rel in pkg.releases:
                 if rel.day in cfg.fallback_days:
-                    effective = _resolve(cov, rel.day - 1)
+                    effective = _resolve_coverage(cov, rel.day - 1)
                     if effective != rel.day - 4:
                         raise ValueError(
                             f"fallback day {rel.day}: day-before resolved to {effective}, "
@@ -581,12 +574,12 @@ def _validate_world(world: SynthWorld) -> None:
         if pkg.quirk in ("ghost", "forked_repo", "low_engagement", "name_mismatch", "junk_versions", "same_day_dup"):
             continue
         if pkg.quirk == "orphan":
-            if _resolve(cov, pkg.releases[0].day - 1) is not None:
+            if _resolve_coverage(cov, pkg.releases[0].day - 1) is not None:
                 raise ValueError(f"orphan {pkg.package_name} unexpectedly has edge coverage")
             continue
         for rel in pkg.releases:
             before = rel.day - 1
-            effective = _resolve(cov, before)
+            effective = _resolve_coverage(cov, before)
             if effective is None:
                 raise ValueError(
                     f"{pkg.package_name} release at day {rel.day} has no day-before coverage"
@@ -597,7 +590,7 @@ def _validate_world(world: SynthWorld) -> None:
                 )
         if pkg.quirk is None:
             first = pkg.releases[0].day
-            effective = _resolve(cov, first - 1)
+            effective = _resolve_coverage(cov, first - 1)
             pre = _quality_pre_count(pkg, cfg, effective)
             if pre != pkg.engineered_pre:
                 raise ValueError(

@@ -107,6 +107,23 @@ class TestFilterStage:
         assert stages[-1]["records_out"] == kept
 
 
+    def test_an_overflowing_count_is_a_violation_not_a_crash(self, corpus_dir, tmp_path):
+        snapshots = tmp_path / "repo_snapshots.jsonl"
+        shutil.copy(corpus_dir / "repo_snapshots.jsonl", snapshots)
+        row = {"owner": "o", "name": "n", "stars": 2**63, "forks": 0, "is_fork": False}
+        with open(snapshots, "a", encoding="utf-8") as handle:
+            # a compact line as synth writes it, and a spaced one
+            compact = json.dumps(row, separators=(",", ":"))[1:]
+            handle.write('{"snapshot_date":"2023-01-01",' + compact + "\n")
+            row.update(snapshot_date="2023-01-02", stars=1, forks=2**63)
+            handle.write(json.dumps(row) + "\n")
+        args = _pipeline_args(corpus_dir, tmp_path / "out")
+        args[args.index(str(corpus_dir / "repo_snapshots.jsonl"))] = str(snapshots)
+        assert cli.main(["filter", *args]) == 0
+        report = json.load(open(tmp_path / "out" / "filter_report.json"))
+        assert report["schema_violations"]["repo_snapshots"] == 2
+
+
 class TestMetricsStage:
     def test_record_rows_shape(self, out_dir):
         rows = _rows(out_dir / "release_records.jsonl")

@@ -213,29 +213,6 @@ class TestMinDependents:
 
 
 class TestReport:
-    def test_merge_adds_counts(self):
-        a = FilterReport("semver", records_in=5, records_out=3, reasons={"X": 2})
-        b = FilterReport("semver", records_in=4, records_out=4)
-        merged = a.merge(b)
-        assert merged.records_in == 9
-        assert merged.records_out == 7
-        assert merged.reasons == {"X": 2}
-        merged.check()
-
-    def test_merge_is_associative(self):
-        reports = [
-            FilterReport("s", records_in=3, records_out=1, reasons={"A": 2}),
-            FilterReport("s", records_in=2, records_out=2),
-            FilterReport("s", records_in=4, records_out=1, reasons={"A": 1, "B": 2}),
-        ]
-        left = reports[0].merge(reports[1]).merge(reports[2])
-        right = reports[0].merge(reports[1].merge(reports[2]))
-        assert left == right
-
-    def test_merge_rejects_different_stage(self):
-        with pytest.raises(ValueError):
-            FilterReport("a").merge(FilterReport("b"))
-
     def test_check_raises_on_violation(self):
         broken = FilterReport("s", records_in=5, records_out=3, reasons={"X": 1})
         with pytest.raises(AssertionError):

@@ -1,9 +1,7 @@
 import json
 import random
 import sys
-import threading
 from datetime import date, timedelta
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,6 @@ from depgrowth import ingest
 from depgrowth.ingest import (
     DateOutOfRange,
     DependentEdge,
-    EdgeIndex,
-    HttpSource,
     PackageRelease,
     RecordReader,
     RepoIndex,
@@ -22,12 +18,11 @@ from depgrowth.ingest import (
     SchemaHeaderError,
     SourceUnavailable,
     StreamingDependentCounter,
-    count_dependents,
-    nearest_repo_snapshot,
     read_dependent_edges,
     read_releases,
     read_repo_snapshots,
 )
+from oracles.brute_force import naive_dependent_count
 
 D = date.fromisoformat
 
@@ -258,7 +253,7 @@ def _edge_by_helpers(obj):
 _MISSING = object()
 _DATE = [_MISSING, None, "", "2023-02-30", "03/01/2023", "2023-3-1", 20230301, True]
 _REQ_STR = [_MISSING, None, "", 5, True, ["acme"], "x"]
-_COUNT = [_MISSING, None, -1, True, False, 1.5, "10", 0, 2**40]
+_COUNT = [_MISSING, None, -1, True, False, 1.5, "10", 0, 2**40, 2**63 - 1, 2**63]
 _BOOL = [_MISSING, None, 0, 1, "false", True]
 _OPT_STR = [_MISSING, None, "", 7, False, ["a"], "text"]
 _TOPICS = [_MISSING, None, "x", [], [1], ["a", None], ["a", True], ["a", "b"], {"a": "b"}]
@@ -615,7 +610,7 @@ def _assert_lookups_match_a_scan(index, snaps, start):
 class TestRepoIndex:
     def test_exact_day_match(self):
         index = RepoIndex.build([make_snap("a", "r", "2023-03-10", stars=7)])
-        snap = nearest_repo_snapshot("a", "r", D("2023-03-10"), index)
+        snap = index.nearest("a", "r", D("2023-03-10"))
         assert snap is not None and snap.stars == 7
 
     def test_fallback_to_latest_within_window(self):
@@ -746,28 +741,32 @@ def quality_repo_index(dep_names, day="2023-03-01", days=None):
     return RepoIndex.build(snaps)
 
 
+def count_one(pkg, eco, when, edges, repos):
+    """The count of one cell from a counter that requested it and was fed ``edges``."""
+    counter = StreamingDependentCounter()
+    counter.request(pkg, eco, when)
+    counter.feed(edges)
+    return counter.count(pkg, eco, when, repos)
+
+
 class TestCountDependents:
     def test_small_fixture(self):
-        edges = EdgeIndex.build(
-            [
-                make_edge("libfoo", "u1/a", "2023-03-01"),
-                make_edge("libfoo", "u2/b", "2023-03-01"),
-                make_edge("libfoo", "u1/a", "2023-03-01"),  # duplicate row
-                make_edge("other", "u3/c", "2023-03-01"),
-            ]
-        )
+        edges = [
+            make_edge("libfoo", "u1/a", "2023-03-01"),
+            make_edge("libfoo", "u2/b", "2023-03-01"),
+            make_edge("libfoo", "u1/a", "2023-03-01"),  # duplicate row
+            make_edge("other", "u3/c", "2023-03-01"),
+        ]
         repos = quality_repo_index(["u1/a", "u2/b", "u3/c"])
-        assert count_dependents("libfoo", "npm", D("2023-03-01"), edges, repos) == 2
+        assert count_one("libfoo", "npm", D("2023-03-01"), edges, repos) == 2
 
     def test_quality_filters_inside_count(self):
-        edges = EdgeIndex.build(
-            [
-                make_edge("libfoo", "good/a", "2023-03-01"),
-                make_edge("libfoo", "starless/b", "2023-03-01"),
-                make_edge("libfoo", "forky/c", "2023-03-01"),
-                make_edge("libfoo", "ghost/d", "2023-03-01"),  # no snapshot at all
-            ]
-        )
+        edges = [
+            make_edge("libfoo", "good/a", "2023-03-01"),
+            make_edge("libfoo", "starless/b", "2023-03-01"),
+            make_edge("libfoo", "forky/c", "2023-03-01"),
+            make_edge("libfoo", "ghost/d", "2023-03-01"),  # no snapshot at all
+        ]
         repos = RepoIndex.build(
             [
                 make_snap("good", "a", "2023-03-01", stars=1),
@@ -775,59 +774,105 @@ class TestCountDependents:
                 make_snap("forky", "c", "2023-03-01", stars=9, is_fork=True),
             ]
         )
-        assert count_dependents("libfoo", "npm", D("2023-03-01"), edges, repos) == 1
+        assert count_one("libfoo", "npm", D("2023-03-01"), edges, repos) == 1
 
     def test_ecosystem_disambiguates(self):
-        edges = EdgeIndex.build(
-            [
-                make_edge("lib", "u1/a", "2023-03-01", eco="npm"),
-                make_edge("lib", "u2/b", "2023-03-01", eco="pypi"),
-            ]
-        )
+        edges = [
+            make_edge("lib", "u1/a", "2023-03-01", eco="npm"),
+            make_edge("lib", "u2/b", "2023-03-01", eco="pypi"),
+        ]
         repos = quality_repo_index(["u1/a", "u2/b"])
-        assert count_dependents("lib", "npm", D("2023-03-01"), edges, repos) == 1
+        assert count_one("lib", "npm", D("2023-03-01"), edges, repos) == 1
 
     def test_coverage_fallback_to_previous_date(self):
-        edges = EdgeIndex.build(
-            [
-                make_edge("lib", "u1/a", "2023-03-01"),
-                make_edge("lib", "u2/b", "2023-03-08"),
-            ]
-        )
+        edges = [
+            make_edge("lib", "u1/a", "2023-03-01"),
+            make_edge("lib", "u2/b", "2023-03-08"),
+        ]
         repos = quality_repo_index(["u1/a", "u2/b"], days=["2023-03-01", "2023-03-08"])
         # 03-05 is uncovered; falls back to 03-01 rows
-        assert count_dependents("lib", "npm", D("2023-03-05"), edges, repos) == 1
+        assert count_one("lib", "npm", D("2023-03-05"), edges, repos) == 1
         # exact hit on 03-08
-        assert count_dependents("lib", "npm", D("2023-03-08"), edges, repos) == 1
+        assert count_one("lib", "npm", D("2023-03-08"), edges, repos) == 1
 
     def test_covered_date_with_no_rows_for_package_is_zero(self):
-        edges = EdgeIndex.build([make_edge("other", "u1/a", "2023-03-01")])
+        edges = [make_edge("other", "u1/a", "2023-03-01")]
         repos = quality_repo_index(["u1/a"])
-        assert count_dependents("lib", "npm", D("2023-03-01"), edges, repos) == 0
+        assert count_one("lib", "npm", D("2023-03-01"), edges, repos) == 0
 
     def test_out_of_coverage_raises(self):
-        edges = EdgeIndex.build([make_edge("lib", "u1/a", "2023-03-10")])
+        edges = [make_edge("lib", "u1/a", "2023-03-10")]
         repos = quality_repo_index(["u1/a"], day="2023-03-10")
         with pytest.raises(DateOutOfRange):
-            count_dependents("lib", "npm", D("2023-03-09"), edges, repos)
+            count_one("lib", "npm", D("2023-03-09"), edges, repos)
         with pytest.raises(DateOutOfRange):
-            count_dependents("lib", "npm", D("2023-03-18"), edges, repos)
+            count_one("lib", "npm", D("2023-03-18"), edges, repos)
 
     def test_monotone_in_edge_set(self):
         rng = random.Random(42)
         base_day = D("2023-03-01")
         deps = [f"u{i}/r{i}" for i in range(12)]
         repos = quality_repo_index(deps)
-        edges = []
+        counter = StreamingDependentCounter()
+        counter.request("lib", "npm", base_day)
         previous = 0
-        index = EdgeIndex()
         for _ in range(60):
-            edge = make_edge("lib", rng.choice(deps), base_day)
-            index.add(edge)
-            edges.append(edge)
-            current = count_dependents("lib", "npm", base_day, index, repos)
+            counter.feed([make_edge("lib", rng.choice(deps), base_day)])
+            current = counter.count("lib", "npm", base_day, repos)
             assert current >= previous
             previous = current
+
+
+def _assert_counts_match_the_oracle(edges, repo_rows, queries):
+    """Each ``(pkg, eco, when)`` query counts as the naive oracle does.
+
+    Where the oracle finds no coverage (None), the counter raises
+    :class:`DateOutOfRange`.
+    """
+    counter = StreamingDependentCounter()
+    for pkg, eco, when in queries:
+        counter.request(pkg, eco, when)
+    counter.feed(edges)
+    repos = RepoIndex.build(repo_rows)
+    for pkg, eco, when in queries:
+        expected = naive_dependent_count(edges, repo_rows, pkg, eco, when)
+        if expected is None:
+            with pytest.raises(DateOutOfRange):
+                counter.count(pkg, eco, when, repos)
+        else:
+            assert counter.count(pkg, eco, when, repos) == expected
+
+
+_BASE = D("2023-03-01")
+_PKGS = ["lib", "app"]
+_ECOS = ["npm", "pypi"]
+_DEPS = [f"u{i}/r{j}" for i in range(3) for j in range(2)]
+
+
+@st.composite
+def _counting_world(draw):
+    """Edges, snapshots and queries over a 40-day span, in any row order.
+
+    Rows fall on a few days of the span, so same-day duplicates are common
+    and coverage has gaps; queries reach 10 days past either end of the
+    span, so some have no coverage in the join window.
+    """
+    offsets = draw(st.lists(st.integers(0, 39), min_size=1, max_size=6, unique=True))
+    day = st.sampled_from(offsets).map(lambda d: _BASE + timedelta(days=d))
+    pkg, dep, eco = st.sampled_from(_PKGS), st.sampled_from(_DEPS), st.sampled_from(_ECOS)
+    edges = draw(st.lists(st.builds(make_edge, pkg, dep, day, eco), max_size=40))
+    snap = st.builds(
+        lambda dep, when, stars, fork: make_snap(*dep.split("/"), when, stars=stars, is_fork=fork),
+        dep,
+        day,
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    repo_rows = draw(st.lists(snap, max_size=40))
+    query_day = st.integers(-10, 49).map(lambda d: _BASE + timedelta(days=d))
+    query = st.tuples(pkg, eco, query_day)
+    queries = draw(st.lists(query, min_size=1, max_size=12))
+    return edges, repo_rows, queries
 
 
 class TestStreamingCounter:
@@ -840,26 +885,17 @@ class TestStreamingCounter:
             make_edge(rng.choice(pkgs), rng.choice(deps), rng.choice(days))
             for _ in range(400)
         ]
-        repos = quality_repo_index(deps, days=[d.isoformat() for d in days])
-        index = EdgeIndex.build(edges)
+        repo_rows = [make_snap(*dep.split("/"), day, stars=3) for day in days for dep in deps]
+        queries = [
+            (rng.choice(pkgs), "npm", rng.choice(days) + timedelta(days=rng.randint(0, 9)))
+            for _ in range(80)
+        ]
+        _assert_counts_match_the_oracle(edges, repo_rows, queries)
 
-        queries = []
-        counter = StreamingDependentCounter()
-        for _ in range(80):
-            pkg = rng.choice(pkgs)
-            when = rng.choice(days) + timedelta(days=rng.randint(0, 9))
-            counter.request(pkg, "npm", when)
-            queries.append((pkg, when))
-        counter.feed(edges)
-
-        for pkg, when in queries:
-            try:
-                expected = count_dependents(pkg, "npm", when, index, repos)
-            except DateOutOfRange:
-                with pytest.raises(DateOutOfRange):
-                    counter.count(pkg, "npm", when, repos)
-                continue
-            assert counter.count(pkg, "npm", when, repos) == expected
+    @settings(max_examples=300, deadline=None)
+    @given(_counting_world())
+    def test_matches_the_naive_oracle_on_random_worlds(self, world):
+        _assert_counts_match_the_oracle(*world)
 
     def test_unrequested_cell_rejected(self):
         counter = StreamingDependentCounter()
@@ -1083,106 +1119,17 @@ class TestOversizedIntegers:
         assert counter.count("libfoo", "npm", D("2023-03-01"), repos) == 2
 
 
-PAYLOAD = "\n".join(release_line(version_text=f"1.0.{i}") for i in range(50)) + "\n"
-
-
-class _Handler(BaseHTTPRequestHandler):
-    behavior = "plain"  # plain | drop_once | drop_once_no_range | always_drop | missing
-    drops_done = 0
-
-    def log_message(self, *args):  # quiet
-        pass
-
-    def do_GET(self):
-        cls = type(self)
-        body = PAYLOAD.encode("utf-8")
-        if cls.behavior == "missing":
-            self.send_error(404)
-            return
-        range_header = self.headers.get("Range")
-        start = 0
-        status = 200
-        if range_header and cls.behavior != "drop_once_no_range":
-            start = int(range_header.split("=")[1].rstrip("-"))
-            status = 206
-        chunk = body[start:]
-        if cls.behavior in ("drop_once", "drop_once_no_range") and cls.drops_done == 0:
-            cls.drops_done += 1
-            self.send_response(status)
-            self.send_header("Content-Length", str(len(chunk)))
-            self.end_headers()
-            self.wfile.write(chunk[: len(chunk) // 2])
-            self.wfile.flush()
-            self.connection.close()
-            return
-        if cls.behavior == "always_drop":
-            self.send_response(status)
-            self.send_header("Content-Length", str(len(chunk)))
-            self.end_headers()
-            self.wfile.write(chunk[:10])
-            self.wfile.flush()
-            self.connection.close()
-            return
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(chunk)))
-        if status == 206:
-            self.send_header("Content-Range", f"bytes {start}-{len(body) - 1}/{len(body)}")
-        self.end_headers()
-        self.wfile.write(chunk)
-
-
-@pytest.fixture
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.drops_done = 0
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-
-
-class TestHttpSource:
-    def test_plain_fetch(self, http_server):
-        _Handler.behavior = "plain"
-        source = HttpSource(http_server, timeout=5.0)
-        records = list(read_releases(source.lines("releases.ndjson")))
-        assert len(records) == 50
-
-    def test_resume_after_drop_uses_range(self, http_server):
-        _Handler.behavior = "drop_once"
-        sleeps = []
-        source = HttpSource(http_server, timeout=5.0, retries=3, sleeper=sleeps.append)
-        lines = list(source.lines("releases.ndjson"))
-        assert lines == PAYLOAD.splitlines()
-        assert len(sleeps) == 1  # one retry, with backoff recorded
-
-    def test_server_ignoring_range_still_yields_each_line_once(self, http_server):
-        _Handler.behavior = "drop_once_no_range"
-        source = HttpSource(http_server, timeout=5.0, retries=3, sleeper=lambda s: None)
-        lines = list(source.lines("releases.ndjson"))
-        assert lines == PAYLOAD.splitlines()
-
-    def test_retries_exhausted(self, http_server):
-        _Handler.behavior = "always_drop"
-        source = HttpSource(http_server, timeout=5.0, retries=2, sleeper=lambda s: None)
-        with pytest.raises(SourceUnavailable):
-            list(source.lines("releases.ndjson"))
-
-    def test_missing_resource_fails_fast(self, http_server):
-        _Handler.behavior = "missing"
-        sleeps = []
-        source = HttpSource(http_server, timeout=5.0, retries=3, sleeper=sleeps.append)
-        with pytest.raises(SourceUnavailable):
-            list(source.lines("releases.ndjson"))
-        assert sleeps == []  # 4xx is not retried
-
-    def test_backoff_grows_exponentially(self, http_server):
-        _Handler.behavior = "always_drop"
-        sleeps = []
-        source = HttpSource(http_server, timeout=5.0, retries=3, backoff=0.5, sleeper=sleeps.append)
-        with pytest.raises(SourceUnavailable):
-            list(source.lines("releases.ndjson"))
-        assert sleeps == [0.5, 1.0, 2.0]
+class TestCountBound:
+    @pytest.mark.parametrize("field", ["stars", "forks"])
+    @pytest.mark.parametrize("layout", ["compact", "spaced"])
+    def test_a_count_past_the_index_columns_is_one_violation(self, field, layout):
+        if layout == "compact":
+            line = _dated("2023-03-01", _body(snap_line(), [(field, 2**63)]))
+        else:
+            line = snap_line(**{field: 2**63})
+        reader = read_repo_snapshots([line, snap_line(**{field: 2**63 - 1})])
+        index = RepoIndex.build(reader)
+        [(line_no, message)] = [(v.line_no, v.message) for v in reader.violations]
+        assert line_no == 1 and message.startswith(field)
+        snap = index.nearest("acme", "libfoo", D("2023-03-01"))
+        assert getattr(snap, field) == 2**63 - 1

@@ -5,15 +5,7 @@ from datetime import date, timedelta
 import pytest
 
 from depgrowth.filters import ClassifiedRelease
-from depgrowth.ingest import (
-    DateOutOfRange,
-    DependentEdge,
-    EdgeIndex,
-    PackageRelease,
-    RepoIndex,
-    RepoSnapshot,
-    count_dependents,
-)
+from depgrowth.ingest import DependentEdge, PackageRelease, RepoIndex, RepoSnapshot
 from depgrowth.metrics import (
     LookaheadGrid,
     NonPositiveInput,
@@ -160,19 +152,16 @@ class TestBuildRecords:
                 edges.append(edge("libfoo", dep, day))
         repo_rows = [snap("acme", "libfoo", day, stars=10 + i, forks=i) for i, day in enumerate(days)]
         dep_rows = [snap(f"u{d}", f"r{d}", day) for day in days for d in range(30)]
-        repos = RepoIndex.build(repo_rows + dep_rows)
-        index = EdgeIndex.build(edges)
+        rows = repo_rows + dep_rows
+        repos = RepoIndex.build(rows)
 
         def provider(pkg, eco, when):
-            try:
-                return count_dependents(pkg, eco, when, index, repos)
-            except DateOutOfRange:
-                return None
+            return naive_dependent_count(edges, rows, pkg, eco, when)
 
-        return repos, index, provider, edges, repo_rows + dep_rows
+        return repos, provider, edges, rows
 
     def test_record_assembly(self):
-        repos, index, provider, _, _ = self._world()
+        repos, provider, _, _ = self._world()
         records, skipped = build_release_records(
             [classified(day="2023-03-10", version="2.1.0")], repos, provider, GRID
         )
@@ -191,7 +180,7 @@ class TestBuildRecords:
         assert record.metric_values[("forks", 45)] == snap_at.forks
 
     def test_missing_pre_count_skips_record(self):
-        repos, _, provider, _, _ = self._world()
+        repos, provider, _, _ = self._world()
         records, skipped = build_release_records(
             [classified(day="2022-01-01")], repos, provider, GRID
         )
@@ -199,7 +188,7 @@ class TestBuildRecords:
         assert skipped == {"missing_pre_dependents": 1}
 
     def test_lookahead_beyond_coverage_is_none_not_zero(self):
-        repos, _, provider, _, _ = self._world()
+        repos, provider, _, _ = self._world()
         # release near the end of coverage: +180 falls past the last edge date
         records, _ = build_release_records(
             [classified(day="2023-09-01")], repos, provider, GRID
@@ -209,7 +198,7 @@ class TestBuildRecords:
         assert record.metric_values[("dependents", 0)] is not None
 
     def test_matches_brute_force_join(self):
-        repos, index, provider, edges, repo_rows = self._world()
+        repos, provider, edges, repo_rows = self._world()
         records, _ = build_release_records(
             [classified(day="2023-03-17", version="0.9.1")], repos, provider, GRID
         )

@@ -9,7 +9,6 @@ from depgrowth.semver import (
     Version,
     VersionSeries,
     classify_release,
-    classify_release_diff,
     format_version,
     parse_version,
     version_series,
@@ -153,26 +152,6 @@ class TestClassify:
     def test_unknown_zero_split_rejected(self):
         with pytest.raises(ValueError):
             classify_release(Version(1, 0, 0), zero_split="bogus")
-
-
-class TestClassifyDiff:
-    def test_falls_back_without_previous(self):
-        assert classify_release_diff(None, Version(1, 2, 3)) == ReleaseType.PATCH
-
-    @pytest.mark.parametrize(
-        "prev,cur,expected",
-        [
-            ((1, 2, 3), (2, 0, 0), ReleaseType.MAJOR),
-            ((1, 2, 3), (1, 3, 0), ReleaseType.MINOR),
-            ((1, 2, 3), (1, 2, 4), ReleaseType.PATCH),
-            # a re-tag of an existing minor falls back to the string rule
-            ((1, 2, 0), (1, 2, 0), ReleaseType.MINOR),
-            ((0, 3, 0), (0, 4, 0), ReleaseType.ZERO_MAJOR),
-            ((0, 3, 0), (0, 3, 1), ReleaseType.ZERO_MINOR),
-        ],
-    )
-    def test_diff_rules(self, prev, cur, expected):
-        assert classify_release_diff(Version(*prev), Version(*cur)) == expected
 
 
 class TestSeries:
