@@ -469,9 +469,10 @@ def cmd_analyze(config: PipelineConfig) -> int:
     try:
         with open(report_path, encoding="utf-8") as handle:
             built_on = json.load(handle)["exclusions"]
+        unmeasured = [o for o in grid.offsets if f"dependents@{o}" not in built_on]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{report_path} is unreadable ({exc!r}); rerun depgrowth metrics") from exc
-    if f"dependents@{offset}" not in built_on:
+    if unmeasured:
         raise DataError(
             f"{samples_path} was built on another look-ahead grid than "
             f"{grid.horizon_days},{grid.step_days}; rerun depgrowth metrics with the same --grid"

@@ -18,8 +18,10 @@ import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from operator import lt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -41,7 +43,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 JOIN_WINDOW_DAYS = 7
-# the largest stars or forks value; RepoIndex stores them in 8-byte columns
+# the largest stars or forks value (docs/DATA_FORMAT.md); RepoIndex keeps one
+# too large for its 4-byte columns in a side table, exactly
 MAX_COUNT = 2**63 - 1
 
 _ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
@@ -112,18 +115,20 @@ class DependentEdge(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _iter_lines(source: Source) -> Iterator[str]:
+@contextmanager
+def _lines(source: Source) -> Iterator[Iterator[str]]:
+    """The source's lines, each without its line end."""
     if isinstance(source, (str, Path)):
         try:
             handle = open(source, "r", encoding="utf-8")
         except OSError as exc:
             raise SourceUnavailable(f"cannot open {source}: {exc}") from exc
         with handle:
-            for line in handle:
-                yield line.rstrip("\n").rstrip("\r")
+            # text mode reads "\r\n" and "\r" as "\n"
+            yield map(str.rstrip, handle, repeat("\n"))
         return
-    for line in source:  # an open handle or any other iterable of lines
-        yield line.rstrip("\n").rstrip("\r")
+    # an open handle or any other iterable of lines
+    yield map(str.rstrip, map(str.rstrip, source, repeat("\n")), repeat("\r"))
 
 
 # ---------------------------------------------------------------------------
@@ -375,103 +380,104 @@ class RecordReader:
         strings: dict[str, str] = {}  # one copy of each key field string
         first_day = None
         first_rows = missed = hits = 0
-        for line_no, line in enumerate(_iter_lines(self._source), start=1):
-            if bodies is not None and line[28:30] == '",' and line.startswith(_DATED_PREFIX):
-                raw_day = line[18:28]
-                body = line[30:]
-                value = bodies.get(body)
-                if value is not None:
-                    day = days.get(raw_day)
-                    if day is None:
-                        try:
-                            day = days[raw_day] = day_of(date.fromisoformat(raw_day))
-                        except ValueError:
-                            pass  # the full path reports the date
-                    if day is not None:
-                        hits += 1
-                        yield day, value
+        with _lines(self._source) as lines:
+            for line_no, line in enumerate(lines, start=1):
+                if bodies is not None and line[28:30] == '",' and line.startswith(_DATED_PREFIX):
+                    raw_day = line[18:28]
+                    body = line[30:]
+                    value = bodies.get(body)
+                    if value is not None:
+                        day = days.get(raw_day)
+                        if day is None:
+                            try:
+                                day = days[raw_day] = day_of(date.fromisoformat(raw_day))
+                            except ValueError:
+                                pass  # the full path reports the date
+                        if day is not None:
+                            hits += 1
+                            yield day, value
+                            continue
+                else:
+                    body = None
+                # json.loads(line) rejects a leading BOM, runs raw_decode(line,
+                # idx) with idx past any leading whitespace, and rejects anything
+                # but whitespace after the value. When raw_decode at 0 consumes
+                # the whole line, the line has no BOM, no leading whitespace and
+                # nothing after the value, so json.loads returns the same object.
+                # Both raise a plain ValueError, not a JSONDecodeError, for an
+                # integer literal longer than the interpreter converts.
+                try:
+                    obj, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    if not line.strip():
                         continue
-            else:
-                body = None
-            # json.loads(line) rejects a leading BOM, runs raw_decode(line,
-            # idx) with idx past any leading whitespace, and rejects anything
-            # but whitespace after the value. When raw_decode at 0 consumes
-            # the whole line, the line has no BOM, no leading whitespace and
-            # nothing after the value, so json.loads returns the same object.
-            # Both raise a plain ValueError, not a JSONDecodeError, for an
-            # integer literal longer than the interpreter converts.
-            try:
-                obj, end = _raw_decode(line)
-            except ValueError:
-                end = -1
-            if end != len(line):
-                if not line.strip():
+                    try:
+                        obj = json.loads(line)
+                    except ValueError as exc:
+                        message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                        self.violations.append(SchemaViolation(line_no, f"invalid JSON: {message}"))
+                        continue
+                if not isinstance(obj, dict):
+                    self.violations.append(SchemaViolation(line_no, "record must be an object"))
+                    continue
+                if line_no == 1 and "schema" in obj:
+                    name = obj.get("schema")
+                    version = obj.get("version")
+                    if name != self._schema:
+                        raise SchemaHeaderError(
+                            f"expected schema {self._schema!r}, file declares {name!r}"
+                        )
+                    if version != SCHEMA_VERSION:
+                        raise SchemaHeaderError(
+                            f"unsupported {name} schema version {version!r}"
+                        )
                     continue
                 try:
-                    obj = json.loads(line)
+                    row = self._parse(obj)
                 except ValueError as exc:
-                    message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                    self.violations.append(SchemaViolation(line_no, f"invalid JSON: {message}"))
+                    self.violations.append(SchemaViolation(line_no, str(exc)))
                     continue
-            if not isinstance(obj, dict):
-                self.violations.append(SchemaViolation(line_no, "record must be an object"))
-                continue
-            if line_no == 1 and "schema" in obj:
-                name = obj.get("schema")
-                version = obj.get("version")
-                if name != self._schema:
-                    raise SchemaHeaderError(
-                        f"expected schema {self._schema!r}, file declares {name!r}"
-                    )
-                if version != SCHEMA_VERSION:
-                    raise SchemaHeaderError(
-                        f"unsupported {name} schema version {version!r}"
-                    )
-                continue
-            try:
-                row = self._parse(obj)
-            except ValueError as exc:
-                self.violations.append(SchemaViolation(line_no, str(exc)))
-                continue
-            value = compile(row)
-            yield (None if row_type is None else day_of(row[0])), value
-            if body is None:
-                continue
-            if first_day is None:
-                first_day = raw_day
-            if raw_day == first_day:
-                first_rows += 1
-            else:
-                missed += 1
-                if missed > hits + first_rows:
-                    bodies = None
-                    subjects.clear()
-                    strings.clear()
+                value = compile(row)
+                yield (None if row_type is None else day_of(row[0])), value
+                if body is None:
                     continue
-            if raw_day not in days:
-                try:
-                    days[raw_day] = day_of(date.fromisoformat(raw_day))
-                except ValueError:
-                    continue  # D may end in '\', and B is then no body
-            # D parsed and the line decoded, so "{" + B is an object (see
-            # above). Without a '\' in B, a "snapshot_date" key of its own
-            # would show as that text.
-            if '"snapshot_date"' in body:
-                continue
-            if "\\" in body:
-                try:
-                    if "snapshot_date" in _raw_decode("{" + body)[0]:
+                if first_day is None:
+                    first_day = raw_day
+                if raw_day == first_day:
+                    first_rows += 1
+                else:
+                    missed += 1
+                    if missed > hits + first_rows:
+                        bodies = None
+                        subjects.clear()
+                        strings.clear()
                         continue
-                except ValueError:
+                if raw_day not in days:
+                    try:
+                        days[raw_day] = day_of(date.fromisoformat(raw_day))
+                    except ValueError:
+                        continue  # D may end in '\', and B is then no body
+                # D parsed and the line decoded, so "{" + B is an object (see
+                # above). Without a '\' in B, a "snapshot_date" key of its own
+                # would show as that text.
+                if '"snapshot_date"' in body:
                     continue
-            # the key fields' strings are shared across subjects, and their
-            # table is bounded as the memo is: by the input's subjects
-            key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
-            old = subjects.get(key)
-            if old is not None:
-                del bodies[old]
-            subjects[key] = body
-            bodies[body] = value
+                if "\\" in body:
+                    try:
+                        if "snapshot_date" in _raw_decode("{" + body)[0]:
+                            continue
+                    except ValueError:
+                        continue
+                # the key fields' strings are shared across subjects, and their
+                # table is bounded as the memo is: by the input's subjects
+                key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
+                old = subjects.get(key)
+                if old is not None:
+                    del bodies[old]
+                subjects[key] = body
+                bodies[body] = value
 
 
 def _same(value: object) -> object:
@@ -527,32 +533,58 @@ def _quality(timeline: tuple | None, target: int) -> bool:
         return False
     ordinals, stars, _forks, fork_flags, _metas = timeline
     pos = _joined(ordinals, target)
-    return pos >= 0 and not fork_flags[pos] and stars[pos] >= 1
+    # counts are >= 0 and a wide one is stored negative, so any stored value
+    # but 0 is at least one star
+    return pos >= 0 and not fork_flags[pos] and stars[pos] != 0
+
+
+def _intern(ids: dict, values: list, value: object) -> int:
+    """``value``'s id: its index in ``values``, which ``ids`` maps it to; added if new."""
+    found = ids.get(value)
+    if found is None:
+        found = ids[value] = len(values)
+        values.append(value)
+    return found
+
+
+# RepoIndex's column types: ordinal date, stars, forks, fork flag, metadata id
+_COLUMNS = "iiibi"
+# the largest count a 4-byte column holds as itself
+_NARROW_MAX = 2**31 - 1
+# count_quality's verdicts (0: not yet computed), and a dependent whose
+# timeline it has not yet resolved
+_FAIL, _PASS = 1, 2
+_UNRESOLVED = object()
 
 
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
-    Rows are stored as parallel arrays per repository (ordinal date, stars,
-    forks, fork flag) so that multi-million-row corpora stay compact; each
-    row's description/topics/language is one interned tuple, shared by the
-    days on which it did not change.
+    Rows are stored as parallel arrays per repository: 4-byte ordinal date,
+    stars, forks and metadata id, and a 1-byte fork flag, 17 B a row. Each
+    distinct description/topics/language tuple is held once, and a row holds
+    its id. A stars or forks value past 2^31 - 1 is held once in a side table
+    of wide counts, and its column holds ``~i`` (negative, where counts are
+    not) for its position ``i`` there.
     """
 
     def __init__(self) -> None:
-        # key -> (ordinals, stars, forks, fork_flags, metas); parallel arrays
-        # instead of per-row tuples keep multi-million-row loads in the tens
-        # of megabytes
+        # key -> columns (see _COLUMNS); appended in arrival order, then
+        # sorted and frozen on the first lookup
         self._rows: dict[tuple[str, str], tuple] = {}
         self._frozen: dict[tuple[str, str], tuple] = {}
-        # metadata rarely changes day to day; intern equal tuples so daily
-        # snapshots of the same repo share one object
-        self._meta_intern: dict[tuple, tuple] = {}
-        # count_quality's memos, emptied whenever a repository's timeline
-        # opens or thaws: "owner/name" -> its frozen timeline (None when
-        # absent), and target ordinal -> "owner/name" -> quality verdict
-        self._dep_timelines: dict[str, tuple | None] = {}
-        self._verdicts: dict[int, dict[str, bool]] = {}
+        # metadata tuples and wide counts by id, and each one's id
+        self._metas: list[tuple] = []
+        self._meta_ids: dict[tuple, int] = {}
+        self._wide: list[int] = []
+        self._wide_ids: dict[int, int] = {}
+        # count_quality's memos, indexed by dependent id and emptied whenever
+        # a repository's timeline opens or thaws, or the ids index other
+        # names: each dependent's frozen timeline (None when absent), and per
+        # target ordinal each dependent's verdict (see _PASS), one byte each
+        self._dep_names: Sequence[str] = ()
+        self._dep_timelines: list = []
+        self._verdicts: dict[int, bytearray] = {}
 
     @classmethod
     def build(cls, snapshots: Iterable[RepoSnapshot]) -> "RepoIndex":
@@ -561,12 +593,7 @@ class RepoIndex:
         return index
 
     def add(self, snap: RepoSnapshot) -> None:
-        ordinals, stars, forks, fork_flags, metas = self._store((snap.owner, snap.name))
-        ordinals.append(snap.snapshot_date.toordinal())
-        stars.append(snap.stars)
-        forks.append(snap.forks)
-        fork_flags.append(int(snap.is_fork))
-        metas.append(self._meta(snap))
+        self.extend((snap,))
 
     def extend(self, snapshots: Iterable[RepoSnapshot]) -> None:
         """Add rows; a snapshot reader hands over each distinct body once."""
@@ -588,33 +615,26 @@ class RepoIndex:
             metas.append(meta)
 
     def _compile(self, snap: RepoSnapshot) -> tuple:
-        """The row's timeline arrays and the values to append to them."""
+        """The row's timeline columns and the values to append to them."""
         store = self._store((snap.owner, snap.name))
-        return store + (snap.stars, snap.forks, int(snap.is_fork), self._meta(snap))
+        meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
+        return store + (self._narrow(snap.stars), self._narrow(snap.forks), int(snap.is_fork), meta)
+
+    def _narrow(self, count: int) -> int:
+        return count if count <= _NARROW_MAX else ~_intern(self._wide_ids, self._wide, count)
+
+    def _widen(self, stored: int) -> int:
+        return stored if stored >= 0 else self._wide[~stored]
 
     def _store(self, key: tuple[str, str]) -> tuple:
         store = self._rows.get(key)
         if store is None:
-            frozen = self._frozen.pop(key, None)
-            if frozen is not None:
-                # thaw so late additions land in the same timeline
-                store = (
-                    array("l", frozen[0]),
-                    array("l", frozen[1]),
-                    array("l", frozen[2]),
-                    array("b", frozen[3]),
-                    list(frozen[4]),
-                )
-            else:
-                store = (array("l"), array("l"), array("l"), array("b"), [])
-            self._rows[key] = store
+            # a frozen timeline thaws so late additions land in it
+            frozen = self._frozen.pop(key, ((),) * len(_COLUMNS))
+            store = self._rows[key] = tuple(map(array, _COLUMNS, frozen))
             self._dep_timelines.clear()
             self._verdicts.clear()
         return store
-
-    def _meta(self, snap: RepoSnapshot) -> tuple:
-        meta = (snap.description, snap.topics, snap.language)
-        return self._meta_intern.setdefault(meta, meta)
 
     def __len__(self) -> int:
         return len(self._rows) + len(self._frozen)
@@ -626,31 +646,16 @@ class RepoIndex:
         store = self._rows.get(key)
         if store is None:
             return None
-        raw_ordinals, raw_stars, raw_forks, raw_flags, raw_metas = store
-        if all(map(lt, raw_ordinals, raw_ordinals[1:])):
+        ordinals = store[0]
+        if all(map(lt, ordinals, ordinals[1:])):
             # strictly increasing: already sorted with no same-day duplicates
             # (_store thaws by copying, so these arrays are never appended to)
             frozen = store
         else:
-            ordinals = array("l")
-            stars = array("l")
-            forks = array("l")
-            fork_flags = array("b")
-            metas: list[tuple] = []
-            # stable, so same-day duplicates keep arrival order: last wins
-            for i in sorted(range(len(raw_ordinals)), key=raw_ordinals.__getitem__):
-                if len(ordinals) and ordinals[-1] == raw_ordinals[i]:
-                    stars[-1] = raw_stars[i]
-                    forks[-1] = raw_forks[i]
-                    fork_flags[-1] = raw_flags[i]
-                    metas[-1] = raw_metas[i]
-                    continue
-                ordinals.append(raw_ordinals[i])
-                stars.append(raw_stars[i])
-                forks.append(raw_forks[i])
-                fork_flags.append(raw_flags[i])
-                metas.append(raw_metas[i])
-            frozen = (ordinals, stars, forks, fork_flags, metas)
+            # each day's last row (a later same-day row wins), in date order
+            last = dict(zip(ordinals, range(len(ordinals))))
+            kept = sorted(last.values(), key=ordinals.__getitem__)
+            frozen = tuple(array(column.typecode, [column[i] for i in kept]) for column in store)
         self._frozen[key] = frozen
         del self._rows[key]
         return frozen
@@ -664,44 +669,53 @@ class RepoIndex:
         pos = _joined(ordinals, when.toordinal())
         if pos < 0:
             return None
-        meta = metas[pos]
+        description, topics, language = self._metas[metas[pos]]
         return RepoSnapshot(
             snapshot_date=date.fromordinal(ordinals[pos]),
             owner=owner,
             name=name,
-            stars=stars[pos],
-            forks=forks[pos],
+            stars=self._widen(stars[pos]),
+            forks=self._widen(forks[pos]),
             is_fork=bool(fork_flags[pos]),
-            description=meta[0],
-            topics=meta[1],
-            language=meta[2],
+            description=description,
+            topics=topics,
+            language=language,
         )
 
     def quality_ok(self, owner: str, name: str, when: date) -> bool:
         """True when the joined snapshot exists, is not a fork, and has >= 1 star."""
         return _quality(self._timeline((owner, name)), when.toordinal())
 
-    def count_quality(self, deps: Iterable[str], target: int) -> int:
-        """How many ``owner/name`` keys in ``deps`` pass :meth:`quality_ok` on ordinal ``target``.
+    def count_quality(self, deps: Iterable[int], names: Sequence[str], target: int) -> int:
+        """How many dependents in ``deps`` pass :meth:`quality_ok` on ordinal ``target``.
 
-        Each key's timeline is resolved once, and each verdict is computed
-        once per target date.
+        ``deps`` are ids into ``names``, whose entries are ``owner/name``
+        keys; ids already seen must keep their names. Each dependent's
+        timeline is resolved once, and each verdict is computed once per
+        target date.
         """
+        if names is not self._dep_names:
+            self._dep_names = names
+            self._dep_timelines.clear()
+            self._verdicts.clear()
+        timelines = self._dep_timelines
+        if len(timelines) < len(names):
+            timelines.extend([_UNRESOLVED] * (len(names) - len(timelines)))
         verdicts = self._verdicts.get(target)
         if verdicts is None:
-            verdicts = self._verdicts[target] = {}
-        timelines = self._dep_timelines
+            verdicts = self._verdicts[target] = bytearray(len(names))
+        elif len(verdicts) < len(names):
+            verdicts.extend(bytes(len(names) - len(verdicts)))
         count = 0
         for dep in deps:
-            ok = verdicts.get(dep)
-            if ok is None:
-                if dep in timelines:
-                    timeline = timelines[dep]
-                else:
-                    owner, _, name = dep.partition("/")
+            verdict = verdicts[dep]
+            if not verdict:
+                timeline = timelines[dep]
+                if timeline is _UNRESOLVED:
+                    owner, _, name = names[dep].partition("/")
                     timeline = timelines[dep] = self._timeline((owner, name))
-                ok = verdicts[dep] = _quality(timeline, target)
-            if ok:
+                verdict = verdicts[dep] = _PASS if _quality(timeline, target) else _FAIL
+            if verdict == _PASS:
                 count += 1
         return count
 
@@ -714,26 +728,35 @@ def _resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
 
 # the compiled value of an edge whose package has no requested dates
 _UNREQUESTED = (None, None, None)
+# the typecode of a counted bucket, whose ids are distinct: as wide as the
+# "i" of a bucket not yet counted, so the typecode alone tells count whether
+# to deduplicate
+_DISTINCT = "I"
 
 
 class StreamingDependentCounter:
     """Single-pass distinct-dependent counting for requested package-dates.
 
     Register every (ecosystem, package, date) cell of interest up front, then
-    feed the edge stream once. Working memory is proportional to the number
-    of requested cells plus the distinct dependents inside them, never to the
-    total edge row count.
+    feed the edge stream once. A row kept for some cell costs 4 B, its
+    dependent's id appended to a bucket, until that bucket is first counted
+    and deduplicated; each kept dependent's ``owner/repo`` key is held once.
+    Working memory is proportional to the requested cells plus the rows kept
+    for them, never to the total edge row count.
     """
 
     def __init__(self) -> None:
         # (eco, pkg) -> sorted list of requested ordinals is built lazily
         self._requests: dict[tuple[str, str], set[int]] = {}
         self._windows: dict[tuple[str, str], list[int]] | None = None
-        # (eco, pkg) -> candidate ordinal -> distinct dependent keys
-        self._buckets: dict[tuple[str, str], dict[int, set[str]]] = {}
+        # (eco, pkg) -> candidate ordinal -> dependent ids, one per kept row
+        # until counted, then distinct (see _DISTINCT)
+        self._buckets: dict[tuple[str, str], dict[int, array]] = {}
         self._coverage: set[int] = set()
         self._sorted_coverage: list[int] | None = None
-        self._dep_cache: dict[str, str] = {}
+        # each kept dependent's "owner/repo" key -> its id, and the keys by id
+        self._ids: dict[str, int] = {}
+        self._names: list[str] = []
 
     def request(self, package_name: str, ecosystem: str, when: date) -> None:
         self._requests.setdefault((ecosystem, package_name), set()).add(when.toordinal())
@@ -747,7 +770,11 @@ class StreamingDependentCounter:
     def feed(self, edges: Iterable[DependentEdge]) -> None:
         windows = self._window_lists()
         buckets = self._buckets
-        cache = self._dep_cache
+        # a counted bucket that rows may join is counted afresh
+        for cells in buckets.values():
+            for ordinal, cell in cells.items():
+                if cell.typecode == _DISTINCT:
+                    cells[ordinal] = array("i", cell)
 
         def compile(edge: DependentEdge) -> tuple:
             # the package's requested dates and buckets, and the dependent
@@ -756,9 +783,10 @@ class StreamingDependentCounter:
             if not requested:
                 return _UNREQUESTED
             dep = f"{edge.dependent_owner}/{edge.dependent_repo}"
-            return requested, buckets.setdefault(key, {}), cache.setdefault(dep, dep)
+            return requested, buckets.setdefault(key, {}), dep
 
         coverage = self._coverage
+        ids = self._ids
         self._sorted_coverage = None
         for ordinal, (requested, cells, dep) in _compiled(edges, compile):
             coverage.add(ordinal)
@@ -769,10 +797,15 @@ class StreamingDependentCounter:
             pos = bisect_left(requested, ordinal)
             if pos == len(requested) or requested[pos] - ordinal > JOIN_WINDOW_DAYS:
                 continue
+            # ids only for dependents of kept rows: one no request needs
+            # costs no int object
+            dep_id = ids.get(dep)
+            if dep_id is None:
+                dep_id = _intern(ids, self._names, dep)
             cell = cells.get(ordinal)
             if cell is None:
-                cell = cells[ordinal] = set()
-            cell.add(dep)
+                cell = cells[ordinal] = array("i")
+            cell.append(dep_id)
 
     def count(
         self, package_name: str, ecosystem: str, when: date, repos: RepoIndex
@@ -792,4 +825,10 @@ class StreamingDependentCounter:
         effective = _resolve_coverage(self._sorted_coverage, target)
         if effective is None:
             raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
-        return repos.count_quality(self._buckets.get(key, {}).get(effective, ()), target)
+        cells = self._buckets.get(key, {})
+        cell = cells.get(effective)
+        if cell is None:
+            return 0
+        if cell.typecode != _DISTINCT:
+            cell = cells[effective] = array(_DISTINCT, set(cell))
+        return repos.count_quality(cell, self._names, target)

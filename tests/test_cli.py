@@ -405,7 +405,9 @@ class TestExitCodes:
     def test_analyze_before_metrics_is_data_error(self, corpus_dir, tmp_path):
         assert cli.main(["analyze", *_pipeline_args(corpus_dir, tmp_path / "fresh2")]) == 3
 
-    @pytest.mark.parametrize("fault", ["other grid", "truncated report"])
+    @pytest.mark.parametrize(
+        "fault", ["other grid", "finer grid", "truncated report", "exclusions not a mapping"]
+    )
     def test_analyze_on_mismatched_metrics_is_data_error(
         self, corpus_dir, out_dir, tmp_path, capsys, fault
     ):
@@ -416,9 +418,18 @@ class TestExitCodes:
         args = _pipeline_args(corpus_dir, work)
         if fault == "other grid":
             args[args.index("180,45")] = "365,90"
-        else:
+        elif fault == "finer grid":
+            # a 365,90 build measures 180, the final offset of 180,45, but
+            # not 45 or 135
+            shutil.copy(out_dir / "filtered_releases.jsonl", work)
+            coarse = _pipeline_args(corpus_dir, work)
+            coarse[coarse.index("180,45")] = "365,90"
+            assert cli.main(["metrics", *coarse]) == 0
+        elif fault == "truncated report":
             report = work / "metrics_report.json"
             report.write_bytes(report.read_bytes()[:40])
+        else:
+            (work / "metrics_report.json").write_text('{"exclusions": 5}')
         assert cli.main(["analyze", *args]) == 3
         assert "rerun depgrowth metrics" in capsys.readouterr().err
         assert not (work / "table_bins.txt").exists()

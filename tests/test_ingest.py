@@ -720,6 +720,23 @@ class TestRepoIndex:
             snaps.append(snap)
             _assert_lookups_match_a_scan(index, snaps, start)
 
+    def test_counts_past_the_narrow_columns_round_trip(self):
+        start = D("2023-03-01")
+        wide = [0, 1, 2**31 - 1, 2**31, 2**32 + 5, ingest.MAX_COUNT, 7, 2**31]
+        snaps = [
+            make_snap("a", "r", start + timedelta(days=2 * i), stars=stars, forks=forks)
+            for i, (stars, forks) in enumerate(zip(wide, reversed(wide)))
+        ]
+        index = RepoIndex.build(snaps)
+        _assert_lookups_match_a_scan(index, snaps, start)  # freezes the in-order timeline
+        # late rows thaw it and arrive out of order, one replacing a same-day row
+        late = ((5, 2**40, 0), (0, 2**31, 2**31 - 1), (6, 0, ingest.MAX_COUNT))
+        for offset, stars, forks in late:
+            snap = make_snap("a", "r", start + timedelta(days=offset), stars=stars, forks=forks)
+            index.add(snap)
+            snaps.append(snap)
+        _assert_lookups_match_a_scan(index, snaps, start)  # the sort path
+
 
 def make_edge(pkg, dep, day, eco="npm"):
     owner, _, repo = dep.partition("/")
@@ -822,6 +839,22 @@ class TestCountDependents:
             assert current >= previous
             previous = current
 
+    def test_re_crawled_rows_count_once(self):
+        days = ["2023-03-01", "2023-03-02"]
+        lines = [
+            _dated(day, _body(edge_line(), [("dependent_repo", f"app{i}")]))
+            for day in days
+            for i in range(4)
+        ]
+        # every row of the second day crawled again, late and out of order
+        dump = lines + lines[:4] + lines[4:][::-1] + lines[5:7]
+        counter = StreamingDependentCounter()
+        for day in days:
+            counter.request("libfoo", "npm", D(day))
+        counter.feed(read_dependent_edges(dump))
+        repos = quality_repo_index([f"user1/app{i}" for i in range(4)], days=days)
+        assert [counter.count("libfoo", "npm", D(day), repos) for day in days] == [4, 4]
+
 
 def _assert_counts_match_the_oracle(edges, repo_rows, queries):
     """Each ``(pkg, eco, when)`` query counts as the naive oracle does.
@@ -907,10 +940,13 @@ class TestStreamingCounter:
         counter = StreamingDependentCounter()
         when = D("2023-03-01")
         counter.request("lib", "npm", when)
+        repos = quality_repo_index(["u1/a", "u2/b", "u3/c"])
         counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
-        counter.feed([make_edge("lib", "u2/b", "2023-03-01")])
-        repos = quality_repo_index(["u1/a", "u2/b"])
-        assert counter.count("lib", "npm", when, repos) == 2
+        assert counter.count("lib", "npm", when, repos) == 1
+        # dependents fed again after a count, one of them already counted
+        again = ("u2/b", "u1/a", "u3/c", "u2/b")
+        counter.feed([make_edge("lib", dep, "2023-03-01") for dep in again])
+        assert counter.count("lib", "npm", when, repos) == 3
 
 
 def _brute_quality(snaps, owner, name, when):
