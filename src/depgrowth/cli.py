@@ -6,6 +6,9 @@ Every output carries a provenance header (tool version, config hash, input
 digests) and no wall-clock values, so a rerun over identical inputs is
 byte-identical.
 
+Artifacts a stage reads back are checked against their schema header and
+row fields; a bad one is a data error naming the stage to rerun.
+
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
 
@@ -21,7 +24,7 @@ import os
 import sys
 from datetime import timedelta
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .complexity import (
@@ -46,13 +49,19 @@ from .filters import ClassifiedRelease, filter_semver, pre_release_date, run_fil
 from .ingest import (
     DateOutOfRange,
     PackageRelease,
+    RecordReader,
     RepoIndex,
     SchemaHeaderError,
     SourceUnavailable,
     StreamingDependentCounter,
+    _opt_str,
+    _parse_date,
+    _req_int,
+    _req_str,
     read_dependent_edges,
     read_releases,
     read_repo_snapshots,
+    write_records,
 )
 from .metrics import (
     METRICS,
@@ -130,14 +139,8 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
 
 
 def _write_records(path: Path, schema: str, provenance: dict, rows: Iterable[Mapping]) -> int:
-    header = {"schema": schema, "version": 1, "provenance": provenance}
-    n = 0
     with _replacing(path) as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
-            n += 1
-    return n
+        return write_records(handle, schema, rows, provenance)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -146,23 +149,105 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _write_text(path: Path, provenance: dict, body: str, comment: str = "#") -> None:
+def _write_text(path: Path, provenance: dict, body: str) -> None:
     with _replacing(path) as handle:
-        handle.write(f"{comment} provenance: {json.dumps(provenance, sort_keys=True)}\n")
+        handle.write(f"# provenance: {json.dumps(provenance, sort_keys=True)}\n")
         handle.write(body)
 
 
-def _read_record_lines(path: Path) -> Iterable[dict]:
-    """Rows of a line-delimited output file, skipping the header line."""
-    with open(path, encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if i == 0 and isinstance(obj, dict) and "schema" in obj:
-                continue
-            yield obj
+# ---------------------------------------------------------------------------
+# artifacts: the rows later stages read back, and the table of every artifact
+# ---------------------------------------------------------------------------
+
+
+def _sample(row: dict) -> LogDiffSample:
+    value = row.get("value")
+    if type(value) is not float and type(value) is not int:
+        raise ValueError("value must be a number")
+    return LogDiffSample(
+        ecosystem=_req_str(row, "ecosystem"),
+        package_name=_req_str(row, "package_name"),
+        release_date=_parse_date(row.get("release_date"), "release_date"),
+        version_text=_req_str(row, "version_text"),
+        release_type=ReleaseType(row.get("release_type")),
+        series=VersionSeries(row.get("series")),
+        bin=SizeBin(row.get("bin")),
+        metric=_req_str(row, "metric"),
+        offset_days=_req_int(row, "offset_days"),
+        value=value,
+    )
+
+
+def _demographic(row: dict) -> tuple[str, str]:
+    """A release record as ``release_demographics`` counts it."""
+    return _req_str(row, "ecosystem"), ReleaseType(row.get("release_type")).value
+
+
+def _rating_row(row: dict) -> dict:
+    """A ``ratings.jsonl`` row, checked on the fields later stages read."""
+    _req_str(row, "key")
+    if row.get("rating") is not None:  # null: the model declined to rate
+        _req_int(row, "rating", 1, 7)
+    _opt_str(row, "language")
+    if row.get("release_type") is not None:
+        ReleaseType(row["release_type"])
+    return row
+
+
+def _human_rating(row: dict) -> tuple[str, int]:
+    return _req_str(row, "key"), _req_int(row, "rating", 1, 7)
+
+
+class _Artifact(NamedTuple):
+    stage: str  # the stage that writes it
+    schema: str | None = None  # the header schema of a JSONL artifact
+    parse: Callable[[dict], object] | None = None  # a row, as a later stage reads it
+
+
+# the artifacts a stage writes under a schema header or a later stage needs
+ARTIFACTS = {
+    "filtered_releases.jsonl": _Artifact("filter", "releases"),
+    "release_records.jsonl": _Artifact("metrics", "release-records", _demographic),
+    "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples", _sample),
+    "metrics_report.json": _Artifact("metrics"),
+    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", _rating_row),
+    "heatmap_bins.jsonl": _Artifact("analyze", "heatmap-cells"),
+    "heatmap_series.jsonl": _Artifact("analyze", "heatmap-cells"),
+    "timepoints.jsonl": _Artifact("analyze", "timepoint-distributions"),
+}
+
+
+def _checked_rows(path: Path, schema: str, parse: Callable[[dict], object], remedy: str) -> Iterator:
+    """``parse`` of each row of ``path``; a header naming another schema, or
+    the first bad row, is a DataError that ends with ``remedy``."""
+    reader = RecordReader(path, schema, parse)
+    try:
+        for row in reader:
+            if reader.violations:
+                break
+            yield row
+    except SchemaHeaderError as exc:
+        raise DataError(f"{path}: {exc}; {remedy}") from exc
+    if reader.violations:
+        raise DataError(f"{path} {reader.violations[0]}; {remedy}")
+
+
+def _remedy(name: str) -> str:
+    return f"remove it and rerun depgrowth {ARTIFACTS[name].stage}"
+
+
+def _read_record_lines(path: Path) -> Iterator:
+    """The rows of the artifact at ``path``, checked as its table entry says."""
+    artifact = ARTIFACTS[path.name]
+    return _checked_rows(path, artifact.schema, artifact.parse, _remedy(path.name))
+
+
+def _load_samples(path: Path) -> list[LogDiffSample]:
+    return list(_read_record_lines(path))
+
+
+def _write_artifact(out: Path, name: str, provenance: dict, rows: Iterable[Mapping]) -> int:
+    return _write_records(out / name, ARTIFACTS[name].schema, provenance, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +255,29 @@ def _read_record_lines(path: Path) -> Iterable[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _require(path: Path, hint: str) -> Path:
+def _require(out: Path, name: str) -> Path:
+    path = out / name
     if not path.exists():
-        raise DataError(f"{path} does not exist; {hint}")
+        stage = ARTIFACTS[name].stage
+        raise DataError(f"{path} does not exist; run the {stage} stage first (depgrowth {stage})")
     return path
 
 
-def _load_releases(path: str | Path) -> tuple[list[PackageRelease], int]:
+def _load_survivors(
+    path: Path, config: PipelineConfig
+) -> tuple[list[PackageRelease], list[ClassifiedRelease], int]:
+    """The filter stage's survivors, classified again, and the file's violation count."""
     reader = read_releases(path)
-    releases = list(reader)
-    return releases, len(reader.violations)
+    try:
+        releases = list(reader)
+    except SchemaHeaderError as exc:
+        raise DataError(f"{path}: {exc}; {_remedy(path.name)}") from exc
+    classified, report = filter_semver(releases, zero_split=config.zero_split)
+    if report.reasons:
+        raise DataError(
+            f"{path} contains rows that no longer parse as semver: {dict(report.reasons)}"
+        )
+    return releases, classified, len(reader.violations)
 
 
 CORPUS_INPUTS = ("releases", "repo_snapshots", "dependent_edges")
@@ -253,16 +351,10 @@ def _count_provider(
 
 
 def _release_row(release: PackageRelease) -> dict:
-    row = {
-        "release_date": release.release_date.isoformat(),
-        "ecosystem": release.ecosystem,
-        "package_name": release.package_name,
-        "owner": release.owner,
-        "repo_name": release.repo_name,
-        "version_text": release.version_text,
-    }
-    if release.release_notes is not None:
-        row["release_notes"] = release.release_notes
+    # the row's keys are the dataclass's fields, in their order
+    row = dict(vars(release), release_date=release.release_date.isoformat())
+    if release.release_notes is None:
+        del row["release_notes"]
     return row
 
 
@@ -285,7 +377,8 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     provenance = _provenance(
         config, {name: getattr(config, name) for name in CORPUS_INPUTS}, corpus
     )
-    releases, rel_violations = _load_releases(config.releases)
+    reader = read_releases(config.releases)
+    releases = list(reader)
     repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter(releases)
     count = _count_provider(counter, repos)
@@ -302,18 +395,15 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> int:
         threshold=config.min_dependents,
         zero_split=config.zero_split,
     )
-    n = _write_records(
-        out / "filtered_releases.jsonl",
-        "releases",
-        provenance,
-        (_release_row(item.release) for item in survivors),
+    n = _write_artifact(
+        out, "filtered_releases.jsonl", provenance, (_release_row(item.release) for item in survivors)
     )
     _write_json(
         out / "filter_report.json",
         {
             "provenance": provenance,
             "schema_violations": {
-                "releases": rel_violations,
+                "releases": len(reader.violations),
                 "repo_snapshots": repo_violations,
                 "dependent_edges": edge_violations,
             },
@@ -344,18 +434,14 @@ def _record_row(record: ReleaseRecord) -> dict:
 
 
 def _sample_row(sample: LogDiffSample) -> dict:
-    return {
-        "ecosystem": sample.ecosystem,
-        "package_name": sample.package_name,
-        "release_date": sample.release_date.isoformat(),
-        "version_text": sample.version_text,
-        "release_type": sample.release_type.value,
-        "series": sample.series.value,
-        "bin": sample.bin.value,
-        "metric": sample.metric,
-        "offset_days": sample.offset_days,
-        "value": sample.value,
-    }
+    # the row's keys are the dataclass's fields, in their order
+    return dict(
+        vars(sample),
+        release_date=sample.release_date.isoformat(),
+        release_type=sample.release_type.value,
+        series=sample.series.value,
+        bin=sample.bin.value,
+    )
 
 
 def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
@@ -363,46 +449,28 @@ def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     corpus = corpus or Corpus(config, offsets=(0,) + grid.offsets)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    filtered = _require(
-        out / "filtered_releases.jsonl", "run the filter stage first (depgrowth filter)"
-    )
-    provenance = _provenance(
-        config,
-        {
-            "filtered_releases": filtered,
-            "repo_snapshots": config.repo_snapshots,
-            "dependent_edges": config.dependent_edges,
-        },
-        corpus,
-    )
-    releases, rel_violations = _load_releases(filtered)
-    classified, semver_report = filter_semver(releases, zero_split=config.zero_split)
-    if semver_report.reasons:
-        raise DataError(
-            f"{filtered} contains rows that no longer parse as semver: {dict(semver_report.reasons)}"
-        )
+    filtered = _require(out, "filtered_releases.jsonl")
+    inputs = {"filtered_releases": filtered, "repo_snapshots": config.repo_snapshots}
+    provenance = _provenance(config, {**inputs, "dependent_edges": config.dependent_edges}, corpus)
+    releases, classified, rel_violations = _load_survivors(filtered, config)
     repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter(releases)
     count = _count_provider(counter, repos)
     records, skipped = build_release_records(classified, repos, count, grid)
-    n_records = _write_records(
-        out / "release_records.jsonl",
-        "release-records",
-        provenance,
-        (_record_row(record) for record in records),
+    n_records = _write_artifact(
+        out, "release_records.jsonl", provenance, (_record_row(record) for record in records)
     )
     exclusions: dict[str, dict[str, int]] = {}
-    n_samples = 0
-    with _replacing(out / "log_diff_samples.jsonl") as handle:
-        header = {"schema": "log-diff-samples", "version": 1, "provenance": provenance}
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
+
+    def sample_rows() -> Iterator[dict]:
+        # streamed: one grid cell's samples at a time, its tallies as it goes
         for metric in METRICS:
             for offset in grid.offsets:
                 samples, tallies = log_diff_samples(records, metric, offset)
                 exclusions[f"{metric}@{offset}"] = tallies
-                for sample in samples:
-                    handle.write(json.dumps(_sample_row(sample), separators=(",", ":")) + "\n")
-                    n_samples += 1
+                yield from map(_sample_row, samples)
+
+    n_samples = _write_artifact(out, "log_diff_samples.jsonl", provenance, sample_rows())
     _write_json(
         out / "metrics_report.json",
         {
@@ -422,28 +490,6 @@ def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     return EXIT_OK
 
 
-def _load_samples(path: Path) -> list[LogDiffSample]:
-    from datetime import date
-
-    samples = []
-    for row in _read_record_lines(path):
-        samples.append(
-            LogDiffSample(
-                ecosystem=row["ecosystem"],
-                package_name=row["package_name"],
-                release_date=date.fromisoformat(row["release_date"]),
-                version_text=row["version_text"],
-                release_type=ReleaseType(row["release_type"]),
-                series=VersionSeries(row["series"]),
-                bin=SizeBin(row["bin"]),
-                metric=row["metric"],
-                offset_days=row["offset_days"],
-                value=row["value"],
-            )
-        )
-    return samples
-
-
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -455,15 +501,9 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 def cmd_analyze(config: PipelineConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples_path = _require(
-        out / "log_diff_samples.jsonl", "run the metrics stage first (depgrowth metrics)"
-    )
-    records_path = _require(
-        out / "release_records.jsonl", "run the metrics stage first (depgrowth metrics)"
-    )
-    report_path = _require(
-        out / "metrics_report.json", "run the metrics stage first (depgrowth metrics)"
-    )
+    samples_path = _require(out, "log_diff_samples.jsonl")
+    records_path = _require(out, "release_records.jsonl")
+    report_path = _require(out, "metrics_report.json")
     grid = LookaheadGrid(*config.grid)
     offset = grid.final_offset
     try:
@@ -477,11 +517,13 @@ def cmd_analyze(config: PipelineConfig) -> int:
             f"{samples_path} was built on another look-ahead grid than "
             f"{grid.horizon_days},{grid.step_days}; rerun depgrowth metrics with the same --grid"
         )
-    provenance = _provenance(
-        config, {"log_diff_samples": samples_path, "release_records": records_path}
-    )
+    provenance = _provenance(config, {"log_diff_samples": samples_path, "release_records": records_path})
+    # every artifact is read, and so checked, before the first write
     samples = _load_samples(samples_path)
     dependents = [s for s in samples if s.metric == "dependents"]
+    demographics = list(_read_record_lines(records_path))
+    ratings_path = out / "ratings.jsonl"
+    ratings = list(_read_record_lines(ratings_path)) if ratings_path.exists() else None
 
     for strat_by, stem in (("bin", "table_bins"), ("series", "table_series")):
         summaries = summary_table(
@@ -491,7 +533,7 @@ def cmd_analyze(config: PipelineConfig) -> int:
         header, rows = summary_table_rows(summaries)
         _write_text(out / f"{stem}.csv", provenance, _csv_text(header, rows))
         bundle = heatmap_matrix(summaries)
-        cell_rows = []
+        cell_rows: list[dict] = []
         for eco in sorted(bundle.matrices):
             matrix = bundle.matrices[eco]
             svg = render_heatmap_svg(
@@ -505,69 +547,49 @@ def cmd_analyze(config: PipelineConfig) -> int:
             with _replacing(svg_path) as handle:
                 handle.write(f"<!-- provenance: {json.dumps(provenance, sort_keys=True)} -->\n")
                 handle.write(svg)
-            for row_label, row in zip(bundle.row_labels, matrix):
-                for col_label, value in zip(bundle.col_labels, row):
-                    cell_rows.append(
-                        {
-                            "ecosystem": eco,
-                            "stratum": row_label,
-                            "release_type": col_label,
-                            "value": value,
-                        }
-                    )
-        _write_records(out / f"heatmap_{stem[len('table_'):]}.jsonl", "heatmap-cells", provenance, cell_rows)
+            cell_rows += (
+                {"ecosystem": eco, "stratum": stratum, "release_type": rtype, "value": value}
+                for stratum, row in zip(bundle.row_labels, matrix)
+                for rtype, value in zip(bundle.col_labels, row)
+            )
+        _write_artifact(out, f"heatmap_{stem[len('table_'):]}.jsonl", provenance, cell_rows)
 
-    timepoint_rows = []
-    for strat_by in ("bin", "series"):
-        for dist in timepoint_distributions(dependents, grid, strat_by=strat_by, fold_zero=config.fold_zero):
-            row = dataclasses.asdict(dist)
-            row["strat_by"] = strat_by
-            timepoint_rows.append(row)
-    _write_records(out / "timepoints.jsonl", "timepoint-distributions", provenance, timepoint_rows)
-
-    demo_rows = [
-        _DemoRecord(row["ecosystem"], ReleaseType(row["release_type"]))
-        for row in _read_record_lines(records_path)
+    timepoint_rows = [
+        {**dataclasses.asdict(dist), "strat_by": strat_by}
+        for strat_by in ("bin", "series")
+        for dist in timepoint_distributions(dependents, grid, strat_by=strat_by, fold_zero=config.fold_zero)
     ]
+    _write_artifact(out, "timepoints.jsonl", provenance, timepoint_rows)
+
     _write_json(
         out / "demographics.json",
-        {"provenance": provenance, "by_ecosystem": release_demographics(demo_rows)},
+        {"provenance": provenance, "by_ecosystem": release_demographics(demographics)},
     )
-
-    ratings_path = out / "ratings.jsonl"
-    if ratings_path.exists():
-        _write_complexity_reports(out, provenance, ratings_path, config)
+    if ratings is not None:
+        _write_complexity_reports(out, provenance, ratings, config)
 
     print(f"analyze: tables, heatmaps, timepoints -> {out}")
     return EXIT_OK
 
 
-@dataclasses.dataclass(frozen=True)
-class _DemoRecord:
-    ecosystem: str
-    release_type: ReleaseType
-
-
 def _write_complexity_reports(
-    out: Path, provenance: dict, ratings_path: Path, config: PipelineConfig
+    out: Path, provenance: dict, ratings: Iterable[dict], config: PipelineConfig
 ) -> None:
     by_language: dict[str, list[int]] = {}
     by_language_type: dict[str, dict[str, list[int]]] = {}
-    for row in _read_record_lines(ratings_path):
+    for row in ratings:
         rating = row.get("rating")
         if rating is None:
             continue
         language = row.get("language") or "unknown"
-        by_language.setdefault(language, []).append(int(rating))
+        by_language.setdefault(language, []).append(rating)
         raw_type = row.get("release_type")
         if raw_type is None:
             continue
         folded = fold_release_type(ReleaseType(raw_type), config.fold_zero)
-        by_language_type.setdefault(language, {}).setdefault(folded, []).append(int(rating))
+        by_language_type.setdefault(language, {}).setdefault(folded, []).append(rating)
 
-    descriptives = [
-        dataclasses.asdict(d) for d in complexity_descriptives(by_language)
-    ]
+    descriptives = [dataclasses.asdict(d) for d in complexity_descriptives(by_language)]
     _write_json(
         out / "complexity_descriptives.json",
         {"provenance": provenance, "languages": descriptives},
@@ -636,22 +658,26 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    filtered = _require(
-        out / "filtered_releases.jsonl", "run the filter stage first (depgrowth filter)"
-    )
-    inputs: dict[str, str | Path] = {
-        "filtered_releases": filtered,
-        "repo_snapshots": config.repo_snapshots,
-    }
+    filtered = _require(out, "filtered_releases.jsonl")
+    inputs: dict[str, str | Path] = {"filtered_releases": filtered, "repo_snapshots": config.repo_snapshots}
     if config.human_ratings:
         inputs["human_ratings"] = config.human_ratings
     provenance = _provenance(config, inputs, corpus)
-    releases, _ = _load_releases(filtered)
-    classified, semver_report = filter_semver(releases, zero_split=config.zero_split)
-    if semver_report.reasons:
-        raise DataError(
-            f"{filtered} contains rows that no longer parse as semver: {dict(semver_report.reasons)}"
+    # the resume state and the human ratings are checked before any rating
+    ratings_path = out / "ratings.jsonl"
+    existing_rows: dict[str, dict] = {}
+    if ratings_path.exists():
+        existing_rows = {row["key"]: row for row in _read_record_lines(ratings_path)}
+    if config.human_ratings:
+        human_rows = dict(
+            _checked_rows(
+                Path(config.human_ratings),
+                "human-ratings",
+                _human_rating,
+                "each row needs a key and an integer rating from 1 to 7",
+            )
         )
+    _, classified, _ = _load_survivors(filtered, config)
     repos, _ = corpus.repos()
 
     items = []
@@ -675,12 +701,6 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
             "release_type": item.release_type.value,
             "bundle": build_prompt(release, snap),
         }
-
-    ratings_path = out / "ratings.jsonl"
-    existing_rows: dict[str, dict] = {}
-    if ratings_path.exists():
-        for row in _read_record_lines(ratings_path):
-            existing_rows[row["key"]] = row
 
     if config.model_endpoint:
         client = HttpModelClient(
@@ -706,9 +726,7 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
         row["language"] = info["language"]
         row["release_type"] = info["release_type"]
         merged[key] = row
-    n = _write_records(
-        ratings_path, "complexity-ratings", provenance, (merged[k] for k in sorted(merged))
-    )
+    n = _write_artifact(out, "ratings.jsonl", provenance, (merged[k] for k in sorted(merged)))
     # totals, not per-run deltas, so a resumed run writes the same report
     _write_json(
         out / "complexity_report.json",
@@ -723,17 +741,14 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     )
 
     if config.human_ratings:
-        human_rows = {
-            row["key"]: row["rating"] for row in _read_record_lines(Path(config.human_ratings))
-        }
         model_scores, human_scores = [], []
         for key in sorted(merged):
             model_rating = merged[key].get("rating")
             human_rating = human_rows.get(key)
             if model_rating is None or human_rating is None:
                 continue
-            model_scores.append(int(model_rating))
-            human_scores.append(int(human_rating))
+            model_scores.append(model_rating)
+            human_scores.append(human_rating)
         try:
             stats = agreement_stats(model_scores, human_scores)
             agreement = dataclasses.asdict(stats)
@@ -829,30 +844,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in (
-        "releases",
-        "repo_snapshots",
-        "dependent_edges",
-        "out_dir",
-        "min_dependents",
-        "grid",
-        "alpha",
-        "zero_split",
-        "fold_zero",
-        "seed",
-        "workers",
-        "model_id",
-        "model_endpoint",
-        "rate_per_sec",
-        "human_ratings",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    ecosystems = getattr(args, "ecosystems", None)
-    if ecosystems is not None:
-        overrides["ecosystems"] = tuple(part.strip() for part in ecosystems.split(",") if part.strip())
+    # every flag of _add_pipeline_flags but --config names a config key;
+    # resolve_config drops the unset (None) ones
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    if args.ecosystems is not None:
+        overrides["ecosystems"] = tuple(part.strip() for part in args.ecosystems.split(",") if part.strip())
     return overrides
 
 

@@ -1,8 +1,9 @@
-"""Snapshot ingestion: record model, line-delimited readers, join indexes.
+"""Snapshot ingestion: record model, line-delimited reader and writer, join indexes.
 
 Input files are line-delimited JSON (one record per line, UTF-8, ISO-8601
 dates). The first line of a file may be a schema header of the form
-``{"schema": "<name>", "version": 1}``; readers validate it when present.
+``{"schema": "<name>", "version": 1}``; readers validate it when present,
+and :func:`write_records` always writes it.
 Malformed records are surfaced as per-record :class:`SchemaViolation` entries
 on the reader, never as stream aborts, so one bad row cannot poison a
 multi-gigabyte ingest. Field-level details live in docs/DATA_FORMAT.md.
@@ -24,7 +25,7 @@ from datetime import date
 from itertools import repeat
 from operator import lt
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "DateOutOfRange",
@@ -39,6 +40,7 @@ __all__ = [
     "read_dependent_edges",
     "read_releases",
     "read_repo_snapshots",
+    "write_records",
 ]
 
 SCHEMA_VERSION = 1
@@ -49,6 +51,8 @@ MAX_COUNT = 2**63 - 1
 
 _ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
 _raw_decode = json.JSONDecoder().raw_decode
+# json.dumps(row, separators=(",", ":")), without an encoder built per call
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 # the start of a compact snapshot or edge line with its date first, as synth
 # writes them; see RecordReader.__iter__
 _DATED_PREFIX = '{"snapshot_date":"'
@@ -161,10 +165,10 @@ def _opt_str(obj: dict, field: str) -> str | None:
     return value
 
 
-def _req_count(obj: dict, field: str) -> int:
+def _req_int(obj: dict, field: str, low: int = 0, high: int = MAX_COUNT) -> int:
     value = obj.get(field)
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_COUNT:
-        raise ValueError(f"{field} must be an integer from 0 to {MAX_COUNT}")
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ValueError(f"{field} must be an integer from {low} to {high}")
     return value
 
 
@@ -237,8 +241,8 @@ def _repo_snapshot(obj: dict) -> RepoSnapshot:
         snapshot_date=_parse_date(obj.get("snapshot_date"), "snapshot_date"),
         owner=_req_str(obj, "owner"),
         name=_req_str(obj, "name"),
-        stars=_req_count(obj, "stars"),
-        forks=_req_count(obj, "forks"),
+        stars=_req_int(obj, "stars"),
+        forks=_req_int(obj, "forks"),
         is_fork=_req_bool(obj, "is_fork"),
         description=_opt_str(obj, "description"),
         topics=_topics(obj),
@@ -513,6 +517,19 @@ def read_releases(source: Source) -> RecordReader:
 def read_dependent_edges(source: Source) -> RecordReader:
     """Reader for dependent edge records (schema ``dependent-edges``)."""
     return RecordReader(source, "dependent-edges", _dependent_edge, DependentEdge, 4)
+
+
+def write_records(handle: IO[str], schema: str, rows: Iterable[Mapping], provenance: dict | None = None) -> int:
+    """Write a sorted-key schema header, with ``provenance`` when given, then
+    one compact JSON row per line; returns the row count."""
+    header: dict = {"schema": schema, "version": SCHEMA_VERSION}
+    if provenance is not None:
+        header["provenance"] = provenance
+    handle.write(json.dumps(header, sort_keys=True) + "\n")
+    n = 0
+    for n, row in enumerate(rows, start=1):
+        handle.write(_compact(row) + "\n")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -368,20 +368,14 @@ def timepoint_distributions(
     return out
 
 
-def release_demographics(records: Iterable[object]) -> dict[str, dict[str, int]]:
+def release_demographics(records: Iterable[tuple[str, str]]) -> dict[str, dict[str, int]]:
     """Release counts per ecosystem with all five raw types as columns.
 
-    Accepts anything carrying ecosystem and release_type, directly or via
-    a .release attribute (so both metric records and classified releases
-    work). Ecosystems sort ascending; zero counts are kept explicit.
+    Takes ``(ecosystem, release_type value)`` pairs. Ecosystems sort
+    ascending; zero counts are kept explicit.
     """
     counts: dict[str, dict[str, int]] = {}
-    for item in records:
-        eco = getattr(item, "ecosystem", None)
-        if eco is None:
-            eco = item.release.ecosystem
-        rtype = item.release_type
-        label = rtype.value if isinstance(rtype, ReleaseType) else str(rtype)
+    for eco, label in records:
         if label not in RAW_TYPE_ORDER:
             raise ValueError(f"unknown release type {label!r}")
         counts.setdefault(eco, dict.fromkeys(RAW_TYPE_ORDER, 0))[label] += 1

@@ -31,14 +31,13 @@ test can predict the exact per-stage drop counts.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .ingest import _resolve_coverage
+from .ingest import _resolve_coverage, write_records
 
 __all__ = [
     "BASE_DATE",
@@ -55,7 +54,6 @@ __all__ = [
     "small_config",
     "synth_edge_stream",
     "write_corpus",
-    "write_jsonl",
 ]
 
 BASE_DATE = date(2023, 1, 1)
@@ -731,26 +729,19 @@ def dependent_edge_rows(world: SynthWorld) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def write_jsonl(path: str | Path, schema: str, rows: Iterable[dict]) -> int:
-    """Write rows as line-delimited JSON under a schema header; returns count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"schema": schema, "version": 1}) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
-            n += 1
-    return n
-
-
 def write_corpus(world: SynthWorld, out_dir: str | Path) -> dict[str, int]:
     """Write the three corpus files; returns per-file row counts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return {
-        "repo_snapshots": write_jsonl(out / "repo_snapshots.jsonl", "repo-snapshots", repo_snapshot_rows(world)),
-        "releases": write_jsonl(out / "releases.jsonl", "releases", release_rows(world)),
-        "dependent_edges": write_jsonl(out / "dependent_edges.jsonl", "dependent-edges", dependent_edge_rows(world)),
-    }
+    counts = {}
+    for name, schema, rows in (
+        ("repo_snapshots", "repo-snapshots", repo_snapshot_rows(world)),
+        ("releases", "releases", release_rows(world)),
+        ("dependent_edges", "dependent-edges", dependent_edge_rows(world)),
+    ):
+        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as handle:
+            counts[name] = write_records(handle, schema, rows)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,19 @@ class TestAnalyzeStage:
         assert set(tests) == {"provenance", "tests", "skipped"}
 
 
+# a faulty line 2 of the human ratings file, KEY standing for a rated key;
+# None: a faulty ratings.jsonl instead
+_BAD_HUMAN_LINES = {
+    "ratings row without key": None,
+    "non-JSON human line": "{not json",
+    "human row without key": '{"rating": 4}',
+    "human rating above the scale": '{"key": KEY, "rating": 12}',
+    "human rating below the scale": '{"key": KEY, "rating": 0}',
+    "human rating as a string": '{"key": KEY, "rating": "5"}',
+    "human rating as a bool": '{"key": KEY, "rating": true}',
+}
+
+
 class TestComplexityStage:
     def test_rating_rows_shape(self, out_dir):
         rows = _rows(out_dir / "ratings.jsonl")
@@ -291,6 +304,37 @@ class TestComplexityStage:
         agreement = json.load(open(work / "agreement.json"))
         assert agreement["n"] == n
         assert agreement["within_one_rank_pct"] == pytest.approx(100.0 * (n - 2) / n)
+
+    @pytest.mark.parametrize("fault", list(_BAD_HUMAN_LINES))
+    def test_bad_ratings_are_data_errors(self, corpus_dir, out_dir, tmp_path, capsys, fault):
+        human_line = _BAD_HUMAN_LINES[fault]
+        work = tmp_path / "bad"
+        work.mkdir()
+        for name in ("filtered_releases.jsonl", "ratings.jsonl"):
+            shutil.copy(out_dir / name, work / name)
+        ratings = work / "ratings.jsonl"
+        lines = ratings.read_text(encoding="utf-8").splitlines(keepends=True)
+        keys = [json.dumps(json.loads(line)["key"]) for line in lines[1:3]]
+        extra = ()
+        if human_line is None:
+            row = json.loads(lines[1])
+            del row["key"]
+            lines[1] = json.dumps(row) + "\n"
+            ratings.write_text("".join(lines), encoding="utf-8")
+            bad_path = ratings
+        else:
+            # a good row, then the bad one on line 2
+            bad_path = tmp_path / "human.jsonl"
+            bad_path.write_text(
+                f'{{"key": {keys[1]}, "rating": 3}}\n{human_line.replace("KEY", keys[0])}\n',
+                encoding="utf-8",
+            )
+            extra = ("--human-ratings", str(bad_path))
+        before = ratings.read_bytes()
+        assert cli.main(["complexity", *_pipeline_args(corpus_dir, work, *extra)]) == 3
+        assert f"{bad_path} line 2: " in capsys.readouterr().err
+        assert ratings.read_bytes() == before
+        assert sorted(p.name for p in work.iterdir()) == ["filtered_releases.jsonl", "ratings.jsonl"]
 
 
 class TestDeterminism:
@@ -406,7 +450,16 @@ class TestExitCodes:
         assert cli.main(["analyze", *_pipeline_args(corpus_dir, tmp_path / "fresh2")]) == 3
 
     @pytest.mark.parametrize(
-        "fault", ["other grid", "finer grid", "truncated report", "exclusions not a mapping"]
+        "fault",
+        [
+            "other grid",
+            "finer grid",
+            "truncated report",
+            "exclusions not a mapping",
+            "cut-short samples line",
+            "records over samples",
+            "unknown release type",
+        ],
     )
     def test_analyze_on_mismatched_metrics_is_data_error(
         self, corpus_dir, out_dir, tmp_path, capsys, fault
@@ -428,8 +481,18 @@ class TestExitCodes:
         elif fault == "truncated report":
             report = work / "metrics_report.json"
             report.write_bytes(report.read_bytes()[:40])
-        else:
+        elif fault == "exclusions not a mapping":
             (work / "metrics_report.json").write_text('{"exclusions": 5}')
+        elif fault == "cut-short samples line":
+            samples = work / "log_diff_samples.jsonl"
+            samples.write_bytes(samples.read_bytes()[:-20])
+        elif fault == "records over samples":
+            shutil.copy(out_dir / "release_records.jsonl", work / "log_diff_samples.jsonl")
+        else:
+            records = work / "release_records.jsonl"
+            lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1] = json.dumps({**json.loads(lines[1]), "release_type": "mega"}) + "\n"
+            records.write_text("".join(lines), encoding="utf-8")
         assert cli.main(["analyze", *args]) == 3
         assert "rerun depgrowth metrics" in capsys.readouterr().err
         assert not (work / "table_bins.txt").exists()

@@ -231,8 +231,8 @@ def _snapshot_by_helpers(obj):
         snapshot_date=ingest._parse_date(obj.get("snapshot_date"), "snapshot_date"),
         owner=ingest._req_str(obj, "owner"),
         name=ingest._req_str(obj, "name"),
-        stars=ingest._req_count(obj, "stars"),
-        forks=ingest._req_count(obj, "forks"),
+        stars=ingest._req_int(obj, "stars"),
+        forks=ingest._req_int(obj, "forks"),
         is_fork=ingest._req_bool(obj, "is_fork"),
         description=ingest._opt_str(obj, "description"),
         topics=ingest._topics(obj),

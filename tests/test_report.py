@@ -463,24 +463,8 @@ def test_timepoint_series_stratification():
 # demographics
 
 
-class _FakeRecord:
-    def __init__(self, eco, rtype):
-        self.ecosystem = eco
-        self.release_type = rtype
-
-
-class _FakeClassified:
-    def __init__(self, eco, rtype):
-        self.release = _FakeRecord(eco, None)
-        self.release_type = rtype
-
-
 def test_demographics_counts_match_literal_tally():
-    records = (
-        [_FakeRecord("npm", ReleaseType.MAJOR)] * 3
-        + [_FakeRecord("npm", ReleaseType.PATCH)] * 5
-        + [_FakeRecord("pypi", ReleaseType.ZERO_MINOR)] * 2
-    )
+    records = [("npm", "major")] * 3 + [("npm", "patch")] * 5 + [("pypi", "zero_minor")] * 2
     got = release_demographics(records)
     assert got == {
         "npm": {"major": 3, "minor": 0, "patch": 5, "zero_major": 0, "zero_minor": 0},
@@ -489,7 +473,7 @@ def test_demographics_counts_match_literal_tally():
 
 
 def test_demographics_all_five_types_present_even_at_zero():
-    got = release_demographics([_FakeRecord("npm", ReleaseType.MINOR)])
+    got = release_demographics([("npm", "minor")])
     assert list(got["npm"]) == list(RAW_TYPE_ORDER)
 
 
@@ -497,19 +481,14 @@ def test_demographics_empty():
     assert release_demographics([]) == {}
 
 
-def test_demographics_accepts_classified_items():
-    got = release_demographics([_FakeClassified("rubygems", ReleaseType.MAJOR)])
-    assert got["rubygems"]["major"] == 1
-
-
 def test_demographics_ecosystems_sorted():
-    records = [_FakeRecord(e, ReleaseType.PATCH) for e in ("rubygems", "npm", "pypi")]
+    records = [(e, "patch") for e in ("rubygems", "npm", "pypi")]
     assert list(release_demographics(records)) == ["npm", "pypi", "rubygems"]
 
 
 def test_demographics_rejects_unknown_type():
     with pytest.raises(ValueError):
-        release_demographics([_FakeRecord("npm", "hotfix")])
+        release_demographics([("npm", "hotfix")])
 
 
 # ---------------------------------------------------------------------------
