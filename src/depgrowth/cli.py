@@ -227,7 +227,7 @@ def _checked_rows(path: Path, schema: str, parse: Callable[[dict], object], reme
                 break
             yield row
     except SchemaHeaderError as exc:
-        raise DataError(f"{path}: {exc}; {remedy}") from exc
+        raise DataError(f"{exc}; {remedy}") from exc
     if reader.violations:
         raise DataError(f"{path} {reader.violations[0]}; {remedy}")
 
@@ -271,7 +271,7 @@ def _load_survivors(
     try:
         releases = list(reader)
     except SchemaHeaderError as exc:
-        raise DataError(f"{path}: {exc}; {_remedy(path.name)}") from exc
+        raise DataError(f"{exc}; {_remedy(path.name)}") from exc
     classified, report = filter_semver(releases, zero_split=config.zero_split)
     if report.reasons:
         raise DataError(

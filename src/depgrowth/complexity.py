@@ -15,8 +15,11 @@ service.
 
 from __future__ import annotations
 
-import concurrent.futures
+import collections
 import hashlib
+import heapq
+import itertools
+import queue
 import re
 import threading
 import time
@@ -324,10 +327,15 @@ def render_rating(rating: ComplexityRating, closer: str = "rating-response") -> 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry schedule for one rating call.
+    """Retry schedule for each rating.
 
-    Sleeps backoff * 2**(attempt-1) seconds between attempts; ``sleeper``
-    is injectable for tests.
+    A malformed response or a transport error (OSError family) on attempt
+    k is retried no sooner than backoff * 2**(k-1) seconds later, up to
+    max_attempts attempts in all. A release waiting out its backoff holds
+    no worker: the workers rate other releases meanwhile, and one calls
+    ``sleeper`` only when nothing else is ready, for the time until the
+    earliest retry is due, then takes that retry. ``sleeper`` is injectable
+    for tests; a recording sleeper makes every wait instant.
     """
 
     max_attempts: int = 3
@@ -412,21 +420,11 @@ def rate_release(
         RequestRejected: the client refused the request; never retried.
         ExhaustedRetries: every attempt failed; last cause chained.
     """
-    policy = policy or RetryPolicy()
-    bundle = build_prompt(release, repo)
-    last_error: Exception | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            raw = client.complete(bundle.system_text, bundle.user_text)
-            return parse_rating_response(raw)
-        except (MalformedResponse, OSError) as exc:
-            last_error = exc
-            if attempt < policy.max_attempts:
-                policy.sleeper(policy.backoff * 2 ** (attempt - 1))
-    raise ExhaustedRetries(
-        f"{policy.max_attempts} attempt(s) failed for "
-        f"{release.ecosystem}:{release.package_name} {release.version_text}"
-    ) from last_error
+    batch = _Batch([_Task("", release, repo)], client, policy or RetryPolicy(), 1, None)
+    ratings, failures = batch.run(None)
+    if failures:
+        raise failures[""]
+    return ratings[""]
 
 
 class _TokenBucket:
@@ -455,6 +453,152 @@ class _TokenBucket:
             self._sleeper(wait)
 
 
+# The outcomes reported as a release's failure. Any other exception stops
+# the batch and reaches the caller.
+_FAILURES = (NotEligible, RequestRejected, ExhaustedRetries)
+
+
+@dataclass(eq=False)
+class _Task:
+    key: str
+    release: PackageRelease
+    repo: RepoSnapshot
+    bundle: PromptBundle | None = None
+    attempts: int = 0
+
+
+class _Batch:
+    """Releases rated by a fixed set of worker threads from one schedule.
+
+    Every release starts ready. After a transient failure it waits in
+    ``_waiting``, a heap on its not-before time, so its worker is free to
+    take other work. A worker takes a due retry first, then the next ready
+    release; when nothing is ready it takes the earliest retry and sleeps
+    until that retry is due. Each outcome reaches the calling thread
+    through ``_results``, and each worker's exit through a ``None``.
+    """
+
+    def __init__(
+        self,
+        todo: Sequence[_Task],
+        client: ModelClient,
+        policy: RetryPolicy,
+        workers: int,
+        bucket: _TokenBucket | None,
+    ) -> None:
+        self._ready = collections.deque(todo)
+        self._waiting: list[tuple[float, int, _Task]] = []
+        self._tiebreak = itertools.count()
+        self._lock = threading.Lock()
+        self._stopped = False
+        self._results: queue.SimpleQueue = queue.SimpleQueue()
+        self._client = client
+        self._policy = policy
+        self._bucket = bucket
+        self._threads = [threading.Thread(target=self._work) for _ in range(min(workers, len(todo)))]
+
+    def run(
+        self, on_result: Callable[[str, ComplexityRating], None] | None
+    ) -> tuple[dict[str, ComplexityRating], dict[str, Exception]]:
+        """Ratings and failures by key; the first other exception is raised
+        once every worker has finished its request in flight."""
+        ratings: dict[str, ComplexityRating] = {}
+        failures: dict[str, Exception] = {}
+        error: BaseException | None = None
+        try:
+            for thread in self._threads:
+                thread.start()
+            running = len(self._threads)
+            while running:
+                result = self._results.get()
+                if result is None:
+                    running -= 1
+                    continue
+                key, outcome = result
+                if isinstance(outcome, ComplexityRating):
+                    ratings[key] = outcome
+                    if on_result is not None:
+                        on_result(key, outcome)
+                elif isinstance(outcome, _FAILURES):
+                    failures[key] = outcome
+                elif error is None:
+                    error = outcome
+        finally:
+            self._stopped = True
+            for thread in self._threads:
+                if thread.ident is not None:
+                    thread.join()
+        if error is not None:
+            raise error
+        return ratings, failures
+
+    def _next(self, retry: tuple[_Task, float] | None) -> tuple[_Task, float] | None:
+        """Schedule ``retry``, a task and its backoff, then pick the next task
+        and the seconds to wait before it; None when no work is left.
+
+        One clock reading both sets the retry's not-before time and decides
+        what is due.
+        """
+        with self._lock:
+            now = time.monotonic()
+            if retry is not None:
+                task, backoff = retry
+                heapq.heappush(self._waiting, (now + backoff, next(self._tiebreak), task))
+            if self._stopped:
+                return None
+            if self._waiting and (self._waiting[0][0] <= now or not self._ready):
+                due, _, task = heapq.heappop(self._waiting)
+                return task, due - now
+            if self._ready:
+                return self._ready.popleft(), 0.0
+            return None
+
+    def _attempt(self, task: _Task) -> ComplexityRating | ExhaustedRetries | float:
+        """One request for ``task``: the rating, the backoff before its retry,
+        or ExhaustedRetries with the last failure chained. The one retry rule."""
+        task.attempts += 1
+        bundle = task.bundle
+        try:
+            return parse_rating_response(self._client.complete(bundle.system_text, bundle.user_text))
+        except (MalformedResponse, OSError) as exc:
+            if task.attempts < self._policy.max_attempts:
+                return self._policy.backoff * 2.0 ** (task.attempts - 1)
+            release = task.release
+            exhausted = ExhaustedRetries(
+                f"{self._policy.max_attempts} attempt(s) failed for "
+                f"{release.ecosystem}:{release.package_name} {release.version_text}"
+            )
+            exhausted.__cause__ = exc
+            return exhausted
+
+    def _work(self) -> None:
+        retry = None
+        try:
+            while (picked := self._next(retry)) is not None:
+                task, wait = picked
+                retry = None
+                try:
+                    if wait > 0:
+                        self._policy.sleeper(wait)
+                    if task.bundle is None:
+                        task.bundle = build_prompt(task.release, task.repo)
+                    if self._bucket is not None:
+                        self._bucket.acquire()
+                    if self._stopped:
+                        return
+                    outcome = self._attempt(task)
+                except BaseException as exc:  # handed to the calling thread
+                    if not isinstance(exc, _FAILURES):
+                        self._stopped = True
+                    outcome = exc
+                if isinstance(outcome, float):
+                    retry = task, outcome
+                else:
+                    self._results.put((task.key, outcome))
+        finally:
+            self._results.put(None)
+
+
 def rate_many(
     items: Iterable[tuple[str, PackageRelease, RepoSnapshot]],
     client: ModelClient,
@@ -464,41 +608,27 @@ def rate_many(
     skip_keys: Iterable[str] = (),
     on_result: Callable[[str, ComplexityRating], None] | None = None,
 ) -> tuple[dict[str, ComplexityRating], dict[str, str]]:
-    """Rate a batch of releases with bounded concurrency.
+    """Rate a batch of releases with at most ``max_workers`` requests in flight.
 
     ``items`` yields (key, release, repo) triples; keys already present in
-    ``skip_keys`` are not re-rated (resume support). ``on_result`` fires as
-    each rating completes, in completion order; callers wanting stable
-    order sort by key afterwards. Returns (ratings by key, failure reason
-    by key). Ineligible, rejected and exhausted releases are reported as
-    failures, not errors.
+    ``skip_keys`` are not re-rated (resume support). ``min(max_workers,
+    releases)`` threads share one schedule. A release waiting out its
+    retry backoff holds no worker: see RetryPolicy. ``rate_per_sec``
+    throttles every request, retries included. ``on_result`` fires on the
+    calling thread as each rating completes, in completion order; callers
+    wanting stable order sort by key afterwards. Returns (ratings by key,
+    failure reason by key). Ineligible, rejected and exhausted releases are
+    reported as failures, not errors. Any other exception stops the batch:
+    no request starts after it, those in flight finish, and the first such
+    exception is raised.
     """
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
     skip = set(skip_keys)
     bucket = _TokenBucket(rate_per_sec) if rate_per_sec is not None else None
-
-    def _one(key: str, release: PackageRelease, repo: RepoSnapshot) -> tuple[str, ComplexityRating]:
-        if bucket is not None:
-            bucket.acquire()
-        return key, rate_release(release, repo, client, policy)
-
-    ratings: dict[str, ComplexityRating] = {}
-    failures: dict[str, str] = {}
-    todo = [(key, rel, repo) for key, rel, repo in items if key not in skip]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {pool.submit(_one, key, rel, repo): key for key, rel, repo in todo}
-        for future in concurrent.futures.as_completed(futures):
-            key = futures[future]
-            try:
-                _, rating = future.result()
-            except (NotEligible, RequestRejected, ExhaustedRetries) as exc:
-                failures[key] = f"{type(exc).__name__}: {exc}"
-                continue
-            ratings[key] = rating
-            if on_result is not None:
-                on_result(key, rating)
-    return ratings, failures
+    todo = [_Task(key, rel, repo) for key, rel, repo in items if key not in skip]
+    ratings, failures = _Batch(todo, client, policy or RetryPolicy(), max_workers, bucket).run(on_result)
+    return ratings, {key: f"{type(exc).__name__}: {exc}" for key, exc in failures.items()}
 
 
 def agreement_stats(

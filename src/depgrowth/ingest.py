@@ -65,7 +65,9 @@ class SourceUnavailable(OSError):
 
 
 class SchemaHeaderError(ValueError):
-    """The file-level schema header names a different schema or version."""
+    """The file-level schema header names a different schema or version.
+
+    The message starts with the file's path when the source is a path."""
 
 
 class SchemaViolation(ValueError):
@@ -429,13 +431,14 @@ class RecordReader:
                 if line_no == 1 and "schema" in obj:
                     name = obj.get("schema")
                     version = obj.get("version")
+                    where = f"{self._source}: " if isinstance(self._source, (str, Path)) else ""
                     if name != self._schema:
                         raise SchemaHeaderError(
-                            f"expected schema {self._schema!r}, file declares {name!r}"
+                            f"{where}expected schema {self._schema!r}, file declares {name!r}"
                         )
                     if version != SCHEMA_VERSION:
                         raise SchemaHeaderError(
-                            f"unsupported {name} schema version {version!r}"
+                            f"{where}unsupported {name} schema version {version!r}"
                         )
                     continue
                 try:

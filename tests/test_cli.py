@@ -443,6 +443,36 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag, other_schema",
+        [
+            ("--releases", "repo-snapshots"),
+            ("--repo-snapshots", "dependent-edges"),
+            ("--dependent-edges", "releases"),
+        ],
+    )
+    def test_corpus_with_another_schema_header_names_the_file(
+        self, corpus_dir, tmp_path, capsys, flag, other_schema
+    ):
+        wrong = tmp_path / "wrong.jsonl"
+        wrong.write_text(json.dumps({"schema": other_schema, "version": 1}) + "\n", encoding="utf-8")
+        args = _pipeline_args(corpus_dir, tmp_path / "out")
+        args[args.index(flag) + 1] = str(wrong)
+        assert cli.main(["filter", *args]) == 3
+        err = capsys.readouterr().err
+        assert f"{wrong}: expected schema" in err
+        assert err.count(str(wrong)) == 1
+
+    def test_artifact_with_another_schema_header_names_the_file_once(self, corpus_dir, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        wrong = work / "filtered_releases.jsonl"
+        wrong.write_text(json.dumps({"schema": "repo-snapshots", "version": 1}) + "\n", encoding="utf-8")
+        assert cli.main(["complexity", *_pipeline_args(corpus_dir, work)]) == 3
+        err = capsys.readouterr().err
+        assert f"{wrong}: expected schema 'releases'" in err
+        assert err.count(str(wrong)) == 1
+
     def test_metrics_before_filter_is_data_error(self, corpus_dir, tmp_path):
         assert cli.main(["metrics", *_pipeline_args(corpus_dir, tmp_path / "fresh")]) == 3
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import http.client
 import io
 import pathlib
+import re
+import sys
+import threading
+import time
 import urllib.request
 from datetime import date
 from xml.sax.saxutils import escape, unescape
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from depgrowth import complexity
 from depgrowth.cli import HttpModelClient
 from depgrowth.complexity import (
     MIN_NOTE_CHARS,
@@ -569,6 +574,136 @@ def test_token_bucket_spaces_acquisitions():
 def test_token_bucket_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         _TokenBucket(rate_per_sec=0.0)
+
+
+# ---------------------------------------------------------------------------
+# rate_many's schedule: retries wait out their backoff without a worker
+
+
+class PlannedClient:
+    """Answers like MockModelClient after the failures planned for each
+    release of ``_batch``; records each call's release, start time and the
+    number of calls in flight."""
+
+    model_id = "planned"
+
+    def __init__(self, plan=None, delay=0.0):
+        self.plan = {i: list(actions) for i, actions in (plan or {}).items()}
+        self.delay = delay
+        self.calls = []
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, system_text, user_text):
+        release = int(re.search(r"release (\d+)</release-notes>", user_text).group(1))
+        with self._lock:
+            self.calls.append((release, time.monotonic()))
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            planned = self.plan.get(release)
+            action = planned.pop(0) if planned else None
+        try:
+            time.sleep(self.delay)
+            if isinstance(action, Exception):
+                raise action
+            return action if action is not None else MockModelClient().complete(system_text, user_text)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def order(self):
+        return [release for release, _ in self.calls]
+
+
+def test_rate_many_rates_ready_releases_while_a_retry_waits():
+    client = PlannedClient({0: [ConnectionError("reset"), "garbage"]})
+    sleeps = []
+    ratings, failures = rate_many(_batch(3), client, RetryPolicy(sleeper=sleeps.append))
+    assert client.order() == [0, 1, 2, 0, 0]
+    # the first wait is what is left of release 0's backoff once 1 and 2
+    # are rated; the second starts with nothing else to do
+    assert sleeps == [pytest.approx(0.5, abs=0.05), pytest.approx(1.0)]
+    assert sleeps[0] <= 0.5
+    assert len(ratings) == 3 and failures == {}
+
+
+def test_rate_many_keeps_at_most_max_workers_requests_in_flight():
+    plan = {2: [ConnectionError("reset")], 5: ["garbage"], 11: [OSError("x"), "bad"], 17: ["bad"], 30: ["bad"]}
+    client = PlannedClient(plan, delay=0.002)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ratings, failures = rate_many(
+            _batch(40), client, RetryPolicy(sleeper=lambda s: None), max_workers=3
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ratings) == 40 and failures == {}
+    assert len(client.calls) == 46
+    assert 1 <= client.peak <= 3
+
+
+def test_rate_many_retries_no_sooner_than_the_backoff():
+    backoff = 0.05
+    plan = {0: ["bad", OSError("x")], 1: [ConnectionError("reset")], 3: ["bad", "bad", "bad"]}
+    client = PlannedClient(plan)
+    ratings, failures = rate_many(
+        _batch(6), client, RetryPolicy(max_attempts=3, backoff=backoff), max_workers=2
+    )
+    assert sorted(ratings) == ["npm:pkg-0", "npm:pkg-1", "npm:pkg-2", "npm:pkg-4", "npm:pkg-5"]
+    assert list(failures) == ["npm:pkg-3"]
+    for release in (0, 1, 3):
+        starts = [t for r, t in client.calls if r == release]
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
+        assert len(gaps) == len(plan[release]) - (release == 3)
+        for k, gap in enumerate(gaps, start=1):
+            assert gap >= backoff * 2 ** (k - 1)
+
+
+def test_rate_many_outcomes_do_not_depend_on_the_worker_count():
+    plan = {
+        1: ["garbage"],
+        4: [OSError("x"), "bad", "bad"],
+        6: [RequestRejected("model endpoint refused the request: HTTP 404")],
+        9: [ConnectionError("reset"), "bad"],
+    }
+    items = _batch(12) + [("npm:short", _release("tiny", package="short"), _repo())]
+    policy = RetryPolicy(sleeper=lambda s: None)
+    serial = rate_many(items, PlannedClient(plan), policy, max_workers=1)
+    parallel = rate_many(items, PlannedClient(plan, delay=0.001), policy, max_workers=4)
+    assert parallel == serial
+    assert serial[1] == {
+        "npm:pkg-4": "ExhaustedRetries: 3 attempt(s) failed for npm:pkg-4 2.1.0",
+        "npm:pkg-6": "RequestRejected: model endpoint refused the request: HTTP 404",
+        "npm:short": f"NotEligible: npm:short 2.1.0: notes shorter than {MIN_NOTE_CHARS} characters",
+    }
+
+
+def test_an_unexpected_error_stops_the_batch():
+    workers = 3
+    client = PlannedClient({0: [RuntimeError("client bug")]}, delay=0.01)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="client bug"):
+        rate_many(_batch(50), client, RetryPolicy(sleeper=lambda s: None), max_workers=workers)
+    assert len(client.calls) <= 1 + workers
+    assert threading.active_count() == threads
+
+
+def test_rate_many_throttles_retries_too(monkeypatch):
+    now = [100.0]
+    sleeps = []
+    real_bucket = complexity._TokenBucket
+    monkeypatch.setattr(
+        complexity,
+        "_TokenBucket",
+        lambda rate: real_bucket(rate, clock=lambda: now[0], sleeper=sleeps.append),
+    )
+    client = PlannedClient({0: [ConnectionError("reset")], 2: ["bad"]})
+    ratings, _ = rate_many(_batch(3), client, RetryPolicy(sleeper=lambda s: None), rate_per_sec=2.0)
+    assert len(ratings) == 3
+    assert len(client.calls) == 5
+    # the clock is frozen, so each acquisition after the first queues 0.5 s more
+    assert sleeps == [0.5, 1.0, 1.5, 2.0]
 
 
 # ---------------------------------------------------------------------------
