@@ -2,6 +2,10 @@
 
 Each stage reads files, writes files, and can be re-run idempotently; later
 stages consume earlier stages' outputs from the configured output directory.
+``all`` writes the same artifacts but hands each stage's results to the next
+in memory: filter's classified survivors to metrics and complexity, and
+metrics' release records to analyze, which rebuilds its dependents samples
+from them instead of parsing ``log_diff_samples.jsonl``.
 Every output carries a provenance header (tool version, config hash, input
 digests) and no wall-clock values, so a rerun over identical inputs is
 byte-identical.
@@ -263,10 +267,12 @@ def _require(out: Path, name: str) -> Path:
     return path
 
 
-def _load_survivors(
-    path: Path, config: PipelineConfig
-) -> tuple[list[PackageRelease], list[ClassifiedRelease], int]:
-    """The filter stage's survivors, classified again, and the file's violation count."""
+# the filter stage's survivors, classified, and the violation count of their file
+Survivors = tuple[list[PackageRelease], list[ClassifiedRelease], int]
+
+
+def _load_survivors(path: Path, config: PipelineConfig) -> Survivors:
+    """The filter stage's survivors, read back and classified again."""
     reader = read_releases(path)
     try:
         releases = list(reader)
@@ -370,7 +376,7 @@ def _release_key(release: PackageRelease) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> int:
+def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivors:
     corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -411,7 +417,7 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> int:
         },
     )
     print(f"filter: {len(releases)} releases in, {n} kept -> {out / 'filtered_releases.jsonl'}")
-    return EXIT_OK
+    return [item.release for item in survivors], survivors, 0
 
 
 def _record_row(record: ReleaseRecord) -> dict:
@@ -444,7 +450,9 @@ def _sample_row(sample: LogDiffSample) -> dict:
     )
 
 
-def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
+def cmd_metrics(
+    config: PipelineConfig, corpus: Corpus | None = None, survivors: Survivors | None = None
+) -> list[ReleaseRecord]:
     grid = LookaheadGrid(*config.grid)
     corpus = corpus or Corpus(config, offsets=(0,) + grid.offsets)
     out = Path(config.out_dir)
@@ -452,7 +460,7 @@ def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
     filtered = _require(out, "filtered_releases.jsonl")
     inputs = {"filtered_releases": filtered, "repo_snapshots": config.repo_snapshots}
     provenance = _provenance(config, {**inputs, "dependent_edges": config.dependent_edges}, corpus)
-    releases, classified, rel_violations = _load_survivors(filtered, config)
+    releases, classified, rel_violations = survivors or _load_survivors(filtered, config)
     repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter(releases)
     count = _count_provider(counter, repos)
@@ -487,7 +495,7 @@ def cmd_metrics(config: PipelineConfig, corpus: Corpus | None = None) -> int:
         },
     )
     print(f"metrics: {n_records} records, {n_samples} samples -> {out / 'log_diff_samples.jsonl'}")
-    return EXIT_OK
+    return records
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -498,7 +506,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buffer.getvalue()
 
 
-def cmd_analyze(config: PipelineConfig) -> int:
+def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None = None) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     samples_path = _require(out, "log_diff_samples.jsonl")
@@ -519,9 +527,13 @@ def cmd_analyze(config: PipelineConfig) -> int:
         )
     provenance = _provenance(config, {"log_diff_samples": samples_path, "release_records": records_path})
     # every artifact is read, and so checked, before the first write
-    samples = _load_samples(samples_path)
-    dependents = [s for s in samples if s.metric == "dependents"]
-    demographics = list(_read_record_lines(records_path))
+    if records is None:
+        dependents = [s for s in _load_samples(samples_path) if s.metric == "dependents"]
+        demographics = list(_read_record_lines(records_path))
+    else:
+        # the rows metrics built its artifacts from, rebuilt instead of parsed
+        dependents = [s for o in grid.offsets for s in log_diff_samples(records, "dependents", o)[0]]
+        demographics = [(record.ecosystem, record.release_type.value) for record in records]
     ratings_path = out / "ratings.jsonl"
     ratings = list(_read_record_lines(ratings_path)) if ratings_path.exists() else None
 
@@ -569,7 +581,6 @@ def cmd_analyze(config: PipelineConfig) -> int:
         _write_complexity_reports(out, provenance, ratings, config)
 
     print(f"analyze: tables, heatmaps, timepoints -> {out}")
-    return EXIT_OK
 
 
 def _write_complexity_reports(
@@ -654,7 +665,9 @@ class HttpModelClient:
         return body["text"]
 
 
-def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
+def cmd_complexity(
+    config: PipelineConfig, corpus: Corpus | None = None, survivors: Survivors | None = None
+) -> None:
     corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -677,7 +690,7 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
                 "each row needs a key and an integer rating from 1 to 7",
             )
         )
-    _, classified, _ = _load_survivors(filtered, config)
+    _, classified, _ = survivors or _load_survivors(filtered, config)
     repos, _ = corpus.repos()
 
     items = []
@@ -695,12 +708,9 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
             missing_snapshot += 1
             continue
         key = _release_key(release)
-        items.append((key, release, snap))
-        meta[key] = {
-            "language": snap.language,
-            "release_type": item.release_type.value,
-            "bundle": build_prompt(release, snap),
-        }
+        bundle = build_prompt(release, snap)
+        items.append((key, release, snap, bundle))
+        meta[key] = {"language": snap.language, "release_type": item.release_type.value, "bundle": bundle}
 
     if config.model_endpoint:
         client = HttpModelClient(
@@ -757,19 +767,17 @@ def cmd_complexity(config: PipelineConfig, corpus: Corpus | None = None) -> int:
         _write_json(out / "agreement.json", {"provenance": provenance, **agreement})
 
     print(f"complexity: {n} ratings ({len(ratings)} new) -> {ratings_path}")
-    return EXIT_OK
 
 
-def cmd_all(config: PipelineConfig) -> int:
+def cmd_all(config: PipelineConfig) -> None:
     # one corpus for every stage: filter's counter feed also registers the
     # cells metrics reads, for every input release (see Corpus.counter)
     corpus = Corpus(config, offsets=(0,) + LookaheadGrid(*config.grid).offsets)
-    cmd_filter(config, corpus)
-    cmd_metrics(config, corpus)
-    cmd_complexity(config, corpus)
-    del corpus  # analyze reads no corpus; free the index and counter first
-    cmd_analyze(config)
-    return EXIT_OK
+    survivors = cmd_filter(config, corpus)
+    records = cmd_metrics(config, corpus, survivors)
+    cmd_complexity(config, corpus, survivors)
+    del corpus, survivors  # analyze needs only the records; free the rest first
+    cmd_analyze(config, records)
 
 
 def cmd_synth(out_dir: str, scale: str, seed: int) -> int:
@@ -868,7 +876,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "synth":
             return cmd_synth(args.out_dir, args.scale, args.seed)
         config = resolve_config(args.config, _overrides_from_args(args))
-        return _COMMANDS[args.command](config)
+        _COMMANDS[args.command](config)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

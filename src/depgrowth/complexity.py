@@ -600,7 +600,7 @@ class _Batch:
 
 
 def rate_many(
-    items: Iterable[tuple[str, PackageRelease, RepoSnapshot]],
+    items: Iterable[tuple],
     client: ModelClient,
     policy: RetryPolicy | None = None,
     max_workers: int = 1,
@@ -610,7 +610,8 @@ def rate_many(
 ) -> tuple[dict[str, ComplexityRating], dict[str, str]]:
     """Rate a batch of releases with at most ``max_workers`` requests in flight.
 
-    ``items`` yields (key, release, repo) triples; keys already present in
+    ``items`` yields (key, release, repo) triples, or (key, release, repo,
+    bundle) with the prompt already built; keys already present in
     ``skip_keys`` are not re-rated (resume support). ``min(max_workers,
     releases)`` threads share one schedule. A release waiting out its
     retry backoff holds no worker: see RetryPolicy. ``rate_per_sec``
@@ -626,7 +627,7 @@ def rate_many(
         raise ValueError("max_workers must be at least 1")
     skip = set(skip_keys)
     bucket = _TokenBucket(rate_per_sec) if rate_per_sec is not None else None
-    todo = [_Task(key, rel, repo) for key, rel, repo in items if key not in skip]
+    todo = [_Task(*item) for item in items if item[0] not in skip]
     ratings, failures = _Batch(todo, client, policy or RetryPolicy(), max_workers, bucket).run(on_result)
     return ratings, {key: f"{type(exc).__name__}: {exc}" for key, exc in failures.items()}
 

@@ -142,11 +142,19 @@ def _lines(source: Source) -> Iterator[Iterator[str]]:
 # ---------------------------------------------------------------------------
 
 
+def _iso_date(text: str) -> date:
+    """The date of a ``YYYY-MM-DD`` text; from Python 3.11 on,
+    ``date.fromisoformat`` also takes ``20230101`` and ``2023-W01-1``."""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _parse_date(raw: object, field: str) -> date:
     if not isinstance(raw, str):
         raise ValueError(f"{field} must be an ISO date string")
     try:
-        return date.fromisoformat(raw)
+        return _iso_date(raw)
     except ValueError:
         raise ValueError(f"{field} is not a valid ISO date: {raw!r}") from None
 
@@ -227,7 +235,7 @@ def _repo_snapshot(obj: dict) -> RepoSnapshot:
     ):
         try:
             return RepoSnapshot(
-                date.fromisoformat(raw_date),
+                _iso_date(raw_date),
                 owner,
                 name,
                 stars,
@@ -284,7 +292,7 @@ def _dependent_edge(obj: dict) -> DependentEdge:
         and package
     ):
         try:
-            return DependentEdge(date.fromisoformat(raw_date), owner, repo, ecosystem, package)
+            return DependentEdge(_iso_date(raw_date), owner, repo, ecosystem, package)
         except ValueError:
             pass
     return DependentEdge(
@@ -357,7 +365,7 @@ class RecordReader:
         """
         # Body memo. A line that starts with _DATED_PREFIX and has '",' at
         # 28-29 splits into a date D = line[18:28] and a body B = line[30:].
-        # - A D that date.fromisoformat accepts holds no '"', '\' or control
+        # - A D that _iso_date accepts holds no '"', '\' or control
         #   character, so the string literal ends at index 28.
         # - After the ',' the scanner is where it is after the '{' of
         #   "{" + B, except that a '}' there is a trailing comma. So the line
@@ -396,7 +404,7 @@ class RecordReader:
                         day = days.get(raw_day)
                         if day is None:
                             try:
-                                day = days[raw_day] = day_of(date.fromisoformat(raw_day))
+                                day = days[raw_day] = day_of(_iso_date(raw_day))
                             except ValueError:
                                 pass  # the full path reports the date
                         if day is not None:
@@ -463,7 +471,7 @@ class RecordReader:
                         continue
                 if raw_day not in days:
                     try:
-                        days[raw_day] = day_of(date.fromisoformat(raw_day))
+                        days[raw_day] = day_of(_iso_date(raw_day))
                     except ValueError:
                         continue  # D may end in '\', and B is then no body
                 # D parsed and the line decoded, so "{" + B is an object (see

@@ -13,7 +13,7 @@ from datetime import date
 
 import pytest
 
-from depgrowth import cli
+from depgrowth import cli, complexity
 from depgrowth.complexity import (
     SYSTEM_PROMPT,
     MockModelClient,
@@ -305,6 +305,24 @@ class TestComplexityStage:
         assert agreement["n"] == n
         assert agreement["within_one_rank_pct"] == pytest.approx(100.0 * (n - 2) / n)
 
+    def test_each_prompt_is_built_once(self, corpus_dir, out_dir, tmp_path, monkeypatch):
+        work = tmp_path / "prompts"
+        work.mkdir()
+        shutil.copy(out_dir / "filtered_releases.jsonl", work)
+        built = Counter()
+
+        def counted(release, repo):
+            built[cli._release_key(release)] += 1
+            return build_prompt(release, repo)
+
+        monkeypatch.setattr(cli, "build_prompt", counted)
+        monkeypatch.setattr(complexity, "build_prompt", counted)
+        assert cli.main(["complexity", *_pipeline_args(corpus_dir, work)]) == 0
+        eligible = json.load(open(work / "complexity_report.json"))["eligible"]
+        assert eligible > 0
+        assert len(built) == eligible
+        assert set(built.values()) == {1}
+
     @pytest.mark.parametrize("fault", list(_BAD_HUMAN_LINES))
     def test_bad_ratings_are_data_errors(self, corpus_dir, out_dir, tmp_path, capsys, fault):
         human_line = _BAD_HUMAN_LINES[fault]
@@ -354,7 +372,10 @@ class TestDeterminism:
         assert cli.main(["metrics", *_pipeline_args(corpus_dir, out_dir)]) == 0
         assert (out_dir / "log_diff_samples.jsonl").read_bytes() == before
 
-    @pytest.mark.parametrize("extra", [(), ("--min-dependents", "0")])
+    # the base arguments hold --grid 180,45, so the other grid is 365,90
+    @pytest.mark.parametrize(
+        "extra", [(), ("--min-dependents", "0"), ("--zero-split", "folded"), ("--grid", "365,90")]
+    )
     def test_all_matches_stages_run_one_by_one(self, corpus_dir, out_dir, extra):
         # same out_dir path for both runs, so the config hash matches
         path = out_dir.parent / "staged"
@@ -367,6 +388,21 @@ class TestDeterminism:
         staged = {p.name: p.read_bytes() for p in path.iterdir()}
         shutil.rmtree(path)
         assert staged == together
+
+    def test_all_resumed_from_a_ratings_file_matches_a_run_without_one(self, corpus_dir, out_dir):
+        path = out_dir.parent / "resumed"
+        args = _pipeline_args(corpus_dir, path)
+        assert cli.main(["all", *args]) == 0
+        complete = {p.name: p.read_bytes() for p in path.iterdir()}
+        shutil.rmtree(path)
+        # an interrupted run's ratings: the header and the first half of the rows
+        lines = complete["ratings.jsonl"].decode("utf-8").splitlines(keepends=True)
+        path.mkdir()
+        (path / "ratings.jsonl").write_text("".join(lines[: 1 + (len(lines) - 1) // 2]), encoding="utf-8")
+        assert cli.main(["all", *args]) == 0
+        resumed = {p.name: p.read_bytes() for p in path.iterdir()}
+        shutil.rmtree(path)
+        assert resumed == complete
 
 
 class TestParseOnce:
@@ -391,6 +427,31 @@ class TestParseOnce:
         assert sum(n for (name, _), n in calls.items() if name.startswith("read_")) == 2
         for path in (releases, snapshots, edges):
             assert calls["file_sha256", path] == 1
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_all_parses_no_artifact_it_wrote(self, corpus_dir, out_dir, tmp_path, monkeypatch, resumed):
+        # filter's survivors and metrics' records reach the later stages in
+        # memory; only the ratings file, which complexity merges, is read back
+        out = tmp_path / "out"
+        out.mkdir()
+        if resumed:
+            shutil.copy(out_dir / "ratings.jsonl", out / "ratings.jsonl")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(path):
+                calls[name, os.path.basename(path)] += 1
+                return fn(path)
+
+            return wrapper
+
+        for name in ("read_releases", "_read_record_lines"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert cli.main(["all", *_pipeline_args(corpus_dir, out)]) == 0
+        assert calls == {
+            ("read_releases", "releases.jsonl"): 1,
+            ("_read_record_lines", "ratings.jsonl"): 2 if resumed else 1,
+        }
 
 
 class TestStartup:
@@ -489,6 +550,8 @@ class TestExitCodes:
             "cut-short samples line",
             "records over samples",
             "unknown release type",
+            "basic-format sample date",
+            "week sample date",
         ],
     )
     def test_analyze_on_mismatched_metrics_is_data_error(
@@ -518,6 +581,13 @@ class TestExitCodes:
             samples.write_bytes(samples.read_bytes()[:-20])
         elif fault == "records over samples":
             shutil.copy(out_dir / "release_records.jsonl", work / "log_diff_samples.jsonl")
+        elif fault.endswith("sample date"):
+            # dates are YYYY-MM-DD on every Python, not as 3.11's fromisoformat reads them
+            day = "20230101" if fault.startswith("basic") else "2023-W01-1"
+            samples = work / "log_diff_samples.jsonl"
+            lines = samples.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1] = json.dumps({**json.loads(lines[1]), "release_date": day}) + "\n"
+            samples.write_text("".join(lines), encoding="utf-8")
         else:
             records = work / "release_records.jsonl"
             lines = records.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -392,6 +392,34 @@ def _dated_lines(draw, line_fn, mutations):
 _BODY = _body(snap_line(), [])
 _OTHER_BODY = _body(snap_line(), [("owner", "other")])
 
+# dates docs/DATA_FORMAT.md does not allow, which date.fromisoformat takes
+# from Python 3.11 on (as 2023-01-01 and 2023-01-02)
+_NOT_YYYY_MM_DD = ["20230101", "2023-W01-1"]
+_DATED_READERS = [
+    (read_repo_snapshots, snap_line, "snapshot_date"),
+    (read_dependent_edges, edge_line, "snapshot_date"),
+    (read_releases, release_line, "release_date"),
+]
+
+
+class TestIsoDates:
+    @pytest.mark.parametrize("day", _NOT_YYYY_MM_DD)
+    @pytest.mark.parametrize("layout", ["compact", "spaced"])
+    @pytest.mark.parametrize("read, line_fn, field", _DATED_READERS)
+    def test_a_date_not_yyyy_mm_dd_is_a_violation(self, read, line_fn, field, layout, day):
+        separators = (",", ":") if layout == "compact" else None
+        line = json.dumps(json.loads(line_fn(**{field: day})), separators=separators)
+        assert _read(read([line])) == ([], [(1, f"{field} is not a valid ISO date: {day!r}")])
+
+    @pytest.mark.parametrize("day", _NOT_YYYY_MM_DD)
+    @pytest.mark.parametrize("read, line_fn, field", _DATED_READERS[:2])
+    def test_a_known_body_on_such_a_date_is_a_violation(self, read, line_fn, field, day):
+        body = _body(line_fn(), [])
+        lines = [_dated("2023-01-01", body), _dated(day, body), _dated("2023-01-03", body)]
+        rows, violations = _read(read(lines))
+        assert [row.snapshot_date for row in rows] == [D("2023-01-01"), D("2023-01-03")]
+        assert violations == [(2, f"{field} is not a valid ISO date: {day!r}")]
+
 
 class TestBodyMemo:
     @settings(max_examples=300, deadline=None)
