@@ -4,8 +4,8 @@ Each stage reads files, writes files, and can be re-run idempotently; later
 stages consume earlier stages' outputs from the configured output directory.
 ``all`` writes the same artifacts but hands each stage's results to the next
 in memory: filter's classified survivors to metrics and complexity, and
-metrics' release records to analyze, which rebuilds its dependents samples
-from them instead of parsing ``log_diff_samples.jsonl``.
+metrics' release records to analyze, which a standalone analyze reads from
+``release_records.jsonl``; analyze never parses ``log_diff_samples.jsonl``.
 Every output carries a provenance header (tool version, config hash, input
 digests) and no wall-clock values, so a rerun over identical inputs is
 byte-identical.
@@ -88,7 +88,7 @@ from .report import (
     summary_table_rows,
     timepoint_distributions,
 )
-from .semver import ReleaseType, VersionSeries, format_version
+from .semver import ReleaseType, VersionSeries, format_version, parse_version
 from .stats import DegenerateInput
 
 __all__ = ["main"]
@@ -164,27 +164,49 @@ def _write_text(path: Path, provenance: dict, body: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sample(row: dict) -> LogDiffSample:
-    value = row.get("value")
-    if type(value) is not float and type(value) is not int:
-        raise ValueError("value must be a number")
-    return LogDiffSample(
+def _record_row(record: ReleaseRecord) -> dict:
+    return {
+        "release_date": record.release_date.isoformat(),
+        "ecosystem": record.ecosystem,
+        "package_name": record.package_name,
+        "owner": record.owner,
+        "repo_name": record.repo_name,
+        "version": format_version(record.version),
+        "release_type": record.release_type.value,
+        "series": record.series.value,
+        "pre_dependents": record.pre_dependents,
+        "bin": record.bin.value,
+        "metrics": {
+            f"{metric}@{offset}": value
+            for (metric, offset), value in sorted(record.metric_values.items())
+        },
+    }
+
+
+def _release_record(row: dict) -> ReleaseRecord:
+    """A ``release_records.jsonl`` row, the inverse of ``_record_row``."""
+    metrics = row.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ValueError("metrics must be an object")
+    values: dict[tuple[str, int], int | None] = {}
+    for key, value in metrics.items():
+        metric, _, offset = key.partition("@")
+        if metric not in METRICS or not (offset.isascii() and offset.isdigit()):
+            raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
+        values[metric, int(offset)] = None if value is None else _req_int(metrics, key)
+    return ReleaseRecord(
+        release_date=_parse_date(row.get("release_date"), "release_date"),
         ecosystem=_req_str(row, "ecosystem"),
         package_name=_req_str(row, "package_name"),
-        release_date=_parse_date(row.get("release_date"), "release_date"),
-        version_text=_req_str(row, "version_text"),
+        owner=_req_str(row, "owner"),
+        repo_name=_req_str(row, "repo_name"),
+        version=parse_version(_req_str(row, "version")),
         release_type=ReleaseType(row.get("release_type")),
         series=VersionSeries(row.get("series")),
+        pre_dependents=_req_int(row, "pre_dependents"),
         bin=SizeBin(row.get("bin")),
-        metric=_req_str(row, "metric"),
-        offset_days=_req_int(row, "offset_days"),
-        value=value,
+        metric_values=values,
     )
-
-
-def _demographic(row: dict) -> tuple[str, str]:
-    """A release record as ``release_demographics`` counts it."""
-    return _req_str(row, "ecosystem"), ReleaseType(row.get("release_type")).value
 
 
 def _rating_row(row: dict) -> dict:
@@ -211,8 +233,8 @@ class _Artifact(NamedTuple):
 # the artifacts a stage writes under a schema header or a later stage needs
 ARTIFACTS = {
     "filtered_releases.jsonl": _Artifact("filter", "releases"),
-    "release_records.jsonl": _Artifact("metrics", "release-records", _demographic),
-    "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples", _sample),
+    "release_records.jsonl": _Artifact("metrics", "release-records", _release_record),
+    "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples"),
     "metrics_report.json": _Artifact("metrics"),
     "ratings.jsonl": _Artifact("complexity", "complexity-ratings", _rating_row),
     "heatmap_bins.jsonl": _Artifact("analyze", "heatmap-cells"),
@@ -246,8 +268,7 @@ def _read_record_lines(path: Path) -> Iterator:
     return _checked_rows(path, artifact.schema, artifact.parse, _remedy(path.name))
 
 
-def _load_samples(path: Path) -> list[LogDiffSample]:
-    return list(_read_record_lines(path))
+_load_samples = _read_record_lines  # perfbench/tracer.py wraps it; remove with ROADMAP item 1
 
 
 def _write_artifact(out: Path, name: str, provenance: dict, rows: Iterable[Mapping]) -> int:
@@ -420,25 +441,6 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
     return [item.release for item in survivors], survivors, 0
 
 
-def _record_row(record: ReleaseRecord) -> dict:
-    return {
-        "release_date": record.release_date.isoformat(),
-        "ecosystem": record.ecosystem,
-        "package_name": record.package_name,
-        "owner": record.owner,
-        "repo_name": record.repo_name,
-        "version": format_version(record.version),
-        "release_type": record.release_type.value,
-        "series": record.series.value,
-        "pre_dependents": record.pre_dependents,
-        "bin": record.bin.value,
-        "metrics": {
-            f"{metric}@{offset}": value
-            for (metric, offset), value in sorted(record.metric_values.items())
-        },
-    }
-
-
 def _sample_row(sample: LogDiffSample) -> dict:
     # the row's keys are the dataclass's fields, in their order
     return dict(
@@ -522,18 +524,15 @@ def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None 
         raise DataError(f"{report_path} is unreadable ({exc!r}); rerun depgrowth metrics") from exc
     if unmeasured:
         raise DataError(
-            f"{samples_path} was built on another look-ahead grid than "
+            f"{records_path} was built on another look-ahead grid than "
             f"{grid.horizon_days},{grid.step_days}; rerun depgrowth metrics with the same --grid"
         )
     provenance = _provenance(config, {"log_diff_samples": samples_path, "release_records": records_path})
     # every artifact is read, and so checked, before the first write
     if records is None:
-        dependents = [s for s in _load_samples(samples_path) if s.metric == "dependents"]
-        demographics = list(_read_record_lines(records_path))
-    else:
-        # the rows metrics built its artifacts from, rebuilt instead of parsed
-        dependents = [s for o in grid.offsets for s in log_diff_samples(records, "dependents", o)[0]]
-        demographics = [(record.ecosystem, record.release_type.value) for record in records]
+        records = list(_read_record_lines(records_path))
+    dependents = [s for o in grid.offsets for s in log_diff_samples(records, "dependents", o)[0]]
+    demographics = [(record.ecosystem, record.release_type.value) for record in records]
     ratings_path = out / "ratings.jsonl"
     ratings = list(_read_record_lines(ratings_path)) if ratings_path.exists() else None
 

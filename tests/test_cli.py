@@ -22,6 +22,7 @@ from depgrowth.complexity import (
     build_prompt,
     rate_release,
 )
+from depgrowth.config import resolve_config
 from depgrowth.ingest import PackageRelease, RepoSnapshot, read_releases
 from depgrowth.synth import build_world, small_config, write_corpus
 
@@ -173,6 +174,19 @@ class TestMetricsStage:
             if r["metric"] == "dependents" and r["offset_days"] == 180
         )
         assert n_dep_180 + sum(tallies.values()) == report["records"]
+
+    def test_release_record_rows_round_trip(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_corpus(build_world(small_config(seed=3)), corpus)
+        paths = {name: str(corpus / f"{name}.jsonl") for name in cli.CORPUS_INPUTS}
+        config = resolve_config(None, {**paths, "out_dir": str(tmp_path / "out")})
+        cli.cmd_filter(config)
+        records = cli.cmd_metrics(config)
+        assert records
+        # Version equality ignores the raw text, so a "v" tag round-trips too
+        assert any(r.version.raw.startswith("v") for r in records)
+        for record in records:
+            assert cli._release_record(json.loads(json.dumps(cli._record_row(record)))) == record
 
 
 class TestAnalyzeStage:
@@ -453,6 +467,29 @@ class TestParseOnce:
             ("_read_record_lines", "ratings.jsonl"): 2 if resumed else 1,
         }
 
+    def test_analyze_parses_records_not_samples(self, corpus_dir, out_dir, tmp_path, monkeypatch):
+        # on its own, analyze builds its dependents samples from the release
+        # records, as inside all
+        work = tmp_path / "work"
+        shutil.copytree(out_dir, work)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(path, *rest):
+                calls[name, os.path.basename(path)] += 1
+                return fn(path, *rest)
+
+            return wrapper
+
+        for name in ("RecordReader", "_read_record_lines"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert cli.main(["analyze", *_pipeline_args(corpus_dir, work)]) == 0
+        assert calls == {
+            (name, path): 1
+            for name in ("RecordReader", "_read_record_lines")
+            for path in ("release_records.jsonl", "ratings.jsonl")
+        }
+
 
 class TestStartup:
     def test_importing_the_cli_leaves_the_http_stack_unloaded(self):
@@ -540,6 +577,23 @@ class TestExitCodes:
     def test_analyze_before_metrics_is_data_error(self, corpus_dir, tmp_path):
         assert cli.main(["analyze", *_pipeline_args(corpus_dir, tmp_path / "fresh2")]) == 3
 
+    # a faulty field of the first release_records.jsonl row, a key with "@"
+    # standing for a key of its metrics object
+    _BAD_RECORD_FIELDS = {
+        "unknown release type": ("release_type", "mega"),
+        # dates are YYYY-MM-DD on every Python, not as 3.11's fromisoformat reads them
+        "basic-format record date": ("release_date", "20230101"),
+        "week record date": ("release_date", "2023-W01-1"),
+        "unparsable version": ("version", "1.2"),
+        "string metric value": ("dependents@0", "12"),
+        "float metric value": ("dependents@0", 12.0),
+        "negative metric value": ("dependents@0", -12),
+        "true metric value": ("dependents@0", True),
+        "metrics not an object": ("metrics", [12]),
+        "metrics key without days": ("dependents@later", 12),
+        "metrics key of no metric": ("downloads@0", 12),
+    }
+
     @pytest.mark.parametrize(
         "fault",
         [
@@ -547,11 +601,9 @@ class TestExitCodes:
             "finer grid",
             "truncated report",
             "exclusions not a mapping",
-            "cut-short samples line",
-            "records over samples",
-            "unknown release type",
-            "basic-format sample date",
-            "week sample date",
+            "cut-short records line",
+            "samples over records",
+            *_BAD_RECORD_FIELDS,
         ],
     )
     def test_analyze_on_mismatched_metrics_is_data_error(
@@ -561,9 +613,13 @@ class TestExitCodes:
         work.mkdir()
         for name in ("log_diff_samples.jsonl", "release_records.jsonl", "metrics_report.json"):
             shutil.copy(out_dir / name, work / name)
+        records = work / "release_records.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
         args = _pipeline_args(corpus_dir, work)
+        named = f"{records} line 2: "
         if fault == "other grid":
             args[args.index("180,45")] = "365,90"
+            named = f"{records} was built on another look-ahead grid"
         elif fault == "finer grid":
             # a 365,90 build measures 180, the final offset of 180,45, but
             # not 45 or 135
@@ -571,30 +627,30 @@ class TestExitCodes:
             coarse = _pipeline_args(corpus_dir, work)
             coarse[coarse.index("180,45")] = "365,90"
             assert cli.main(["metrics", *coarse]) == 0
+            named = f"{records} was built on another look-ahead grid"
         elif fault == "truncated report":
             report = work / "metrics_report.json"
             report.write_bytes(report.read_bytes()[:40])
+            named = f"{report} is unreadable"
         elif fault == "exclusions not a mapping":
             (work / "metrics_report.json").write_text('{"exclusions": 5}')
-        elif fault == "cut-short samples line":
-            samples = work / "log_diff_samples.jsonl"
-            samples.write_bytes(samples.read_bytes()[:-20])
-        elif fault == "records over samples":
-            shutil.copy(out_dir / "release_records.jsonl", work / "log_diff_samples.jsonl")
-        elif fault.endswith("sample date"):
-            # dates are YYYY-MM-DD on every Python, not as 3.11's fromisoformat reads them
-            day = "20230101" if fault.startswith("basic") else "2023-W01-1"
-            samples = work / "log_diff_samples.jsonl"
-            lines = samples.read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[1] = json.dumps({**json.loads(lines[1]), "release_date": day}) + "\n"
-            samples.write_text("".join(lines), encoding="utf-8")
+            named = f"{work / 'metrics_report.json'} is unreadable"
+        elif fault == "cut-short records line":
+            records.write_bytes(records.read_bytes()[:-20])
+            named = f"{records} line {len(lines)}: "
+        elif fault == "samples over records":
+            shutil.copy(out_dir / "log_diff_samples.jsonl", records)
+            named = f"{records}: expected schema 'release-records'"
         else:
-            records = work / "release_records.jsonl"
-            lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[1] = json.dumps({**json.loads(lines[1]), "release_type": "mega"}) + "\n"
+            field, value = self._BAD_RECORD_FIELDS[fault]
+            row = json.loads(lines[1])
+            (row["metrics"] if "@" in field else row)[field] = value
+            lines[1] = json.dumps(row) + "\n"
             records.write_text("".join(lines), encoding="utf-8")
         assert cli.main(["analyze", *args]) == 3
-        assert "rerun depgrowth metrics" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "rerun depgrowth metrics" in err
+        assert named in err
         assert not (work / "table_bins.txt").exists()
 
     def test_no_subcommand_exits_two(self):
