@@ -6,12 +6,15 @@ stages consume earlier stages' outputs from the configured output directory.
 in memory: filter's classified survivors to metrics and complexity, and
 metrics' release records to analyze, which a standalone analyze reads from
 ``release_records.jsonl``; analyze never parses ``log_diff_samples.jsonl``.
-Every output carries a provenance header (tool version, config hash, input
-digests) and no wall-clock values, so a rerun over identical inputs is
-byte-identical.
+Every output carries a provenance header (tool version, the config values
+and input digests its chain of stages depends on, as ``STAGES`` declares
+them) and no path or wall-clock value, so a rerun over identical inputs is
+byte-identical wherever it runs.
 
 Artifacts a stage reads back are checked against their schema header and
-row fields; a bad one is a data error naming the stage to rerun.
+row fields, and an upstream artifact's provenance against the stage's own
+config and inputs; a bad or stale one is a data error naming the stage to
+rerun.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.
 """
@@ -41,14 +44,7 @@ from .complexity import (
     rate_many,
     rating_record,
 )
-from .config import (
-    ConfigError,
-    PipelineConfig,
-    config_sha256,
-    file_sha256,
-    load_config,
-    resolve_config,
-)
+from .config import ConfigError, PipelineConfig, file_sha256, resolve_config
 from .filters import ClassifiedRelease, filter_semver, pre_release_date, run_filter_cascade
 from .ingest import (
     DateOutOfRange,
@@ -59,6 +55,7 @@ from .ingest import (
     SourceUnavailable,
     StreamingDependentCounter,
     _opt_str,
+    _package_release,
     _parse_date,
     _req_int,
     _req_str,
@@ -105,26 +102,8 @@ class DataError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# provenance and output helpers
+# output helpers
 # ---------------------------------------------------------------------------
-
-
-def _file_digest(name: str, path: str | Path) -> str:
-    try:
-        return file_sha256(path)
-    except OSError as exc:
-        raise DataError(f"cannot read input {name} at {path}: {exc}") from exc
-
-
-def _provenance(
-    config: PipelineConfig, inputs: Mapping[str, str | Path], corpus: Corpus | None = None
-) -> dict:
-    digest = corpus.digest if corpus is not None else _file_digest
-    return {
-        "tool_version": __version__,
-        "config_sha256": config_sha256(config),
-        "inputs": {name: digest(name, inputs[name]) for name in sorted(inputs)},
-    }
 
 
 @contextlib.contextmanager
@@ -226,16 +205,15 @@ def _human_rating(row: dict) -> tuple[str, int]:
 
 class _Artifact(NamedTuple):
     stage: str  # the stage that writes it
-    schema: str | None = None  # the header schema of a JSONL artifact
+    schema: str  # its header schema
     parse: Callable[[dict], object] | None = None  # a row, as a later stage reads it
 
 
-# the artifacts a stage writes under a schema header or a later stage needs
+# the artifacts a stage writes under a schema header
 ARTIFACTS = {
-    "filtered_releases.jsonl": _Artifact("filter", "releases"),
+    "filtered_releases.jsonl": _Artifact("filter", "releases", _package_release),
     "release_records.jsonl": _Artifact("metrics", "release-records", _release_record),
     "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples"),
-    "metrics_report.json": _Artifact("metrics"),
     "ratings.jsonl": _Artifact("complexity", "complexity-ratings", _rating_row),
     "heatmap_bins.jsonl": _Artifact("analyze", "heatmap-cells"),
     "heatmap_series.jsonl": _Artifact("analyze", "heatmap-cells"),
@@ -258,14 +236,12 @@ def _checked_rows(path: Path, schema: str, parse: Callable[[dict], object], reme
         raise DataError(f"{path} {reader.violations[0]}; {remedy}")
 
 
-def _remedy(name: str) -> str:
-    return f"remove it and rerun depgrowth {ARTIFACTS[name].stage}"
-
-
 def _read_record_lines(path: Path) -> Iterator:
     """The rows of the artifact at ``path``, checked as its table entry says."""
-    artifact = ARTIFACTS[path.name]
-    return _checked_rows(path, artifact.schema, artifact.parse, _remedy(path.name))
+    stage, schema, parse = ARTIFACTS[path.name]
+    if not path.exists():
+        raise DataError(f"{path} does not exist; run the {stage} stage first (depgrowth {stage})")
+    return _checked_rows(path, schema, parse, f"remove it and rerun depgrowth {stage}")
 
 
 _load_samples = _read_record_lines  # perfbench/tracer.py wraps it; remove with ROADMAP item 1
@@ -276,46 +252,94 @@ def _write_artifact(out: Path, name: str, provenance: dict, rows: Iterable[Mappi
 
 
 # ---------------------------------------------------------------------------
-# shared pipeline pieces
+# provenance: what each stage reads, parses and depends on
 # ---------------------------------------------------------------------------
 
 
-def _require(out: Path, name: str) -> Path:
-    path = out / name
-    if not path.exists():
-        stage = ARTIFACTS[name].stage
-        raise DataError(f"{path} does not exist; run the {stage} stage first (depgrowth {stage})")
-    return path
-
-
-# the filter stage's survivors, classified, and the violation count of their file
-Survivors = tuple[list[PackageRelease], list[ClassifiedRelease], int]
-
-
-def _load_survivors(path: Path, config: PipelineConfig) -> Survivors:
-    """The filter stage's survivors, read back and classified again."""
-    reader = read_releases(path)
-    try:
-        releases = list(reader)
-    except SchemaHeaderError as exc:
-        raise DataError(f"{exc}; {_remedy(path.name)}") from exc
-    classified, report = filter_semver(releases, zero_split=config.zero_split)
-    if report.reasons:
-        raise DataError(
-            f"{path} contains rows that no longer parse as semver: {dict(report.reasons)}"
-        )
-    return releases, classified, len(reader.violations)
+class _Stage(NamedTuple):
+    reads: tuple[str, ...]  # the config keys naming the input files it reads
+    parses: tuple[str, ...]  # the upstream artifacts it parses, when present
+    keys: tuple[str, ...]  # the config keys its rows depend on
 
 
 CORPUS_INPUTS = ("releases", "repo_snapshots", "dependent_edges")
 
+STAGES = {
+    "filter": _Stage(CORPUS_INPUTS, (), ("ecosystems", "min_dependents", "zero_split")),
+    "metrics": _Stage(("repo_snapshots", "dependent_edges"), ("filtered_releases.jsonl",), ("grid",)),
+    "complexity": _Stage(("repo_snapshots", "human_ratings"), ("filtered_releases.jsonl",), ("model_id",)),
+    "analyze": _Stage((), ("release_records.jsonl", "ratings.jsonl"), ("alpha", "fold_zero")),
+}
+
+
+def _chain_keys(stage: str) -> list[str]:
+    """The config keys of ``stage`` and of every stage upstream of it."""
+    keys = set(STAGES[stage].keys)
+    for name in STAGES[stage].parses:
+        keys.update(_chain_keys(ARTIFACTS[name].stage))
+    return sorted(keys)
+
+
+def _provenance(config: PipelineConfig, stage: str, corpus: Corpus) -> dict:
+    """``stage``'s provenance: the tool version, the values of its chain's
+    config keys and the digests of its chain's input files.
+
+    The digests of files the stage does not read come from the header of each
+    upstream artifact present, checked first: a key value other than
+    ``config``'s, or a digest other than that of a file the stage reads (or
+    that an earlier upstream recorded), is a DataError naming the stage to
+    rerun. A stage run on its own has read its upstream rows by then.
+    """
+    keys = json.loads(json.dumps({key: getattr(config, key) for key in _chain_keys(stage)}))
+    inputs = {name: corpus.digest(name) for name in STAGES[stage].reads if getattr(config, name)}
+    for name in STAGES[stage].parses:
+        path = Path(config.out_dir) / name
+        if not path.exists():
+            continue
+        upstream = ARTIFACTS[name].stage
+        try:
+            with open(path, encoding="utf-8") as handle:
+                built = json.loads(handle.readline())["provenance"]
+            built_keys, built_inputs = dict(built["keys"]), dict(built["inputs"])
+        except (OSError, ValueError, LookupError, TypeError):
+            raise DataError(f"{path} has no provenance keys and inputs; rerun depgrowth {upstream}") from None
+        for key in _chain_keys(upstream):
+            value = built_keys.get(key)
+            if value != keys[key]:
+                raise DataError(
+                    f"{path} was built with {key} {json.dumps(value)}, not {json.dumps(keys[key])}; "
+                    f"rerun depgrowth {upstream}"
+                )
+        for input_name, digest in built_inputs.items():
+            if inputs.setdefault(input_name, digest) != digest:
+                raise DataError(f"{path} was built from another {input_name}; rerun depgrowth {upstream}")
+    return {"tool_version": __version__, "keys": keys, "inputs": dict(sorted(inputs.items()))}
+
+
+# ---------------------------------------------------------------------------
+# shared pipeline pieces
+# ---------------------------------------------------------------------------
+
+
+# the filter stage's survivors, classified
+Survivors = Sequence[ClassifiedRelease]
+
+
+def _load_survivors(path: Path, config: PipelineConfig) -> Survivors:
+    """The filter stage's survivors, read back and classified again."""
+    classified, report = filter_semver(_read_record_lines(path), zero_split=config.zero_split)
+    if report.reasons:
+        raise DataError(
+            f"{path} contains rows that no longer parse as semver: {dict(report.reasons)}"
+        )
+    return classified
+
 
 class Corpus:
-    """The input corpora of one command, each hashed and parsed at most once.
+    """The input files of one command, each hashed and parsed at most once.
 
     ``all`` builds one and hands it to every stage; a standalone stage builds
-    its own. Artifacts in ``out_dir`` change between stages, so their digests
-    are never memoized.
+    its own.
     """
 
     def __init__(self, config: PipelineConfig, offsets: Sequence[int] = ()) -> None:
@@ -325,11 +349,14 @@ class Corpus:
         self._repos: tuple[RepoIndex, int] | None = None
         self._counter: tuple[StreamingDependentCounter, int] | None = None
 
-    def digest(self, name: str, path: str | Path) -> str:
-        if name not in CORPUS_INPUTS:
-            return _file_digest(name, path)
+    def digest(self, name: str) -> str:
+        """The sha256 of the input file that config key ``name`` names."""
         if name not in self._digests:
-            self._digests[name] = _file_digest(name, path)
+            path = getattr(self._config, name)
+            try:
+                self._digests[name] = file_sha256(path)
+            except OSError as exc:
+                raise DataError(f"cannot read input {name} at {path}: {exc}") from exc
         return self._digests[name]
 
     def repos(self) -> tuple[RepoIndex, int]:
@@ -401,9 +428,7 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
     corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance(
-        config, {name: getattr(config, name) for name in CORPUS_INPUTS}, corpus
-    )
+    provenance = _provenance(config, "filter", corpus)
     reader = read_releases(config.releases)
     releases = list(reader)
     repos, repo_violations = corpus.repos()
@@ -438,7 +463,7 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
         },
     )
     print(f"filter: {len(releases)} releases in, {n} kept -> {out / 'filtered_releases.jsonl'}")
-    return [item.release for item in survivors], survivors, 0
+    return survivors
 
 
 def _sample_row(sample: LogDiffSample) -> dict:
@@ -459,14 +484,13 @@ def cmd_metrics(
     corpus = corpus or Corpus(config, offsets=(0,) + grid.offsets)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    filtered = _require(out, "filtered_releases.jsonl")
-    inputs = {"filtered_releases": filtered, "repo_snapshots": config.repo_snapshots}
-    provenance = _provenance(config, {**inputs, "dependent_edges": config.dependent_edges}, corpus)
-    releases, classified, rel_violations = survivors or _load_survivors(filtered, config)
+    if survivors is None:
+        survivors = _load_survivors(out / "filtered_releases.jsonl", config)
+    provenance = _provenance(config, "metrics", corpus)
     repos, repo_violations = corpus.repos()
-    counter, edge_violations = corpus.counter(releases)
+    counter, edge_violations = corpus.counter([item.release for item in survivors])
     count = _count_provider(counter, repos)
-    records, skipped = build_release_records(classified, repos, count, grid)
+    records, skipped = build_release_records(survivors, repos, count, grid)
     n_records = _write_artifact(
         out, "release_records.jsonl", provenance, (_record_row(record) for record in records)
     )
@@ -486,7 +510,6 @@ def cmd_metrics(
         {
             "provenance": provenance,
             "schema_violations": {
-                "filtered_releases": rel_violations,
                 "repo_snapshots": repo_violations,
                 "dependent_edges": edge_violations,
             },
@@ -511,30 +534,16 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None = None) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples_path = _require(out, "log_diff_samples.jsonl")
-    records_path = _require(out, "release_records.jsonl")
-    report_path = _require(out, "metrics_report.json")
     grid = LookaheadGrid(*config.grid)
     offset = grid.final_offset
-    try:
-        with open(report_path, encoding="utf-8") as handle:
-            built_on = json.load(handle)["exclusions"]
-        unmeasured = [o for o in grid.offsets if f"dependents@{o}" not in built_on]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{report_path} is unreadable ({exc!r}); rerun depgrowth metrics") from exc
-    if unmeasured:
-        raise DataError(
-            f"{records_path} was built on another look-ahead grid than "
-            f"{grid.horizon_days},{grid.step_days}; rerun depgrowth metrics with the same --grid"
-        )
-    provenance = _provenance(config, {"log_diff_samples": samples_path, "release_records": records_path})
     # every artifact is read, and so checked, before the first write
     if records is None:
-        records = list(_read_record_lines(records_path))
-    dependents = [s for o in grid.offsets for s in log_diff_samples(records, "dependents", o)[0]]
-    demographics = [(record.ecosystem, record.release_type.value) for record in records]
+        records = list(_read_record_lines(out / "release_records.jsonl"))
     ratings_path = out / "ratings.jsonl"
     ratings = list(_read_record_lines(ratings_path)) if ratings_path.exists() else None
+    provenance = _provenance(config, "analyze", Corpus(config))
+    dependents = [s for o in grid.offsets for s in log_diff_samples(records, "dependents", o)[0]]
+    demographics = [(record.ecosystem, record.release_type.value) for record in records]
 
     for strat_by, stem in (("bin", "table_bins"), ("series", "table_series")):
         summaries = summary_table(
@@ -670,33 +679,24 @@ def cmd_complexity(
     corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    filtered = _require(out, "filtered_releases.jsonl")
-    inputs: dict[str, str | Path] = {"filtered_releases": filtered, "repo_snapshots": config.repo_snapshots}
-    if config.human_ratings:
-        inputs["human_ratings"] = config.human_ratings
-    provenance = _provenance(config, inputs, corpus)
     # the resume state and the human ratings are checked before any rating
     ratings_path = out / "ratings.jsonl"
     existing_rows: dict[str, dict] = {}
     if ratings_path.exists():
         existing_rows = {row["key"]: row for row in _read_record_lines(ratings_path)}
     if config.human_ratings:
-        human_rows = dict(
-            _checked_rows(
-                Path(config.human_ratings),
-                "human-ratings",
-                _human_rating,
-                "each row needs a key and an integer rating from 1 to 7",
-            )
-        )
-    _, classified, _ = survivors or _load_survivors(filtered, config)
+        remedy = "each row needs a key and an integer rating from 1 to 7"
+        human_rows = dict(_checked_rows(Path(config.human_ratings), "human-ratings", _human_rating, remedy))
+    if survivors is None:
+        survivors = _load_survivors(out / "filtered_releases.jsonl", config)
+    provenance = _provenance(config, "complexity", corpus)
     repos, _ = corpus.repos()
 
     items = []
     meta: dict[str, dict] = {}
     ineligible = 0
     missing_snapshot = 0
-    for item in classified:
+    for item in survivors:
         release = item.release
         notes = release.release_notes or ""
         if len(notes.strip()) < MIN_NOTE_CHARS:
@@ -729,12 +729,8 @@ def cmd_complexity(
     merged = dict(existing_rows)
     for key, rating in ratings.items():
         info = meta[key]
-        row = dict(
-            rating_record(key, rating, info["bundle"], getattr(client, "model_id", config.model_id), config.timestamp)
-        )
-        row["language"] = info["language"]
-        row["release_type"] = info["release_type"]
-        merged[key] = row
+        record = rating_record(key, rating, info["bundle"], getattr(client, "model_id", config.model_id))
+        merged[key] = {**record, "language": info["language"], "release_type": info["release_type"]}
     n = _write_artifact(out, "ratings.jsonl", provenance, (merged[k] for k in sorted(merged)))
     # totals, not per-run deltas, so a resumed run writes the same report
     _write_json(
@@ -782,12 +778,8 @@ def cmd_all(config: PipelineConfig) -> None:
 def cmd_synth(out_dir: str, scale: str, seed: int) -> int:
     from .synth import SynthConfig, build_world, small_config, write_corpus
 
-    if scale == "small":
-        synth_config = small_config(seed=seed)
-    else:
-        synth_config = SynthConfig(seed=seed)
-    world = build_world(synth_config)
-    counts = write_corpus(world, out_dir)
+    synth_config = small_config(seed=seed) if scale == "small" else SynthConfig(seed=seed)
+    counts = write_corpus(build_world(synth_config), out_dir)
     print(f"synth: {counts} -> {out_dir}")
     return EXIT_OK
 
@@ -821,7 +813,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-fold-zero", dest="fold_zero", action="store_const", const=False, default=None
     )
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--model-id", dest="model_id")
     parser.add_argument("--model-endpoint", dest="model_endpoint")

@@ -677,9 +677,9 @@ def rating_record(
     rating: ComplexityRating,
     bundle: PromptBundle,
     model_id: str,
-    timestamp: str,
 ) -> Mapping[str, object]:
-    """One line-delimited output record for a completed rating."""
+    """One line-delimited output record for a completed rating; its timestamp
+    is a constant, so reruns stay byte-identical."""
     return {
         "key": key,
         "rating": rating.rating,
@@ -687,5 +687,5 @@ def rating_record(
         "reasoning": list(rating.reasoning),
         "prompt_sha256": prompt_sha256(bundle),
         "model_id": model_id,
-        "timestamp": timestamp,
+        "timestamp": "1970-01-01T00:00:00Z",
     }

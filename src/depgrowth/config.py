@@ -1,4 +1,4 @@
-"""Pipeline configuration: loading, validation, and canonical hashing.
+"""Pipeline configuration: loading, validation, and file hashing.
 
 Config files are plain JSON objects whose keys mirror
 :class:`PipelineConfig` fields. Command-line flags override file values,
@@ -20,7 +20,6 @@ from .metrics import SUPPORTED_GRIDS
 __all__ = [
     "ConfigError",
     "PipelineConfig",
-    "config_sha256",
     "file_sha256",
     "load_config",
     "resolve_config",
@@ -45,14 +44,11 @@ class PipelineConfig:
     alpha: float = 0.05
     zero_split: str = "patch"
     fold_zero: bool = True
-    seed: int = 0
     workers: int = 1
     model_id: str = "mock-rater-v1"
     model_endpoint: str | None = None
     rate_per_sec: float | None = None
     human_ratings: str | None = None
-    # stamped into output records; a constant so reruns stay byte-identical
-    timestamp: str = "1970-01-01T00:00:00Z"
 
     def validate(self) -> "PipelineConfig":
         if tuple(self.grid) not in SUPPORTED_GRIDS:
@@ -124,12 +120,6 @@ def resolve_config(file_path: str | Path | None, overrides: Mapping[str, object]
         values.update(dataclasses.asdict(base))
     values.update(_coerce({k: v for k, v in overrides.items() if v is not None}))
     return PipelineConfig(**_coerce(values)).validate()
-
-
-def config_sha256(config: PipelineConfig) -> str:
-    """Canonical hash of the resolved config (sorted-key JSON)."""
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def file_sha256(path: str | Path) -> str:

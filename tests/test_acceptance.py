@@ -86,9 +86,7 @@ def engine_run(corpus_dir):
     """Timed production pipeline over the full corpus, all stages in memory."""
     started = time.monotonic()
     releases = list(read_releases(corpus_dir / "releases.jsonl"))
-    repos = RepoIndex()
-    for snap in read_repo_snapshots(corpus_dir / "repo_snapshots.jsonl"):
-        repos.add(snap)
+    repos = RepoIndex.build(read_repo_snapshots(corpus_dir / "repo_snapshots.jsonl"))
     counter = StreamingDependentCounter()
     one_day = timedelta(days=1)
     for release in releases:

@@ -84,7 +84,8 @@ class TestFilterStage:
         header = _header(out_dir / "filtered_releases.jsonl")
         assert header["schema"] == "releases"
         prov = header["provenance"]
-        assert set(prov) == {"tool_version", "config_sha256", "inputs"}
+        assert set(prov) == {"tool_version", "keys", "inputs"}
+        assert prov["keys"] == {"ecosystems": ["npm", "pypi", "rubygems"], "min_dependents": 5, "zero_split": "patch"}
         assert set(prov["inputs"]) == {"releases", "repo_snapshots", "dependent_edges"}
         assert all(len(d) == 64 for d in prov["inputs"].values())
 
@@ -371,7 +372,6 @@ class TestComplexityStage:
 
 class TestDeterminism:
     def test_cold_rerun_is_byte_identical(self, corpus_dir, out_dir, tmp_path):
-        # same out_dir path, fresh contents: config hash matches the first run
         rerun = out_dir.parent / "rerun"
         args = _pipeline_args(corpus_dir, rerun)
         assert cli.main(["all", *args]) == 0
@@ -380,6 +380,23 @@ class TestDeterminism:
         assert cli.main(["all", *args]) == 0
         second = {p.name: p.read_bytes() for p in rerun.iterdir()}
         assert first == second
+
+    def test_out_dir_workers_and_path_spelling_leave_every_byte(self, corpus_dir, tmp_path, monkeypatch):
+        # provenance holds no path, out_dir or worker count; analyze run on its
+        # own with no corpus flags rewrites the same bytes
+        def tree(path):
+            return {p.name: p.read_bytes() for p in path.iterdir()}
+
+        def corpus_flags(root):
+            return [f"--{name.replace('_', '-')}={root}/{name}.jsonl" for name in cli.CORPUS_INPUTS]
+
+        assert cli.main(["all", *corpus_flags(corpus_dir), "--out-dir", str(tmp_path / "a")]) == 0
+        monkeypatch.chdir(tmp_path)
+        relative = os.path.relpath(corpus_dir, tmp_path)
+        assert cli.main(["all", *corpus_flags(relative), "--out-dir", "b", "--workers", "2"]) == 0
+        assert tree(tmp_path / "b") == tree(tmp_path / "a")
+        assert cli.main(["analyze", "--out-dir", str(tmp_path / "b")]) == 0
+        assert tree(tmp_path / "b") == tree(tmp_path / "a")
 
     def test_metrics_rerun_idempotent(self, corpus_dir, out_dir):
         before = (out_dir / "log_diff_samples.jsonl").read_bytes()
@@ -391,7 +408,6 @@ class TestDeterminism:
         "extra", [(), ("--min-dependents", "0"), ("--zero-split", "folded"), ("--grid", "365,90")]
     )
     def test_all_matches_stages_run_one_by_one(self, corpus_dir, out_dir, extra):
-        # same out_dir path for both runs, so the config hash matches
         path = out_dir.parent / "staged"
         args = _pipeline_args(corpus_dir, path, *extra)
         assert cli.main(["all", *args]) == 0
@@ -599,8 +615,6 @@ class TestExitCodes:
         [
             "other grid",
             "finer grid",
-            "truncated report",
-            "exclusions not a mapping",
             "cut-short records line",
             "samples over records",
             *_BAD_RECORD_FIELDS,
@@ -609,17 +623,17 @@ class TestExitCodes:
     def test_analyze_on_mismatched_metrics_is_data_error(
         self, corpus_dir, out_dir, tmp_path, capsys, fault
     ):
+        # analyze needs no other metrics artifact than the records
         work = tmp_path / "regrid"
         work.mkdir()
-        for name in ("log_diff_samples.jsonl", "release_records.jsonl", "metrics_report.json"):
-            shutil.copy(out_dir / name, work / name)
         records = work / "release_records.jsonl"
+        shutil.copy(out_dir / "release_records.jsonl", records)
         lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
         args = _pipeline_args(corpus_dir, work)
         named = f"{records} line 2: "
         if fault == "other grid":
             args[args.index("180,45")] = "365,90"
-            named = f"{records} was built on another look-ahead grid"
+            named = f"{records} was built with grid [180, 45], not [365, 90]"
         elif fault == "finer grid":
             # a 365,90 build measures 180, the final offset of 180,45, but
             # not 45 or 135
@@ -627,14 +641,7 @@ class TestExitCodes:
             coarse = _pipeline_args(corpus_dir, work)
             coarse[coarse.index("180,45")] = "365,90"
             assert cli.main(["metrics", *coarse]) == 0
-            named = f"{records} was built on another look-ahead grid"
-        elif fault == "truncated report":
-            report = work / "metrics_report.json"
-            report.write_bytes(report.read_bytes()[:40])
-            named = f"{report} is unreadable"
-        elif fault == "exclusions not a mapping":
-            (work / "metrics_report.json").write_text('{"exclusions": 5}')
-            named = f"{work / 'metrics_report.json'} is unreadable"
+            named = f"{records} was built with grid [365, 90], not [180, 45]"
         elif fault == "cut-short records line":
             records.write_bytes(records.read_bytes()[:-20])
             named = f"{records} line {len(lines)}: "
@@ -653,10 +660,80 @@ class TestExitCodes:
         assert named in err
         assert not (work / "table_bins.txt").exists()
 
+    @pytest.mark.parametrize("stage", ["metrics", "complexity"])
+    def test_bad_filtered_row_is_data_error(self, corpus_dir, out_dir, tmp_path, capsys, stage):
+        # one row cut short, a later one with a bad date: the first is named
+        work = tmp_path / "work"
+        work.mkdir()
+        filtered = work / "filtered_releases.jsonl"
+        lines = (out_dir / "filtered_releases.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3][:40] + "\n"
+        row = json.loads(lines[5])
+        row["release_date"] = "2023-02-30"
+        lines[5] = json.dumps(row) + "\n"
+        filtered.write_text("".join(lines), encoding="utf-8")
+        assert cli.main([stage, *_pipeline_args(corpus_dir, work)]) == 3
+        err = capsys.readouterr().err
+        assert f"{filtered} line 4: " in err
+        assert "rerun depgrowth filter" in err
+        assert [p.name for p in work.iterdir()] == ["filtered_releases.jsonl"]
+
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+class TestStaleUpstream:
+    """A stage refuses an upstream artifact built under other config values
+    or from another input file than the stage reads, and writes nothing.
+    The --grid cases are in TestExitCodes."""
+
+    _UPSTREAM = {
+        "metrics": ("filtered_releases.jsonl",),
+        "complexity": ("filtered_releases.jsonl",),
+        "analyze": ("release_records.jsonl", "ratings.jsonl"),
+    }
+
+    @pytest.mark.parametrize(
+        "stage, change",
+        [
+            ("metrics", "min-dependents"),
+            ("metrics", "snapshots"),
+            ("complexity", "min-dependents"),
+            ("complexity", "snapshots"),
+            ("analyze", "min-dependents"),
+            ("analyze", "whole-config hash"),
+        ],
+    )
+    def test_stale_upstream_is_data_error(self, corpus_dir, out_dir, tmp_path, capsys, stage, change):
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in self._UPSTREAM[stage]:
+            shutil.copy(out_dir / name, work / name)
+        args = _pipeline_args(corpus_dir, work)
+        if change == "min-dependents":
+            args += ["--min-dependents", "50"]
+        elif change == "whole-config hash":
+            # a header of the earlier format, which hashed the whole config
+            records = work / "release_records.jsonl"
+            header, *rows = records.read_text(encoding="utf-8").splitlines(keepends=True)
+            header = json.loads(header)
+            header["provenance"] = {"config_sha256": "0" * 64, "inputs": header["provenance"]["inputs"]}
+            records.write_text(json.dumps(header) + "\n" + "".join(rows), encoding="utf-8")
+        else:
+            snapshots = tmp_path / "repo_snapshots.jsonl"
+            text = (corpus_dir / "repo_snapshots.jsonl").read_text(encoding="utf-8")
+            snapshots.write_text(text + text.splitlines(keepends=True)[-1], encoding="utf-8")
+            args[args.index("--repo-snapshots") + 1] = str(snapshots)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert cli.main([stage, *args]) == 3
+        err = capsys.readouterr().err
+        upstream = self._UPSTREAM[stage][0]
+        stale = "has no provenance keys and inputs" if change == "whole-config hash" else "was built "
+        assert f"{work / upstream} {stale}" in err
+        assert f"rerun depgrowth {cli.ARTIFACTS[upstream].stage}" in err
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
 class TestAtomicWrites:

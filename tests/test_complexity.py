@@ -794,8 +794,7 @@ def test_prompt_sha256_distinguishes_messages():
 def test_rating_record_shape():
     bundle = build_prompt(golden_release(), _repo())
     rating = ComplexityRating(("a",), ("b", "c"), None)
-    record = rating_record("npm:turbo-widget:2.1.0", rating, bundle,
-                           "mock-rater-v1", "1970-01-01T00:00:00Z")
+    record = rating_record("npm:turbo-widget:2.1.0", rating, bundle, "mock-rater-v1")
     assert record == {
         "key": "npm:turbo-widget:2.1.0",
         "rating": None,

@@ -1,4 +1,4 @@
-"""Configuration loading, validation, and hashing."""
+"""Configuration loading, validation, hashing, and the provenance it feeds."""
 
 import dataclasses
 import hashlib
@@ -6,10 +6,10 @@ import json
 
 import pytest
 
+from depgrowth import cli
 from depgrowth.config import (
     ConfigError,
     PipelineConfig,
-    config_sha256,
     file_sha256,
     load_config,
     resolve_config,
@@ -111,9 +111,9 @@ class TestResolveConfig:
         assert config.alpha == 0.01
 
     def test_none_overrides_ignored(self):
-        config = resolve_config(None, {"alpha": None, "seed": 3})
+        config = resolve_config(None, {"alpha": None, "workers": 3})
         assert config.alpha == PipelineConfig().alpha
-        assert config.seed == 3
+        assert config.workers == 3
 
     def test_resolution_still_validates(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -123,13 +123,25 @@ class TestResolveConfig:
 
 
 class TestHashing:
-    def test_config_hash_stable(self):
-        assert config_sha256(PipelineConfig()) == config_sha256(PipelineConfig())
+    def test_provenance_holds_no_path_out_dir_or_workers(self, tmp_path, monkeypatch):
+        # the same files spelled two ways, another out_dir and more workers:
+        # the same provenance; another threshold: another provenance
+        (tmp_path / "corpus").mkdir()
+        for name in cli.CORPUS_INPUTS:
+            (tmp_path / "corpus" / f"{name}.jsonl").write_text(f'{{"{name}": 1}}\n', encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
 
-    def test_config_hash_sensitive_to_fields(self):
-        base = PipelineConfig()
-        changed = dataclasses.replace(base, min_dependents=6)
-        assert config_sha256(base) != config_sha256(changed)
+        def provenance(root, **values):
+            paths = {name: f"{root}/{name}.jsonl" for name in cli.CORPUS_INPUTS}
+            config = PipelineConfig(**paths, **values)
+            return cli._provenance(config, "filter", cli.Corpus(config))
+
+        base = provenance("corpus")
+        assert provenance(tmp_path / "corpus", out_dir="elsewhere", workers=4) == base
+        assert provenance("./corpus/../corpus") == base
+        assert provenance("corpus", min_dependents=6) != base
+        assert base["keys"]["min_dependents"] == PipelineConfig().min_dependents
+        assert base["inputs"]["releases"] == file_sha256("corpus/releases.jsonl")
 
     def test_file_sha256_matches_direct_digest(self, tmp_path):
         path = tmp_path / "blob.bin"
