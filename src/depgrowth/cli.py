@@ -280,6 +280,30 @@ def _chain_keys(stage: str) -> list[str]:
     return sorted(keys)
 
 
+def _keys(config: PipelineConfig, stage: str) -> dict:
+    """The values of the config keys of ``stage``'s chain, as JSON reads them back."""
+    return json.loads(json.dumps({key: getattr(config, key) for key in _chain_keys(stage)}))
+
+
+def _header_provenance(path: Path, remedy: str) -> tuple[dict, dict]:
+    """The ``keys`` and ``inputs`` of the provenance in ``path``'s header."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            built = json.loads(handle.readline())["provenance"]
+        return dict(built["keys"]), dict(built["inputs"])
+    except (OSError, ValueError, LookupError, TypeError):
+        raise DataError(f"{path} has no provenance keys and inputs; {remedy}") from None
+
+
+def _check_keys(path: Path, built: Mapping, keys: Mapping, remedy: str) -> None:
+    """A DataError ending with ``remedy`` unless ``built`` holds each value of ``keys``."""
+    for key, value in keys.items():
+        if built.get(key) != value:
+            raise DataError(
+                f"{path} was built with {key} {json.dumps(built.get(key))}, not {json.dumps(value)}; {remedy}"
+            )
+
+
 def _provenance(config: PipelineConfig, stage: str, corpus: Corpus) -> dict:
     """``stage``'s provenance: the tool version, the values of its chain's
     config keys and the digests of its chain's input files.
@@ -290,30 +314,32 @@ def _provenance(config: PipelineConfig, stage: str, corpus: Corpus) -> dict:
     that an earlier upstream recorded), is a DataError naming the stage to
     rerun. A stage run on its own has read its upstream rows by then.
     """
-    keys = json.loads(json.dumps({key: getattr(config, key) for key in _chain_keys(stage)}))
+    keys = _keys(config, stage)
     inputs = {name: corpus.digest(name) for name in STAGES[stage].reads if getattr(config, name)}
     for name in STAGES[stage].parses:
         path = Path(config.out_dir) / name
         if not path.exists():
             continue
         upstream = ARTIFACTS[name].stage
-        try:
-            with open(path, encoding="utf-8") as handle:
-                built = json.loads(handle.readline())["provenance"]
-            built_keys, built_inputs = dict(built["keys"]), dict(built["inputs"])
-        except (OSError, ValueError, LookupError, TypeError):
-            raise DataError(f"{path} has no provenance keys and inputs; rerun depgrowth {upstream}") from None
-        for key in _chain_keys(upstream):
-            value = built_keys.get(key)
-            if value != keys[key]:
-                raise DataError(
-                    f"{path} was built with {key} {json.dumps(value)}, not {json.dumps(keys[key])}; "
-                    f"rerun depgrowth {upstream}"
-                )
+        remedy = f"rerun depgrowth {upstream}"
+        built_keys, built_inputs = _header_provenance(path, remedy)
+        _check_keys(path, built_keys, {key: keys[key] for key in _chain_keys(upstream)}, remedy)
         for input_name, digest in built_inputs.items():
             if inputs.setdefault(input_name, digest) != digest:
-                raise DataError(f"{path} was built from another {input_name}; rerun depgrowth {upstream}")
+                raise DataError(f"{path} was built from another {input_name}; {remedy}")
     return {"tool_version": __version__, "keys": keys, "inputs": dict(sorted(inputs.items()))}
+
+
+def _check_resume(path: Path, keys: Mapping, inputs: Mapping[str, str]) -> None:
+    """A DataError unless complexity's resume state at ``path`` was built
+    under ``keys`` and from ``inputs``. ``human_ratings`` is left out: no
+    rating depends on it, and each run recomputes the agreement from it."""
+    remedy = "remove it to rate afresh"
+    built_keys, built_inputs = _header_provenance(path, remedy)
+    _check_keys(path, built_keys, keys, remedy)
+    for name in sorted((inputs.keys() | built_inputs.keys()) - {"human_ratings"}):
+        if built_inputs.get(name) != inputs.get(name):
+            raise DataError(f"{path} was built from another {name}; {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +716,8 @@ def cmd_complexity(
     if survivors is None:
         survivors = _load_survivors(out / "filtered_releases.jsonl", config)
     provenance = _provenance(config, "complexity", corpus)
+    if ratings_path.exists():
+        _check_resume(ratings_path, provenance["keys"], provenance["inputs"])
     repos, _ = corpus.repos()
 
     items = []
@@ -768,6 +796,11 @@ def cmd_all(config: PipelineConfig) -> None:
     # one corpus for every stage: filter's counter feed also registers the
     # cells metrics reads, for every input release (see Corpus.counter)
     corpus = Corpus(config, offsets=(0,) + LookaheadGrid(*config.grid).offsets)
+    # a stale resume state is refused before filter and metrics write
+    ratings_path = Path(config.out_dir) / "ratings.jsonl"
+    if ratings_path.exists():
+        inputs = {name: corpus.digest(name) for name in CORPUS_INPUTS if getattr(config, name)}
+        _check_resume(ratings_path, _keys(config, "complexity"), inputs)
     survivors = cmd_filter(config, corpus)
     records = cmd_metrics(config, corpus, survivors)
     cmd_complexity(config, corpus, survivors)

@@ -47,7 +47,6 @@ __all__ = [
     "build_prompt",
     "parse_rating_response",
     "render_rating",
-    "rate_release",
     "rate_many",
     "agreement_stats",
     "prompt_sha256",
@@ -402,29 +401,6 @@ class MockModelClient:
             ComplexityRating(required_skills=skills, reasoning=reasons, rating=rating),
             closer=closer,
         )
-
-
-def rate_release(
-    release: PackageRelease,
-    repo: RepoSnapshot,
-    client: ModelClient,
-    policy: RetryPolicy | None = None,
-) -> ComplexityRating:
-    """Prompt the client for one release, retrying transient failures.
-
-    Malformed responses and transport errors (OSError family) are retried
-    under the policy; the first clean parse wins.
-
-    Raises:
-        NotEligible: release notes below the minimum length.
-        RequestRejected: the client refused the request; never retried.
-        ExhaustedRetries: every attempt failed; last cause chained.
-    """
-    batch = _Batch([_Task("", release, repo)], client, policy or RetryPolicy(), 1, None)
-    ratings, failures = batch.run(None)
-    if failures:
-        raise failures[""]
-    return ratings[""]
 
 
 class _TokenBucket:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -376,8 +376,13 @@ class RecordReader:
         #   yielded a row. A later line with a known B and a D that parses
         #   yields the value compiled from that row without a decode. (A
         #   header is only ever line 1, which no known body precedes.)
-        # Any other line takes the full path below, which writes every
-        # violation.
+        # The memo is keyed on the two slices themselves: days on the head
+        # line[:28], bodies on the rest line[28:] = '",' + B. A head goes in
+        # only when it starts with _DATED_PREFIX and its D parses, and a rest
+        # only when it starts with '",', so both lookups hit exactly when
+        # the line passes all four tests above; a line shorter than 28 has a
+        # head no key equals. Any other line takes the full path below,
+        # which writes every violation.
         # The memo keeps the last body of each subject (the first key_fields
         # fields after the date: a repository, or a whole edge), so it never
         # holds more bodies than the input has subjects. The rows of the
@@ -387,32 +392,28 @@ class RecordReader:
         # dropped for the rest of the read.
         row_type = self._row_type
         key_fields = self._key_fields
-        days: dict[str, object] = {}  # D -> day_of(date(D)), for each D that parsed
-        # B -> compile(its first row); None once the memo is dropped
+        days: dict[str, object] = {}  # head -> day_of(date(D)), for each D that parsed
+        # rest -> compile(its first row); None once the memo is dropped
         bodies: dict[str, object] | None = None if row_type is None else {}
-        subjects: dict[tuple, str] = {}  # a row's key fields -> its B
+        subjects: dict[tuple, str] = {}  # a row's key fields -> its rest
         strings: dict[str, str] = {}  # one copy of each key field string
         first_day = None
         first_rows = missed = hits = 0
         with _lines(self._source) as lines:
             for line_no, line in enumerate(lines, start=1):
-                if bodies is not None and line[28:30] == '",' and line.startswith(_DATED_PREFIX):
-                    raw_day = line[18:28]
-                    body = line[30:]
-                    value = bodies.get(body)
-                    if value is not None:
-                        day = days.get(raw_day)
-                        if day is None:
-                            try:
-                                day = days[raw_day] = day_of(_iso_date(raw_day))
-                            except ValueError:
-                                pass  # the full path reports the date
-                        if day is not None:
+                if bodies is not None:
+                    day = days.get(line[:28])
+                    if day is None and line.startswith(_DATED_PREFIX):
+                        try:
+                            day = days[line[:28]] = day_of(_iso_date(line[18:28]))
+                        except ValueError:
+                            pass  # the full path reports the date
+                    if day is not None:
+                        value = bodies.get(line[28:])
+                        if value is not None:
                             hits += 1
                             yield day, value
                             continue
-                else:
-                    body = None
                 # json.loads(line) rejects a leading BOM, runs raw_decode(line,
                 # idx) with idx past any leading whitespace, and rejects anything
                 # but whitespace after the value. When raw_decode at 0 consumes
@@ -456,8 +457,9 @@ class RecordReader:
                     continue
                 value = compile(row)
                 yield (None if row_type is None else day_of(row[0])), value
-                if body is None:
+                if bodies is None or line[28:30] != '",' or not line.startswith(_DATED_PREFIX):
                     continue
+                raw_day = line[18:28]
                 if first_day is None:
                     first_day = raw_day
                 if raw_day == first_day:
@@ -469,14 +471,12 @@ class RecordReader:
                         subjects.clear()
                         strings.clear()
                         continue
-                if raw_day not in days:
-                    try:
-                        days[raw_day] = day_of(_iso_date(raw_day))
-                    except ValueError:
-                        continue  # D may end in '\', and B is then no body
+                if line[:28] not in days:
+                    continue  # D did not parse: it may end in '\', and B is then no body
                 # D parsed and the line decoded, so "{" + B is an object (see
                 # above). Without a '\' in B, a "snapshot_date" key of its own
                 # would show as that text.
+                body = line[30:]
                 if '"snapshot_date"' in body:
                     continue
                 if "\\" in body:
@@ -491,8 +491,8 @@ class RecordReader:
                 old = subjects.get(key)
                 if old is not None:
                     del bodies[old]
-                subjects[key] = body
-                bodies[body] = value
+                rest = subjects[key] = line[28:]
+                bodies[rest] = value
 
 
 def _same(value: object) -> object:
@@ -559,11 +559,14 @@ def _joined(ordinals: Sequence[int], target: int) -> int:
 def _quality(timeline: tuple | None, target: int) -> bool:
     if timeline is None:
         return False
-    ordinals, stars, _forks, fork_flags, _metas = timeline
+    ordinals, states, stars, _forks, fork_flags, _metas = timeline
     pos = _joined(ordinals, target)
+    if pos < 0:
+        return False
+    state = states[pos]
     # counts are >= 0 and a wide one is stored negative, so any stored value
     # but 0 is at least one star
-    return pos >= 0 and not fork_flags[pos] and stars[pos] != 0
+    return not fork_flags[state] and stars[state] != 0
 
 
 def _intern(ids: dict, values: list, value: object) -> int:
@@ -575,8 +578,10 @@ def _intern(ids: dict, values: list, value: object) -> int:
     return found
 
 
-# RepoIndex's column types: ordinal date, stars, forks, fork flag, metadata id
-_COLUMNS = "iiibi"
+# RepoIndex's column types: a timeline row's ordinal date and state id, and a
+# state's stars, forks, fork flag and metadata id
+_ROW_COLUMNS = "ii"
+_STATE_COLUMNS = "iibi"
 # the largest count a 4-byte column holds as itself
 _NARROW_MAX = 2**31 - 1
 # count_quality's verdicts (0: not yet computed), and a dependent whose
@@ -588,17 +593,20 @@ _UNRESOLVED = object()
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
-    Rows are stored as parallel arrays per repository: 4-byte ordinal date,
-    stars, forks and metadata id, and a 1-byte fork flag, 17 B a row. Each
-    distinct description/topics/language tuple is held once, and a row holds
-    its id. A stars or forks value past 2^31 - 1 is held once in a side table
-    of wide counts, and its column holds ``~i`` (negative, where counts are
-    not) for its position ``i`` there.
+    Each repository's rows are two parallel 4-byte arrays, ordinal date and
+    state id, 8 B a row. Its states (stars, forks and metadata id, 4 bytes
+    each, and a 1-byte fork flag, 13 B a state) are four append-only arrays
+    of its own, and a row whose state equals the repository's last one
+    shares its id, so a repository whose counts seldom change holds few
+    states. Each distinct description/topics/language tuple is held once,
+    and a state holds its id. A stars or forks value past 2^31 - 1 is held
+    once in a side table of wide counts, and its column holds ``~i``
+    (negative, where counts are not) for its position ``i`` there.
     """
 
     def __init__(self) -> None:
-        # key -> columns (see _COLUMNS); appended in arrival order, then
-        # sorted and frozen on the first lookup
+        # key -> row columns then state columns; rows appended in arrival
+        # order, then sorted and frozen on the first lookup
         self._rows: dict[tuple[str, str], tuple] = {}
         self._frozen: dict[tuple[str, str], tuple] = {}
         # metadata tuples and wide counts by id, and each one's id
@@ -625,28 +633,23 @@ class RepoIndex:
 
     def extend(self, snapshots: Iterable[RepoSnapshot]) -> None:
         """Add rows; a snapshot reader hands over each distinct body once."""
-        for ordinal, (
-            ordinals,
-            star_counts,
-            fork_counts,
-            fork_flags,
-            metas,
-            stars,
-            forks,
-            flag,
-            meta,
-        ) in _compiled(snapshots, self._compile):
+        for ordinal, (ordinals, states, state) in _compiled(snapshots, self._compile):
             ordinals.append(ordinal)
-            star_counts.append(stars)
-            fork_counts.append(forks)
-            fork_flags.append(flag)
-            metas.append(meta)
+            states.append(state)
 
     def _compile(self, snap: RepoSnapshot) -> tuple:
-        """The row's timeline columns and the values to append to them."""
+        """The row's timeline columns and its state id, its state appended
+        unless it equals the repository's last one."""
         store = self._store((snap.owner, snap.name))
+        ordinals, states, stars, forks, fork_flags, metas = store
         meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
-        return store + (self._narrow(snap.stars), self._narrow(snap.forks), int(snap.is_fork), meta)
+        state = (self._narrow(snap.stars), self._narrow(snap.forks), int(snap.is_fork), meta)
+        last = len(metas) - 1
+        if last < 0 or (stars[last], forks[last], fork_flags[last], metas[last]) != state:
+            for column, value in zip(store[2:], state):
+                column.append(value)
+            last += 1
+        return ordinals, states, last
 
     def _narrow(self, count: int) -> int:
         return count if count <= _NARROW_MAX else ~_intern(self._wide_ids, self._wide, count)
@@ -657,15 +660,13 @@ class RepoIndex:
     def _store(self, key: tuple[str, str]) -> tuple:
         store = self._rows.get(key)
         if store is None:
-            # a frozen timeline thaws so late additions land in it
-            frozen = self._frozen.pop(key, ((),) * len(_COLUMNS))
-            store = self._rows[key] = tuple(map(array, _COLUMNS, frozen))
+            # a frozen timeline thaws so late additions land in it: its rows
+            # are copied, and its states, only ever appended to, are shared
+            frozen = self._frozen.pop(key, None) or ((), (), *map(array, _STATE_COLUMNS))
+            store = self._rows[key] = (*map(array, _ROW_COLUMNS, frozen[:2]), *frozen[2:])
             self._dep_timelines.clear()
             self._verdicts.clear()
         return store
-
-    def __len__(self) -> int:
-        return len(self._rows) + len(self._frozen)
 
     def _timeline(self, key: tuple[str, str]) -> tuple | None:
         frozen = self._frozen.get(key)
@@ -674,16 +675,17 @@ class RepoIndex:
         store = self._rows.get(key)
         if store is None:
             return None
-        ordinals = store[0]
+        ordinals, states = store[:2]
         if all(map(lt, ordinals, ordinals[1:])):
             # strictly increasing: already sorted with no same-day duplicates
-            # (_store thaws by copying, so these arrays are never appended to)
+            # (_store thaws by copying, so these rows are never appended to)
             frozen = store
         else:
             # each day's last row (a later same-day row wins), in date order
             last = dict(zip(ordinals, range(len(ordinals))))
             kept = sorted(last.values(), key=ordinals.__getitem__)
-            frozen = tuple(array(column.typecode, [column[i] for i in kept]) for column in store)
+            rows = ([column[i] for i in kept] for column in (ordinals, states))
+            frozen = (*map(array, _ROW_COLUMNS, rows), *store[2:])
         self._frozen[key] = frozen
         del self._rows[key]
         return frozen
@@ -693,18 +695,19 @@ class RepoIndex:
         timeline = self._timeline((owner, name))
         if timeline is None:
             return None
-        ordinals, stars, forks, fork_flags, metas = timeline
+        ordinals, states, stars, forks, fork_flags, metas = timeline
         pos = _joined(ordinals, when.toordinal())
         if pos < 0:
             return None
-        description, topics, language = self._metas[metas[pos]]
+        state = states[pos]
+        description, topics, language = self._metas[metas[state]]
         return RepoSnapshot(
             snapshot_date=date.fromordinal(ordinals[pos]),
             owner=owner,
             name=name,
-            stars=self._widen(stars[pos]),
-            forks=self._widen(forks[pos]),
-            is_fork=bool(fork_flags[pos]),
+            stars=self._widen(stars[state]),
+            forks=self._widen(forks[state]),
+            is_fork=bool(fork_flags[state]),
             description=description,
             topics=topics,
             language=language,
@@ -766,74 +769,73 @@ class StreamingDependentCounter:
     """Single-pass distinct-dependent counting for requested package-dates.
 
     Register every (ecosystem, package, date) cell of interest up front, then
-    feed the edge stream once. A row kept for some cell costs 4 B, its
-    dependent's id appended to a bucket, until that bucket is first counted
-    and deduplicated; each kept dependent's ``owner/repo`` key is held once.
-    Working memory is proportional to the requested cells plus the rows kept
-    for them, never to the total edge row count.
+    feed the edge stream once. A row serves a requested date when it lies at
+    most 7 days before it, so each feed first builds, per requested package,
+    the set of its candidate dates: each requested date minus 0 to 7 days.
+    A row on a candidate date costs 4 B, its dependent's id appended to a
+    bucket, until that bucket is first counted and deduplicated; any other
+    row is dropped. Each dependent of a requested package's edge has its
+    ``owner/repo`` key held once. Working memory is proportional to the
+    requested cells plus the rows kept for them and their dependents, never
+    to the total edge row count.
     """
 
     def __init__(self) -> None:
-        # (eco, pkg) -> sorted list of requested ordinals is built lazily
+        # (eco, pkg) -> requested ordinals
         self._requests: dict[tuple[str, str], set[int]] = {}
-        self._windows: dict[tuple[str, str], list[int]] | None = None
         # (eco, pkg) -> candidate ordinal -> dependent ids, one per kept row
         # until counted, then distinct (see _DISTINCT)
         self._buckets: dict[tuple[str, str], dict[int, array]] = {}
         self._coverage: set[int] = set()
         self._sorted_coverage: list[int] | None = None
-        # each kept dependent's "owner/repo" key -> its id, and the keys by id
+        # each dependent's "owner/repo" key -> its id, and the keys by id
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
 
     def request(self, package_name: str, ecosystem: str, when: date) -> None:
         self._requests.setdefault((ecosystem, package_name), set()).add(when.toordinal())
-        self._windows = None
-
-    def _window_lists(self) -> dict[tuple[str, str], list[int]]:
-        if self._windows is None:
-            self._windows = {k: sorted(v) for k, v in self._requests.items()}
-        return self._windows
 
     def feed(self, edges: Iterable[DependentEdge]) -> None:
-        windows = self._window_lists()
         buckets = self._buckets
         # a counted bucket that rows may join is counted afresh
         for cells in buckets.values():
             for ordinal, cell in cells.items():
                 if cell.typecode == _DISTINCT:
                     cells[ordinal] = array("i", cell)
+        # each requested package's candidate dates, with one int object per date
+        days: dict[int, int] = {}
+        candidates = {
+            key: frozenset(
+                days.setdefault(day, day)
+                for ordinal in requested
+                for day in range(ordinal - JOIN_WINDOW_DAYS, ordinal + 1)
+            )
+            for key, requested in self._requests.items()
+        }
+        ids, names = self._ids, self._names
 
         def compile(edge: DependentEdge) -> tuple:
-            # the package's requested dates and buckets, and the dependent
+            # the package's candidate dates and buckets, and the dependent's id
             key = (edge.ecosystem, edge.package_name)
-            requested = windows.get(key)
-            if not requested:
+            dates = candidates.get(key)
+            if dates is None:
                 return _UNREQUESTED
-            dep = f"{edge.dependent_owner}/{edge.dependent_repo}"
-            return requested, buckets.setdefault(key, {}), dep
+            dep = _intern(ids, names, f"{edge.dependent_owner}/{edge.dependent_repo}")
+            return dates, buckets.setdefault(key, {}), dep
 
         coverage = self._coverage
-        ids = self._ids
         self._sorted_coverage = None
-        for ordinal, (requested, cells, dep) in _compiled(edges, compile):
+        for ordinal, (dates, cells, dep) in _compiled(edges, compile):
             coverage.add(ordinal)
-            if requested is None:
+            if dates is None:
                 continue
-            # keep the row only if its date can serve some requested date:
-            # candidate iff requested ordinal in [ordinal, ordinal + window]
-            pos = bisect_left(requested, ordinal)
-            if pos == len(requested) or requested[pos] - ordinal > JOIN_WINDOW_DAYS:
-                continue
-            # ids only for dependents of kept rows: one no request needs
-            # costs no int object
-            dep_id = ids.get(dep)
-            if dep_id is None:
-                dep_id = _intern(ids, self._names, dep)
             cell = cells.get(ordinal)
             if cell is None:
+                # the first kept row of its cell: keep it only on a candidate date
+                if ordinal not in dates:
+                    continue
                 cell = cells[ordinal] = array("i")
-            cell.append(dep_id)
+            cell.append(dep)
 
     def count(
         self, package_name: str, ecosystem: str, when: date, repos: RepoIndex
@@ -853,6 +855,9 @@ class StreamingDependentCounter:
         effective = _resolve_coverage(self._sorted_coverage, target)
         if effective is None:
             raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
+        # effective lies at most 7 days before the requested target, so it is
+        # one of the package's candidate dates, whose rows every feed since
+        # the request kept
         cells = self._buckets.get(key, {})
         cell = cells.get(effective)
         if cell is None:

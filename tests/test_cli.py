@@ -20,7 +20,7 @@ from depgrowth.complexity import (
     RequestRejected,
     RetryPolicy,
     build_prompt,
-    rate_release,
+    rate_many,
 )
 from depgrowth.config import resolve_config
 from depgrowth.ingest import PackageRelease, RepoSnapshot, read_releases
@@ -435,6 +435,39 @@ class TestDeterminism:
         assert resumed == complete
 
 
+def _without_provenance(path):
+    """An artifact's content apart from its provenance."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return {k: v for k, v in json.loads(text).items() if k != "provenance"}
+    first, _, rest = text.partition("\n")
+    if path.suffix == ".jsonl":
+        header = json.loads(first)
+        del header["provenance"]
+        return header, rest
+    return rest  # a provenance comment line, then the body
+
+
+class TestRowsThatNeverRepeat:
+    def test_all_writes_the_same_results_without_the_body_memo(self, corpus_dir, tmp_path):
+        # an ignored "crawl_id" set to the line number makes every snapshot
+        # and edge body distinct, so the readers drop their memo
+        crawled = tmp_path / "crawled"
+        crawled.mkdir()
+        shutil.copy(corpus_dir / "releases.jsonl", crawled / "releases.jsonl")
+        for name in ("repo_snapshots.jsonl", "dependent_edges.jsonl"):
+            header, *rows = (corpus_dir / name).read_text(encoding="utf-8").splitlines()
+            lines = [header] + [row[:-1] + f',"crawl_id":{n}}}' for n, row in enumerate(rows, start=2)]
+            (crawled / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        results = []
+        for corpus in (corpus_dir, crawled):
+            out = tmp_path / f"out-{corpus.name}"
+            assert cli.main(["all", *_pipeline_args(corpus, out)]) == 0
+            results.append({p.name: _without_provenance(p) for p in out.iterdir()})
+        assert results[0] == results[1]
+        assert {"ratings.jsonl", "release_records.jsonl", "heatmap_bins.jsonl"} <= results[0].keys()
+
+
 class TestParseOnce:
     def test_all_reads_and_hashes_each_corpus_once(self, corpus_dir, tmp_path, monkeypatch):
         calls = Counter()
@@ -736,6 +769,53 @@ class TestStaleUpstream:
         assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
 
+class TestStaleResumeState:
+    """complexity refuses a ratings.jsonl, its resume state, built under
+    other config values or from other inputs, and writes nothing."""
+
+    def test_ratings_of_another_min_dependents_are_refused(self, corpus_dir, tmp_path, capsys):
+        work = tmp_path / "work"
+        args = _pipeline_args(corpus_dir, work)
+        assert cli.main(["all", *args]) == 0
+        assert cli.main(["filter", *args, "--min-dependents", "50"]) == 0
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        capsys.readouterr()
+        stale = f"{work / 'ratings.jsonl'} was built with min_dependents 5, not 50; remove it to rate afresh"
+        for command in ("complexity", "all"):  # all refuses before filter writes
+            assert cli.main([command, *args, "--min-dependents", "50"]) == 3
+            assert stale in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+        # removed, the file is rated afresh, as in a directory of its own
+        (work / "ratings.jsonl").unlink()
+        assert cli.main(["complexity", *args, "--min-dependents", "50"]) == 0
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        shutil.copy(work / "filtered_releases.jsonl", fresh)
+        assert cli.main(["complexity", *_pipeline_args(corpus_dir, fresh), "--min-dependents", "50"]) == 0
+        assert (work / "ratings.jsonl").read_bytes() == (fresh / "ratings.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("change", ["input", "no provenance"])
+    def test_ratings_from_other_inputs_are_refused(self, corpus_dir, out_dir, tmp_path, capsys, change):
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("filtered_releases.jsonl", "ratings.jsonl"):
+            shutil.copy(out_dir / name, work / name)
+        ratings = work / "ratings.jsonl"
+        header, rest = ratings.read_text(encoding="utf-8").split("\n", 1)
+        header = json.loads(header)
+        if change == "input":
+            header["provenance"]["inputs"]["dependent_edges"] = "0" * 64
+            stale = "was built from another dependent_edges"
+        else:
+            del header["provenance"]
+            stale = "has no provenance keys and inputs"
+        ratings.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert cli.main(["complexity", *_pipeline_args(corpus_dir, work)]) == 3
+        assert f"{ratings} {stale}; remove it to rate afresh" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+
 class TestAtomicWrites:
     def test_failed_writer_keeps_previous_artifact(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -851,7 +931,8 @@ class TestHttpModelClient:
     def _rate(self, monkeypatch, statuses):
         """Rate one release through the client; ``statuses`` are the endpoint's
         replies in order, 200 answering with a valid rating. Returns the
-        outcome, the number of requests and the backoff sleeps."""
+        rating or the failure message, the number of requests and the
+        backoff sleeps."""
         release = PackageRelease(
             release_date=date(2023, 5, 2),
             ecosystem="npm",
@@ -876,17 +957,14 @@ class TestHttpModelClient:
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         sleeps = []
         policy = RetryPolicy(max_attempts=3, backoff=0.5, sleeper=sleeps.append)
-        try:
-            outcome = rate_release(release, repo, self._client(), policy)
-        except RequestRejected as exc:
-            outcome = exc
-        return outcome, len(requests), sleeps
+        ratings, failures = rate_many([("one", release, repo)], self._client(), policy)
+        return ratings["one"] if ratings else failures["one"], len(requests), sleeps
 
     @pytest.mark.parametrize("status", [400, 401, 404, 422])
     def test_client_error_fails_fast(self, monkeypatch, status):
         outcome, requests, sleeps = self._rate(monkeypatch, [status])
-        assert isinstance(outcome, RequestRejected)
-        assert f"HTTP {status}" in str(outcome)
+        assert outcome.startswith(f"{RequestRejected.__name__}: ")
+        assert f"HTTP {status}" in outcome
         assert requests == 1
         assert sleeps == []
 

@@ -41,7 +41,6 @@ from depgrowth.complexity import (
     parse_rating_response,
     prompt_sha256,
     rate_many,
-    rate_release,
     rating_record,
     render_rating,
 )
@@ -348,7 +347,13 @@ def test_render_rejects_unknown_closer():
 
 
 # ---------------------------------------------------------------------------
-# rate_release / retries
+# one release through rate_many / retries
+
+
+def _rate_one(release, repo, client, policy=None):
+    """One release through rate_many: its rating, or its failure message."""
+    ratings, failures = rate_many([("one", release, repo)], client, policy)
+    return ratings["one"] if ratings else failures["one"]
 
 
 class ScriptedClient:
@@ -368,45 +373,44 @@ class ScriptedClient:
         return action
 
 
-def test_rate_release_single_clean_call():
+def test_rate_one_single_clean_call():
     client = ScriptedClient([_response(rating="4")])
     sleeps = []
-    got = rate_release(golden_release(), _repo(), client,
-                       RetryPolicy(max_attempts=3, sleeper=sleeps.append))
+    got = _rate_one(golden_release(), _repo(), client,
+                    RetryPolicy(max_attempts=3, sleeper=sleeps.append))
     assert got.rating == 4
     assert client.calls == 1
     assert sleeps == []
 
 
-def test_rate_release_recovers_after_two_failures():
+def test_rate_one_recovers_after_two_failures():
     client = ScriptedClient([
         "garbage",
         ConnectionError("reset"),
         _response(rating="6"),
     ])
     sleeps = []
-    got = rate_release(golden_release(), _repo(), client,
-                       RetryPolicy(max_attempts=3, backoff=0.5, sleeper=sleeps.append))
+    got = _rate_one(golden_release(), _repo(), client,
+                    RetryPolicy(max_attempts=3, backoff=0.5, sleeper=sleeps.append))
     assert got.rating == 6
     assert client.calls == 3
     assert sleeps == [0.5, 1.0]
 
 
-def test_rate_release_exhausts_retries():
+def test_rate_one_exhausts_retries():
     client = ScriptedClient(["nope", "still nope"])
     sleeps = []
-    with pytest.raises(ExhaustedRetries) as info:
-        rate_release(golden_release(), _repo(), client,
-                     RetryPolicy(max_attempts=2, backoff=0.25, sleeper=sleeps.append))
-    assert isinstance(info.value.__cause__, MalformedResponse)
+    got = _rate_one(golden_release(), _repo(), client,
+                    RetryPolicy(max_attempts=2, backoff=0.25, sleeper=sleeps.append))
+    assert got.startswith(f"{ExhaustedRetries.__name__}: 2 attempt(s) failed for npm:")
     assert client.calls == 2
     assert sleeps == [0.25]
 
 
-def test_rate_release_checks_eligibility_before_calling():
+def test_rate_one_checks_eligibility_before_calling():
     client = ScriptedClient([_response()])
-    with pytest.raises(NotEligible):
-        rate_release(_release("tiny"), _repo(), client)
+    got = _rate_one(_release("tiny"), _repo(), client)
+    assert got.startswith(f"{NotEligible.__name__}: ")
     assert client.calls == 0
 
 
@@ -445,9 +449,9 @@ def test_mock_client_varies_with_input_and_uses_both_closers():
     assert any(r.endswith("</classification-response>") for r in responses)
 
 
-def test_mock_end_to_end_through_rate_release():
-    got = rate_release(golden_release(), _repo(), MockModelClient())
-    again = rate_release(golden_release(), _repo(), MockModelClient())
+def test_mock_end_to_end_through_rate_one():
+    got = _rate_one(golden_release(), _repo(), MockModelClient())
+    again = _rate_one(golden_release(), _repo(), MockModelClient())
     assert got == again
     assert got.rating in {1, 2, 3, 4, 5, 6, 7}
 

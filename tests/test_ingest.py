@@ -392,6 +392,29 @@ def _dated_lines(draw, line_fn, mutations):
 _BODY = _body(snap_line(), [])
 _OTHER_BODY = _body(snap_line(), [("owner", "other")])
 
+# 28-character heads: valid dates, a bad day, a space, an escape, a trailing
+# backslash, another key before a valid date; then what may follow them at
+# 28, and bodies to follow that
+_HEADS = [
+    '{"snapshot_date":"2023-03-01',
+    '{"snapshot_date":"2023-03-02',
+    '{"snapshot_date":"2023-02-30',
+    '{"snapshot_date": "2023-3-01',
+    '{"snapshot_date":"2023\\u002d',
+    '{"snapshot_date":"2023-03-0\\',
+    '{"snapshot_date":"20230301  ',
+    '{"snapshot_dat":"x2023-03-01',
+]
+_SEPARATORS = ['",', '" ,', '"', ",", '",",', '",  ']
+_RESTS = [
+    _BODY,
+    _OTHER_BODY,
+    _BODY[:-1] + ',"snapshot_date":"2023-03-09"}',
+    _BODY[:-1] + ',"stars":-1}',
+    '"snapshot_date":"2023-03-01",' + _BODY,
+    "}",
+]
+
 # dates docs/DATA_FORMAT.md does not allow, which date.fromisoformat takes
 # from Python 3.11 on (as 2023-01-01 and 2023-01-02)
 _NOT_YYYY_MM_DD = ["20230101", "2023-W01-1"]
@@ -480,6 +503,48 @@ class TestBodyMemo:
         # repeats of another repository's row first, so the memo is still
         # in use when the adversarial lines arrive
         lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
+        assert _read(read_repo_snapshots(lines)) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # a known head with an unknown rest
+            [_dated("2023-03-01", _BODY), _dated("2023-03-01", _BODY[:-1] + ',"language":"go"}')],
+            # a known rest after a head with a space, an escaped date or a bad date
+            [_dated("2023-03-01", _BODY), '{"snapshot_date": "2023-3-01",' + _BODY],
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023\\u002d",' + _BODY],
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023\\u002d03-01",' + _BODY],
+            [_dated("2023-03-01", _BODY), _dated("2023-02-30", _BODY)],
+            [_dated("2023-03-01", _BODY), '{"snapshot_dat":"x2023-03-01",' + _BODY],
+            # no '"' or no '",' at 28
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-01 ",' + _BODY],
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-01" ,' + _BODY],
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-01"' + _BODY],
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-01,' + _BODY],
+            # a rest with a "snapshot_date" of its own, after a known head
+            [_dated("2023-03-01", _BODY)] + [_dated("2023-03-01", _BODY[:-1] + ',"snapshot_date":"2023-03-09"}')] * 2,
+            # a line as long as a head, and one shorter
+            [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-01', '{"snapshot_date":"2023'],
+        ],
+    )
+    def test_lines_near_the_slice_keys_match_the_memo_free_reader(self, lines):
+        lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
+        assert _read(read_repo_snapshots(lines)) == _read(
+            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_HEADS), st.sampled_from(_SEPARATORS), st.sampled_from(_RESTS)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_spliced_heads_and_rests_match_the_memo_free_reader(self, parts):
+        lines = [head + separator + rest for head, separator, rest in parts]
         assert _read(read_repo_snapshots(lines)) == _read(
             RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
         )
@@ -765,6 +830,36 @@ class TestRepoIndex:
             snaps.append(snap)
         _assert_lookups_match_a_scan(index, snaps, start)  # the sort path
 
+    def test_a_row_shares_only_its_repositorys_last_state(self):
+        start = D("2023-03-01")
+        snaps = [
+            make_snap("a", "r", start, stars=3),
+            make_snap("a", "r", start + timedelta(days=1), stars=3),
+            # a same-day duplicate with another state replaces the row before it
+            make_snap("a", "r", start + timedelta(days=1), stars=4, is_fork=True),
+            # the first state again, after another one: a state of its own
+            make_snap("a", "r", start + timedelta(days=2), stars=3),
+        ]
+        index = RepoIndex.build(snaps)
+        _assert_lookups_match_a_scan(index, snaps, start)  # freezes by the sort path
+        # a row equal to the last state after a freeze and thaw shares it
+        snap = make_snap("a", "r", start + timedelta(days=9), stars=3)
+        index.add(snap)
+        snaps.append(snap)
+        _assert_lookups_match_a_scan(index, snaps, start)
+        ordinals, states, stars, _forks, fork_flags, _metas = index._frozen[("a", "r")]
+        assert list(states) == [0, 1, 2, 2]
+        assert (list(stars), list(fork_flags)) == ([3, 4, 3], [0, 1, 0])
+
+    @pytest.mark.parametrize("stars", [2**31, ingest.MAX_COUNT])
+    def test_a_wide_count_round_trips_through_a_shared_state(self, stars):
+        start = D("2023-03-01")
+        snaps = [make_snap("a", "r", start + timedelta(days=d), stars=stars) for d in range(3)]
+        index = RepoIndex.build(snaps)
+        _assert_lookups_match_a_scan(index, snaps, start)
+        assert index.nearest("a", "r", start + timedelta(days=9)).stars == stars
+        assert len(index._frozen[("a", "r")][2]) == 1
+
 
 def make_edge(pkg, dep, day, eco="npm"):
     owner, _, repo = dep.partition("/")
@@ -976,6 +1071,36 @@ class TestStreamingCounter:
         counter.feed([make_edge("lib", dep, "2023-03-01") for dep in again])
         assert counter.count("lib", "npm", when, repos) == 3
 
+    def test_requests_between_feeds_count_as_requests_made_up_front(self):
+        # every row of the first feed lies on a candidate date of the first
+        # requests; the later requests add dates, and a package, for the
+        # second feed's rows
+        start = D("2023-03-01")
+        deps = [f"u{i}/r{i}" for i in range(6)]
+        first = [make_edge("lib", dep, start + timedelta(days=d)) for d in (0, 3, 6) for dep in deps[:4]]
+        second = [
+            make_edge(pkg, dep, start + timedelta(days=d))
+            for d in range(2, 40, 3)
+            for pkg in ("lib", "app")
+            for dep in deps[d % 3 :]
+        ]
+        early = [("lib", start + timedelta(days=7))]
+        late = [(pkg, start + timedelta(days=d)) for pkg in ("lib", "app") for d in (9, 14, 21, 30, 39)]
+        split, together = StreamingDependentCounter(), StreamingDependentCounter()
+        for pkg, when in early:
+            split.request(pkg, "npm", when)
+        split.feed(first)
+        for pkg, when in late:
+            split.request(pkg, "npm", when)
+        split.feed(second)
+        for pkg, when in early + late:
+            together.request(pkg, "npm", when)
+        together.feed(first + second)
+        repos = quality_repo_index(deps[1:], days=[start + timedelta(days=d) for d in range(0, 40, 5)])
+        counts = [split.count(pkg, "npm", when, repos) for pkg, when in early + late]
+        assert counts == [together.count(pkg, "npm", when, repos) for pkg, when in early + late]
+        assert min(counts) > 0
+
 
 def _brute_quality(snaps, owner, name, when):
     best = _brute_nearest([s for s in snaps if (s.owner, s.name) == (owner, name)], when)
@@ -991,6 +1116,10 @@ def _dump_lines(draw, line_fn, mutations):
 
 # every date the lines above hold, and a week past the latest
 _LOOKUP_DAYS = [D("2023-02-27") + timedelta(days=d) for d in range(20)]
+
+
+def _indexed_keys(index):
+    return set(index._rows) | set(index._frozen)
 
 
 class _Wrapped:
@@ -1015,7 +1144,7 @@ class TestFusedIngest:
         index = RepoIndex.build(_Wrapped(reader))
         assert [(v.line_no, v.message) for v in reader.violations] == violations
         expected = RepoIndex.build(list(rows))
-        assert len(index) == len(expected)
+        assert _indexed_keys(index) == _indexed_keys(expected)
         for owner, name in {(row.owner, row.name) for row in rows} | {("acme", "libfoo")}:
             for when in _LOOKUP_DAYS:
                 assert index.nearest(owner, name, when) == expected.nearest(owner, name, when)
