@@ -35,12 +35,12 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequen
 
 from . import __version__
 from .complexity import (
-    MIN_NOTE_CHARS,
     MockModelClient,
     RequestRejected,
     RetryPolicy,
     agreement_stats,
     build_prompt,
+    eligible_for_rating,
     rate_many,
     rating_record,
 )
@@ -684,7 +684,7 @@ class HttpModelClient:
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
         try:
             with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                body = json.load(response)
+                reply = response.read()
         except urllib.error.HTTPError as exc:
             if 400 <= exc.code < 500 and exc.code not in (408, 429):
                 raise RequestRejected(f"model endpoint refused the request: HTTP {exc.code}") from exc
@@ -692,7 +692,9 @@ class HttpModelClient:
         except http.client.HTTPException as exc:
             # IncompleteRead, BadStatusLine: a broken exchange, not an OSError
             raise OSError(f"model endpoint broke off the response: {exc!r}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        try:
+            body = json.loads(reply)
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
             raise OSError(f"model endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
             raise OSError("model endpoint response lacks a text field")
@@ -726,8 +728,7 @@ def cmd_complexity(
     missing_snapshot = 0
     for item in survivors:
         release = item.release
-        notes = release.release_notes or ""
-        if len(notes.strip()) < MIN_NOTE_CHARS:
+        if not eligible_for_rating(release):
             ineligible += 1
             continue
         snap = repos.nearest(release.owner, release.repo_name, release.release_date)
@@ -736,7 +737,7 @@ def cmd_complexity(
             continue
         key = _release_key(release)
         bundle = build_prompt(release, snap)
-        items.append((key, release, snap, bundle))
+        items.append((key, release, bundle))
         meta[key] = {"language": snap.language, "release_type": item.release_type.value, "bundle": bundle}
 
     if config.model_endpoint:
@@ -757,7 +758,7 @@ def cmd_complexity(
     merged = dict(existing_rows)
     for key, rating in ratings.items():
         info = meta[key]
-        record = rating_record(key, rating, info["bundle"], getattr(client, "model_id", config.model_id))
+        record = rating_record(key, rating, info["bundle"], client.model_id)
         merged[key] = {**record, "language": info["language"], "release_type": info["release_type"]}
     n = _write_artifact(out, "ratings.jsonl", provenance, (merged[k] for k in sorted(merged)))
     # totals, not per-run deltas, so a resumed run writes the same report

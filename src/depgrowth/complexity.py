@@ -431,15 +431,14 @@ class _TokenBucket:
 
 # The outcomes reported as a release's failure. Any other exception stops
 # the batch and reaches the caller.
-_FAILURES = (NotEligible, RequestRejected, ExhaustedRetries)
+_FAILURES = (RequestRejected, ExhaustedRetries)
 
 
 @dataclass(eq=False)
 class _Task:
     key: str
     release: PackageRelease
-    repo: RepoSnapshot
-    bundle: PromptBundle | None = None
+    bundle: PromptBundle
     attempts: int = 0
 
 
@@ -556,8 +555,6 @@ class _Batch:
                 try:
                     if wait > 0:
                         self._policy.sleeper(wait)
-                    if task.bundle is None:
-                        task.bundle = build_prompt(task.release, task.repo)
                     if self._bucket is not None:
                         self._bucket.acquire()
                     if self._stopped:
@@ -576,7 +573,7 @@ class _Batch:
 
 
 def rate_many(
-    items: Iterable[tuple],
+    items: Iterable[tuple[str, PackageRelease, PromptBundle]],
     client: ModelClient,
     policy: RetryPolicy | None = None,
     max_workers: int = 1,
@@ -586,18 +583,17 @@ def rate_many(
 ) -> tuple[dict[str, ComplexityRating], dict[str, str]]:
     """Rate a batch of releases with at most ``max_workers`` requests in flight.
 
-    ``items`` yields (key, release, repo) triples, or (key, release, repo,
-    bundle) with the prompt already built; keys already present in
-    ``skip_keys`` are not re-rated (resume support). ``min(max_workers,
-    releases)`` threads share one schedule. A release waiting out its
-    retry backoff holds no worker: see RetryPolicy. ``rate_per_sec``
-    throttles every request, retries included. ``on_result`` fires on the
-    calling thread as each rating completes, in completion order; callers
-    wanting stable order sort by key afterwards. Returns (ratings by key,
-    failure reason by key). Ineligible, rejected and exhausted releases are
-    reported as failures, not errors. Any other exception stops the batch:
-    no request starts after it, those in flight finish, and the first such
-    exception is raised.
+    ``items`` yields (key, release, bundle) triples, each bundle built by
+    :func:`build_prompt`; keys already present in ``skip_keys`` are not
+    re-rated (resume support). ``min(max_workers, releases)`` threads share
+    one schedule. A release waiting out its retry backoff holds no worker:
+    see RetryPolicy. ``rate_per_sec`` throttles every request, retries
+    included. ``on_result`` fires on the calling thread as each rating
+    completes, in completion order; callers wanting stable order sort by
+    key afterwards. Returns (ratings by key, failure reason by key).
+    Rejected and exhausted releases are reported as failures, not errors.
+    Any other exception stops the batch: no request starts after it, those
+    in flight finish, and the first such exception is raised.
     """
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
 from typing import Mapping
 
@@ -51,6 +52,11 @@ class PipelineConfig:
     human_ratings: str | None = None
 
     def validate(self) -> "PipelineConfig":
+        for name, hint in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not _has_type(value, hint):
+                what = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"{name} must be of type {what}, got {value!r}")
         if tuple(self.grid) not in SUPPORTED_GRIDS:
             raise ConfigError(
                 f"grid {self.grid} is not supported; choose one of {SUPPORTED_GRIDS}"
@@ -75,14 +81,27 @@ class PipelineConfig:
         return self
 
 
-_TUPLE_FIELDS = {"ecosystems", "grid"}
-_FIELD_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)}
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
+
+
+def _has_type(value: object, hint: object) -> bool:
+    """Whether ``value`` fits the field type ``hint``, item by item for a
+    tuple; an int fits a float, and a bool fits no int."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return type(value) is tuple and all(_has_type(item, args[0]) for item in value)
+    if args:
+        return any(_has_type(value, arg) for arg in args)
+    return type(value) is hint or (hint is float and type(value) is int)
+
+
+_TUPLE_FIELDS = {name for name, hint in _FIELD_TYPES.items() if typing.get_origin(hint) is tuple}
 
 
 def _coerce(values: Mapping[str, object]) -> dict:
     out: dict = {}
     for key, value in values.items():
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         if key in _TUPLE_FIELDS:
             if not isinstance(value, (list, tuple)):

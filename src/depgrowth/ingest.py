@@ -54,7 +54,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 # json.dumps(row, separators=(",", ":")), without an encoder built per call
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 # the start of a compact snapshot or edge line with its date first, as synth
-# writes them; see RecordReader.__iter__
+# writes them; see RecordReader.compiled
 _DATED_PREFIX = '{"snapshot_date":"'
 
 Source = Union[str, Path, IO[str], Iterable[str]]
@@ -311,11 +311,12 @@ class RecordReader:
     ``violations`` (with their 1-based line numbers) and iteration
     continues. A schema header naming the wrong schema aborts with
     :class:`SchemaHeaderError` since nothing after it can be trusted.
+    Iteration decodes every line.
 
-    Given the ``row_type`` that ``parse`` builds (a tuple whose first field
-    is the ``snapshot_date``) and the number of fields after the date that
-    name a row's subject (``key_fields``), the reader decodes each distinct
-    row body of a compact, date-first line once; see :meth:`compiled`.
+    A dated reader, one whose ``parse`` builds a tuple with the
+    ``snapshot_date`` first, is given the number of fields after the date
+    that name a row's subject (``key_fields``). Its :meth:`compiled`
+    decodes each distinct row body of a compact, date-first line once.
     """
 
     def __init__(
@@ -323,45 +324,74 @@ class RecordReader:
         source: Source,
         schema: str,
         parse: Callable[[dict], object],
-        row_type: type[tuple] | None = None,
         key_fields: int = 0,
     ) -> None:
         self._source = source
         self._schema = schema
         self._parse = parse
-        self._row_type = row_type
         self._key_fields = key_fields
         self.violations: list[SchemaViolation] = []
 
     def __iter__(self) -> Iterator[object]:
-        row_type = self._row_type
-        if row_type is None:
-            for _, row in self.compiled(_same, _same):
-                yield row
-            return
-        # a memoized body keeps the fields after its date, the subject's
-        # strings shared across bodies
-        key_fields = self._key_fields
-        strings: dict[str, str] = {}
+        with _lines(self._source) as lines:
+            for line_no, line in enumerate(lines, start=1):
+                row = self._row(line_no, line)
+                if row is not None:
+                    yield row
 
-        def fields(row: tuple) -> tuple:
-            key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
-            return key + row[1 + key_fields :]
+    def _row(self, line_no: int, line: str) -> object | None:
+        """The row parsed from one line; None for a blank line, the header
+        or a violation, which is recorded."""
+        # json.loads(line) rejects a leading BOM, runs raw_decode(line, idx)
+        # with idx past any leading whitespace, and rejects anything but
+        # whitespace after the value. When raw_decode at 0 consumes the whole
+        # line, the line has no BOM, no leading whitespace and nothing after
+        # the value, so json.loads returns the same object. Both raise a
+        # plain ValueError, not a JSONDecodeError, for an integer literal
+        # longer than the interpreter converts.
+        try:
+            obj, end = _raw_decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                return None
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                self.violations.append(SchemaViolation(line_no, f"invalid JSON: {message}"))
+                return None
+        if not isinstance(obj, dict):
+            self.violations.append(SchemaViolation(line_no, "record must be an object"))
+            return None
+        if line_no == 1 and "schema" in obj:
+            name = obj.get("schema")
+            version = obj.get("version")
+            where = f"{self._source}: " if isinstance(self._source, (str, Path)) else ""
+            if name != self._schema:
+                raise SchemaHeaderError(
+                    f"{where}expected schema {self._schema!r}, file declares {name!r}"
+                )
+            if version != SCHEMA_VERSION:
+                raise SchemaHeaderError(
+                    f"{where}unsupported {name} schema version {version!r}"
+                )
+            return None
+        try:
+            return self._parse(obj)
+        except ValueError as exc:
+            self.violations.append(SchemaViolation(line_no, str(exc)))
+            return None
 
-        rebuild = tuple.__new__
-        scan = self.compiled(fields, _same)
-        for day, tail in scan:
-            yield rebuild(row_type, (day, *tail))
-
-    def compiled(
-        self, compile: Callable[[tuple], object], day_of: Callable[[date], object] = date.toordinal
-    ) -> Iterator[tuple[object, object]]:
-        """Yield ``(day_of(row date), compile(row))`` for each row.
+    def compiled(self, compile: Callable[[tuple], object]) -> Iterator[tuple[int, object]]:
+        """Yield ``(ordinal of the row's date, compile(row))`` for each row
+        of a dated reader.
 
         A row whose body is memoized gets the value ``compile`` built from
         that body's first row, so a consumer that does its per-body work in
         ``compile`` (which must not return None) does it once per distinct
-        body. Readers without a ``row_type`` yield None for the day.
+        body.
         """
         # Body memo. A line that starts with _DATED_PREFIX and has '",' at
         # 28-29 splits into a date D = line[18:28] and a body B = line[30:].
@@ -381,7 +411,7 @@ class RecordReader:
         # only when it starts with _DATED_PREFIX and its D parses, and a rest
         # only when it starts with '",', so both lookups hit exactly when
         # the line passes all four tests above; a line shorter than 28 has a
-        # head no key equals. Any other line takes the full path below,
+        # head no key equals. Any other line takes the full path, _row,
         # which writes every violation.
         # The memo keeps the last body of each subject (the first key_fields
         # fields after the date: a repository, or a whole edge), so it never
@@ -390,11 +420,10 @@ class RecordReader:
         # for: once the later rows that missed the memo outnumber its hits
         # plus those first rows, bodies do not repeat here, and the memo is
         # dropped for the rest of the read.
-        row_type = self._row_type
         key_fields = self._key_fields
-        days: dict[str, object] = {}  # head -> day_of(date(D)), for each D that parsed
+        days: dict[str, int] = {}  # head -> ordinal of date(D), for each D that parsed
         # rest -> compile(its first row); None once the memo is dropped
-        bodies: dict[str, object] | None = None if row_type is None else {}
+        bodies: dict[str, object] | None = {}
         subjects: dict[tuple, str] = {}  # a row's key fields -> its rest
         strings: dict[str, str] = {}  # one copy of each key field string
         first_day = None
@@ -405,7 +434,7 @@ class RecordReader:
                     day = days.get(line[:28])
                     if day is None and line.startswith(_DATED_PREFIX):
                         try:
-                            day = days[line[:28]] = day_of(_iso_date(line[18:28]))
+                            day = days[line[:28]] = _iso_date(line[18:28]).toordinal()
                         except ValueError:
                             pass  # the full path reports the date
                     if day is not None:
@@ -414,49 +443,11 @@ class RecordReader:
                             hits += 1
                             yield day, value
                             continue
-                # json.loads(line) rejects a leading BOM, runs raw_decode(line,
-                # idx) with idx past any leading whitespace, and rejects anything
-                # but whitespace after the value. When raw_decode at 0 consumes
-                # the whole line, the line has no BOM, no leading whitespace and
-                # nothing after the value, so json.loads returns the same object.
-                # Both raise a plain ValueError, not a JSONDecodeError, for an
-                # integer literal longer than the interpreter converts.
-                try:
-                    obj, end = _raw_decode(line)
-                except ValueError:
-                    end = -1
-                if end != len(line):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except ValueError as exc:
-                        message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                        self.violations.append(SchemaViolation(line_no, f"invalid JSON: {message}"))
-                        continue
-                if not isinstance(obj, dict):
-                    self.violations.append(SchemaViolation(line_no, "record must be an object"))
-                    continue
-                if line_no == 1 and "schema" in obj:
-                    name = obj.get("schema")
-                    version = obj.get("version")
-                    where = f"{self._source}: " if isinstance(self._source, (str, Path)) else ""
-                    if name != self._schema:
-                        raise SchemaHeaderError(
-                            f"{where}expected schema {self._schema!r}, file declares {name!r}"
-                        )
-                    if version != SCHEMA_VERSION:
-                        raise SchemaHeaderError(
-                            f"{where}unsupported {name} schema version {version!r}"
-                        )
-                    continue
-                try:
-                    row = self._parse(obj)
-                except ValueError as exc:
-                    self.violations.append(SchemaViolation(line_no, str(exc)))
+                row = self._row(line_no, line)
+                if row is None:
                     continue
                 value = compile(row)
-                yield (None if row_type is None else day_of(row[0])), value
+                yield row[0].toordinal(), value
                 if bodies is None or line[28:30] != '",' or not line.startswith(_DATED_PREFIX):
                     continue
                 raw_day = line[18:28]
@@ -495,10 +486,6 @@ class RecordReader:
                 bodies[rest] = value
 
 
-def _same(value: object) -> object:
-    return value
-
-
 def _compiled(
     rows: Iterable[tuple], compile: Callable[[tuple], object]
 ) -> Iterator[tuple[int, object]]:
@@ -517,7 +504,7 @@ def _compiled(
 
 def read_repo_snapshots(source: Source) -> RecordReader:
     """Reader for repository snapshot records (schema ``repo-snapshots``)."""
-    return RecordReader(source, "repo-snapshots", _repo_snapshot, RepoSnapshot, 2)
+    return RecordReader(source, "repo-snapshots", _repo_snapshot, 2)
 
 
 def read_releases(source: Source) -> RecordReader:
@@ -527,7 +514,7 @@ def read_releases(source: Source) -> RecordReader:
 
 def read_dependent_edges(source: Source) -> RecordReader:
     """Reader for dependent edge records (schema ``dependent-edges``)."""
-    return RecordReader(source, "dependent-edges", _dependent_edge, DependentEdge, 4)
+    return RecordReader(source, "dependent-edges", _dependent_edge, 4)
 
 
 def write_records(handle: IO[str], schema: str, rows: Iterable[Mapping], provenance: dict | None = None) -> int:
@@ -602,22 +589,27 @@ class RepoIndex:
     and a state holds its id. A stars or forks value past 2^31 - 1 is held
     once in a side table of wide counts, and its column holds ``~i``
     (negative, where counts are not) for its position ``i`` there.
+
+    Every row is added before the first lookup, which closes the index:
+    adding a row after it raises RuntimeError. A repository's rows are
+    sorted on its first lookup.
     """
 
     def __init__(self) -> None:
         # key -> row columns then state columns; rows appended in arrival
-        # order, then sorted and frozen on the first lookup
+        # order, then sorted and frozen on the key's first lookup
         self._rows: dict[tuple[str, str], tuple] = {}
         self._frozen: dict[tuple[str, str], tuple] = {}
+        self._closed = False  # set by the first lookup
         # metadata tuples and wide counts by id, and each one's id
         self._metas: list[tuple] = []
         self._meta_ids: dict[tuple, int] = {}
         self._wide: list[int] = []
         self._wide_ids: dict[int, int] = {}
-        # count_quality's memos, indexed by dependent id and emptied whenever
-        # a repository's timeline opens or thaws, or the ids index other
-        # names: each dependent's frozen timeline (None when absent), and per
-        # target ordinal each dependent's verdict (see _PASS), one byte each
+        # count_quality's memos, indexed by dependent id and emptied when the
+        # ids index other names: each dependent's frozen timeline (None when
+        # absent), and per target ordinal each dependent's verdict (see
+        # _PASS), one byte each
         self._dep_names: Sequence[str] = ()
         self._dep_timelines: list = []
         self._verdicts: dict[int, bytearray] = {}
@@ -633,6 +625,8 @@ class RepoIndex:
 
     def extend(self, snapshots: Iterable[RepoSnapshot]) -> None:
         """Add rows; a snapshot reader hands over each distinct body once."""
+        if self._closed:
+            raise RuntimeError("RepoIndex takes no rows after its first lookup")
         for ordinal, (ordinals, states, state) in _compiled(snapshots, self._compile):
             ordinals.append(ordinal)
             states.append(state)
@@ -640,7 +634,10 @@ class RepoIndex:
     def _compile(self, snap: RepoSnapshot) -> tuple:
         """The row's timeline columns and its state id, its state appended
         unless it equals the repository's last one."""
-        store = self._store((snap.owner, snap.name))
+        key = (snap.owner, snap.name)
+        store = self._rows.get(key)
+        if store is None:
+            store = self._rows[key] = (*map(array, _ROW_COLUMNS), *map(array, _STATE_COLUMNS))
         ordinals, states, stars, forks, fork_flags, metas = store
         meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
         state = (self._narrow(snap.stars), self._narrow(snap.forks), int(snap.is_fork), meta)
@@ -657,18 +654,8 @@ class RepoIndex:
     def _widen(self, stored: int) -> int:
         return stored if stored >= 0 else self._wide[~stored]
 
-    def _store(self, key: tuple[str, str]) -> tuple:
-        store = self._rows.get(key)
-        if store is None:
-            # a frozen timeline thaws so late additions land in it: its rows
-            # are copied, and its states, only ever appended to, are shared
-            frozen = self._frozen.pop(key, None) or ((), (), *map(array, _STATE_COLUMNS))
-            store = self._rows[key] = (*map(array, _ROW_COLUMNS, frozen[:2]), *frozen[2:])
-            self._dep_timelines.clear()
-            self._verdicts.clear()
-        return store
-
     def _timeline(self, key: tuple[str, str]) -> tuple | None:
+        self._closed = True
         frozen = self._frozen.get(key)
         if frozen is not None:
             return frozen
@@ -678,7 +665,6 @@ class RepoIndex:
         ordinals, states = store[:2]
         if all(map(lt, ordinals, ordinals[1:])):
             # strictly increasing: already sorted with no same-day duplicates
-            # (_store thaws by copying, so these rows are never appended to)
             frozen = store
         else:
             # each day's last row (a later same-day row wins), in date order
@@ -721,22 +707,18 @@ class RepoIndex:
         """How many dependents in ``deps`` pass :meth:`quality_ok` on ordinal ``target``.
 
         ``deps`` are ids into ``names``, whose entries are ``owner/name``
-        keys; ids already seen must keep their names. Each dependent's
-        timeline is resolved once, and each verdict is computed once per
-        target date.
+        keys; ``names`` does not change once counted against. Each
+        dependent's timeline is resolved once, and each verdict is computed
+        once per target date.
         """
         if names is not self._dep_names:
             self._dep_names = names
-            self._dep_timelines.clear()
+            self._dep_timelines = [_UNRESOLVED] * len(names)
             self._verdicts.clear()
         timelines = self._dep_timelines
-        if len(timelines) < len(names):
-            timelines.extend([_UNRESOLVED] * (len(names) - len(timelines)))
         verdicts = self._verdicts.get(target)
         if verdicts is None:
             verdicts = self._verdicts[target] = bytearray(len(names))
-        elif len(verdicts) < len(names):
-            verdicts.extend(bytes(len(names) - len(verdicts)))
         count = 0
         for dep in deps:
             verdict = verdicts[dep]
@@ -769,15 +751,16 @@ class StreamingDependentCounter:
     """Single-pass distinct-dependent counting for requested package-dates.
 
     Register every (ecosystem, package, date) cell of interest up front, then
-    feed the edge stream once. A row serves a requested date when it lies at
-    most 7 days before it, so each feed first builds, per requested package,
-    the set of its candidate dates: each requested date minus 0 to 7 days.
-    A row on a candidate date costs 4 B, its dependent's id appended to a
-    bucket, until that bucket is first counted and deduplicated; any other
-    row is dropped. Each dependent of a requested package's edge has its
-    ``owner/repo`` key held once. Working memory is proportional to the
-    requested cells plus the rows kept for them and their dependents, never
-    to the total edge row count.
+    feed the edge stream once, then count. A request after the feed, a
+    second feed or a count before it raises RuntimeError. A row serves a
+    requested date when it lies at most 7 days before it, so the feed first
+    builds, per requested package, the set of its candidate dates: each
+    requested date minus 0 to 7 days. A row on a candidate date costs 4 B,
+    its dependent's id appended to a bucket, until that bucket is first
+    counted and deduplicated; any other row is dropped. Each dependent of a
+    requested package's edge has its ``owner/repo`` key held once. Working
+    memory is proportional to the requested cells plus the rows kept for
+    them and their dependents, never to the total edge row count.
     """
 
     def __init__(self) -> None:
@@ -786,22 +769,21 @@ class StreamingDependentCounter:
         # (eco, pkg) -> candidate ordinal -> dependent ids, one per kept row
         # until counted, then distinct (see _DISTINCT)
         self._buckets: dict[tuple[str, str], dict[int, array]] = {}
-        self._coverage: set[int] = set()
-        self._sorted_coverage: list[int] | None = None
+        # every row's ordinal date, sorted; None until the feed
+        self._coverage: list[int] | None = None
         # each dependent's "owner/repo" key -> its id, and the keys by id
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
 
     def request(self, package_name: str, ecosystem: str, when: date) -> None:
+        if self._coverage is not None:
+            raise RuntimeError("StreamingDependentCounter takes no requests after its feed")
         self._requests.setdefault((ecosystem, package_name), set()).add(when.toordinal())
 
     def feed(self, edges: Iterable[DependentEdge]) -> None:
+        if self._coverage is not None:
+            raise RuntimeError("StreamingDependentCounter is fed once")
         buckets = self._buckets
-        # a counted bucket that rows may join is counted afresh
-        for cells in buckets.values():
-            for ordinal, cell in cells.items():
-                if cell.typecode == _DISTINCT:
-                    cells[ordinal] = array("i", cell)
         # each requested package's candidate dates, with one int object per date
         days: dict[int, int] = {}
         candidates = {
@@ -823,8 +805,7 @@ class StreamingDependentCounter:
             dep = _intern(ids, names, f"{edge.dependent_owner}/{edge.dependent_repo}")
             return dates, buckets.setdefault(key, {}), dep
 
-        coverage = self._coverage
-        self._sorted_coverage = None
+        coverage = set()
         for ordinal, (dates, cells, dep) in _compiled(edges, compile):
             coverage.add(ordinal)
             if dates is None:
@@ -836,6 +817,7 @@ class StreamingDependentCounter:
                     continue
                 cell = cells[ordinal] = array("i")
             cell.append(dep)
+        self._coverage = sorted(coverage)
 
     def count(
         self, package_name: str, ecosystem: str, when: date, repos: RepoIndex
@@ -844,20 +826,20 @@ class StreamingDependentCounter:
 
         Raises:
             KeyError: the cell was never requested.
+            RuntimeError: the counter has not been fed.
             DateOutOfRange: no edge coverage within the join window.
         """
         target = when.toordinal()
         key = (ecosystem, package_name)
         if target not in self._requests.get(key, ()):
             raise KeyError(f"cell ({ecosystem}, {package_name}, {when}) was not requested")
-        if self._sorted_coverage is None:
-            self._sorted_coverage = sorted(self._coverage)
-        effective = _resolve_coverage(self._sorted_coverage, target)
+        if self._coverage is None:
+            raise RuntimeError("StreamingDependentCounter counts only after its feed")
+        effective = _resolve_coverage(self._coverage, target)
         if effective is None:
             raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
         # effective lies at most 7 days before the requested target, so it is
-        # one of the package's candidate dates, whose rows every feed since
-        # the request kept
+        # one of the package's candidate dates, whose rows the feed kept
         cells = self._buckets.get(key, {})
         cell = cells.get(effective)
         if cell is None:

@@ -957,7 +957,7 @@ class TestHttpModelClient:
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         sleeps = []
         policy = RetryPolicy(max_attempts=3, backoff=0.5, sleeper=sleeps.append)
-        ratings, failures = rate_many([("one", release, repo)], self._client(), policy)
+        ratings, failures = rate_many([("one", release, build_prompt(release, repo))], self._client(), policy)
         return ratings["one"] if ratings else failures["one"], len(requests), sleeps
 
     @pytest.mark.parametrize("status", [400, 401, 404, 422])
@@ -975,7 +975,11 @@ class TestHttpModelClient:
         assert requests == 2
         assert sleeps == [0.5]
 
-    @pytest.mark.parametrize("body", [b"[]", b'{"no_text": 1}', b'{"text": 5}', b"{bad"])
+    @pytest.mark.parametrize(
+        "body",
+        # the last holds an integer literal longer than the interpreter converts
+        [b"[]", b'{"no_text": 1}', b'{"text": 5}', b"{bad", b"\xff", b'{"text": ' + b"7" * 5000 + b"}"],
+    )
     def test_malformed_envelope_raises_oserror(self, monkeypatch, body):
         monkeypatch.setattr(
             urllib.request, "urlopen", lambda request, timeout=None: _FakeResponse(body)

@@ -352,7 +352,7 @@ def test_render_rejects_unknown_closer():
 
 def _rate_one(release, repo, client, policy=None):
     """One release through rate_many: its rating, or its failure message."""
-    ratings, failures = rate_many([("one", release, repo)], client, policy)
+    ratings, failures = rate_many([("one", release, build_prompt(release, repo))], client, policy)
     return ratings["one"] if ratings else failures["one"]
 
 
@@ -407,13 +407,6 @@ def test_rate_one_exhausts_retries():
     assert sleeps == [0.25]
 
 
-def test_rate_one_checks_eligibility_before_calling():
-    client = ScriptedClient([_response()])
-    got = _rate_one(_release("tiny"), _repo(), client)
-    assert got.startswith(f"{NotEligible.__name__}: ")
-    assert client.calls == 0
-
-
 def test_retry_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
@@ -464,7 +457,7 @@ def _batch(n):
     items = []
     for i in range(n):
         rel = _release(GOLDEN_NOTES + f"\nrelease {i}", package=f"pkg-{i}")
-        items.append((f"npm:pkg-{i}", rel, _repo()))
+        items.append((f"npm:pkg-{i}", rel, build_prompt(rel, _repo())))
     return items
 
 
@@ -490,13 +483,6 @@ def test_rate_many_skips_already_rated_keys():
     assert len(calls) == 2
     assert failures == {}
 
-
-def test_rate_many_reports_ineligible_as_failure():
-    items = _batch(2) + [("npm:short", _release("tiny", package="short"), _repo())]
-    ratings, failures = rate_many(items, MockModelClient())
-    assert sorted(ratings) == ["npm:pkg-0", "npm:pkg-1"]
-    assert list(failures) == ["npm:short"]
-    assert failures["npm:short"].startswith("NotEligible")
 
 
 def test_rate_many_reports_exhausted_retries_as_failure():
@@ -671,7 +657,7 @@ def test_rate_many_outcomes_do_not_depend_on_the_worker_count():
         6: [RequestRejected("model endpoint refused the request: HTTP 404")],
         9: [ConnectionError("reset"), "bad"],
     }
-    items = _batch(12) + [("npm:short", _release("tiny", package="short"), _repo())]
+    items = _batch(12)
     policy = RetryPolicy(sleeper=lambda s: None)
     serial = rate_many(items, PlannedClient(plan), policy, max_workers=1)
     parallel = rate_many(items, PlannedClient(plan, delay=0.001), policy, max_workers=4)
@@ -679,7 +665,6 @@ def test_rate_many_outcomes_do_not_depend_on_the_worker_count():
     assert serial[1] == {
         "npm:pkg-4": "ExhaustedRetries: 3 attempt(s) failed for npm:pkg-4 2.1.0",
         "npm:pkg-6": "RequestRejected: model endpoint refused the request: HTTP 404",
-        "npm:short": f"NotEligible: npm:short 2.1.0: notes shorter than {MIN_NOTE_CHARS} characters",
     }
 
 

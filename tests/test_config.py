@@ -91,6 +91,53 @@ class TestLoadConfig:
             load_config(path)
 
 
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("releases", 5),
+            ("out_dir", None),
+            ("ecosystems", ["npm", 5]),
+            ("min_dependents", "5"),
+            ("min_dependents", True),
+            ("min_dependents", 5.0),
+            ("grid", [365.0, 90]),
+            ("grid", ["365", "90"]),
+            ("alpha", "0.1"),
+            ("alpha", True),
+            ("zero_split", 1),
+            ("fold_zero", "false"),
+            ("fold_zero", 0),
+            ("workers", 2.5),
+            ("model_id", None),
+            ("model_endpoint", 5),
+            ("rate_per_sec", "2"),
+            ("human_ratings", ["h.jsonl"]),
+        ],
+    )
+    def test_a_value_of_another_type_is_a_config_error(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", 0.1), ("rate_per_sec", 2), ("rate_per_sec", None), ("model_endpoint", None)],
+    )
+    def test_a_number_or_null_where_one_is_allowed_passes(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert getattr(load_config(path), key) == value
+
+    def test_the_cli_exits_2_naming_the_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"min_dependents": "5"}), encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "min_dependents" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestResolveConfig:
     def test_defaults_when_nothing_given(self):
         assert resolve_config(None, {}) == PipelineConfig()

@@ -300,6 +300,18 @@ def _read(reader):
     return rows, [(v.line_no, v.message) for v in reader.violations]
 
 
+def _same(row):
+    return row
+
+
+def _read_compiled(reader):
+    """``_read`` through a dated reader's memoized ``compiled``: each value
+    is the row its body first compiled to, rebuilt with the date it came
+    with."""
+    rows = [row._replace(snapshot_date=date.fromordinal(day)) for day, row in reader.compiled(_same)]
+    return rows, [(v.line_no, v.message) for v in reader.violations]
+
+
 class TestLeanValidation:
     @settings(max_examples=300, deadline=None)
     @given(_mutated_lines(snap_line, _SNAPSHOT_MUTATIONS))
@@ -439,23 +451,23 @@ class TestIsoDates:
     def test_a_known_body_on_such_a_date_is_a_violation(self, read, line_fn, field, day):
         body = _body(line_fn(), [])
         lines = [_dated("2023-01-01", body), _dated(day, body), _dated("2023-01-03", body)]
-        rows, violations = _read(read(lines))
-        assert [row.snapshot_date for row in rows] == [D("2023-01-01"), D("2023-01-03")]
-        assert violations == [(2, f"{field} is not a valid ISO date: {day!r}")]
+        for rows, violations in (_read(read(lines)), _read_compiled(read(lines))):
+            assert [row.snapshot_date for row in rows] == [D("2023-01-01"), D("2023-01-03")]
+            assert violations == [(2, f"{field} is not a valid ISO date: {day!r}")]
 
 
 class TestBodyMemo:
     @settings(max_examples=300, deadline=None)
     @given(_dated_lines(snap_line, _SNAPSHOT_MUTATIONS))
     def test_snapshot_rows_match_the_memo_free_reader(self, lines):
-        assert _read(read_repo_snapshots(lines)) == _read(
+        assert _read_compiled(read_repo_snapshots(lines)) == _read(
             RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
         )
 
     @settings(max_examples=300, deadline=None)
     @given(_dated_lines(edge_line, _EDGE_MUTATIONS))
     def test_edge_rows_match_the_memo_free_reader(self, lines):
-        assert _read(read_dependent_edges(lines)) == _read(
+        assert _read_compiled(read_dependent_edges(lines)) == _read(
             RecordReader(lines, "dependent-edges", _edge_by_helpers)
         )
 
@@ -503,7 +515,7 @@ class TestBodyMemo:
         # repeats of another repository's row first, so the memo is still
         # in use when the adversarial lines arrive
         lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
-        assert _read(read_repo_snapshots(lines)) == _read(
+        assert _read_compiled(read_repo_snapshots(lines)) == _read(
             RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
         )
 
@@ -531,7 +543,7 @@ class TestBodyMemo:
     )
     def test_lines_near_the_slice_keys_match_the_memo_free_reader(self, lines):
         lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
-        assert _read(read_repo_snapshots(lines)) == _read(
+        assert _read_compiled(read_repo_snapshots(lines)) == _read(
             RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
         )
 
@@ -545,13 +557,13 @@ class TestBodyMemo:
     )
     def test_spliced_heads_and_rests_match_the_memo_free_reader(self, parts):
         lines = [head + separator + rest for head, separator, rest in parts]
-        assert _read(read_repo_snapshots(lines)) == _read(
+        assert _read_compiled(read_repo_snapshots(lines)) == _read(
             RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
         )
 
     def test_a_header_on_line_1_is_skipped_and_the_same_text_later_is_a_row(self):
         lines = [_dated("2023-03-01", '"schema":"repo-snapshots","version":1,' + _BODY)] * 2
-        assert _read(read_repo_snapshots(lines)) == _read(
+        assert _read_compiled(read_repo_snapshots(lines)) == _read(
             RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
         )
 
@@ -559,7 +571,7 @@ class TestBodyMemo:
         decoded = _count_decodes(monkeypatch)
         days = ("2023-03-01", "2023-03-02", "2023-03-02", "2023-03-01")
         lines = [_dated(day, _BODY) for day in days]
-        rows = list(read_repo_snapshots(lines))
+        rows, _ = _read_compiled(read_repo_snapshots(lines))
         assert rows == [make_snap("acme", "libfoo", day, stars=10, forks=2) for day in days]
         assert decoded == [lines[0]]
 
@@ -582,7 +594,7 @@ class TestBodyMemo:
         assert max(sizes) == 3 and None not in sizes
         # a body that was replaced is decoded again when it comes back
         decoded = _count_decodes(monkeypatch)
-        list(read_repo_snapshots(lines[:3] + lines[9:12] + lines[:3]))
+        _read_compiled(read_repo_snapshots(lines[:3] + lines[9:12] + lines[:3]))
         assert decoded.count(lines[0]) == 2
 
     def test_the_edge_memo_keeps_one_body_per_edge(self):
@@ -598,14 +610,11 @@ class TestBodyMemo:
         assert rows == list(RecordReader(lines, "dependent-edges", _edge_by_helpers))
         assert max(sizes) == 4 and None not in sizes
 
-    def test_memoized_edges_share_their_strings(self):
+    def test_a_memoized_edge_is_the_value_its_body_first_compiled_to(self):
         bodies = [_body(edge_line(), []), _body(edge_line(), [("package_name", "libbar")])]
         lines = [_dated("2023-03-01", body) for body in bodies * 2]
-        first, second, third, fourth = read_dependent_edges(lines)
-        assert (third, fourth) == (first, second)
-        # the last two rows come from the memo
-        assert third.dependent_owner is fourth.dependent_owner
-        assert third.ecosystem is fourth.ecosystem
+        first, second, third, fourth = (row for _, row in read_dependent_edges(lines).compiled(_same))
+        assert third is first and fourth is second
 
     @pytest.mark.parametrize("order", ["date-major", "repository-major"])
     def test_the_memo_is_dropped_when_bodies_do_not_repeat(self, order, monkeypatch):
@@ -667,17 +676,16 @@ def _count_decodes(monkeypatch):
 
 
 def _read_with_memo_sizes(reader):
-    """The rows, and after each one the number of bodies in the reader's memo.
+    """The rows as ``_read_compiled`` rebuilds them, and after each one the
+    number of bodies in the reader's memo.
 
     The size is None once the reader has dropped its memo.
     """
     rows, sizes = [], []
-    it = iter(reader)
-    for row in it:
-        rows.append(row)
-        # the memo is a local of the reader's compiled() loop, which
-        # __iter__ runs as ``scan``
-        bodies = it.gi_frame.f_locals["scan"].gi_frame.f_locals["bodies"]
+    scan = reader.compiled(_same)
+    for day, row in scan:
+        rows.append(row._replace(snapshot_date=date.fromordinal(day)))
+        bodies = scan.gi_frame.f_locals["bodies"]  # a local of the scan
         sizes.append(None if bodies is None else len(bodies))
     return rows, sizes
 
@@ -800,35 +808,48 @@ class TestRepoIndex:
         ]
         _assert_lookups_match_a_scan(RepoIndex.build(snaps), snaps, start)
 
-    def test_rows_added_after_a_lookup_join_the_timeline(self):
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda index, when: index.nearest("a", "r", when),
+            lambda index, when: index.quality_ok("a", "r", when),
+            lambda index, when: index.nearest("absent", "r", when),
+            lambda index, when: index.quality_ok("absent", "r", when),
+            lambda index, when: index.count_quality([0, 1], ["a/r", "absent/r"], when.toordinal()),
+        ],
+        ids=["nearest", "quality_ok", "nearest-absent", "quality_ok-absent", "count_quality"],
+    )
+    def test_no_row_is_taken_after_a_lookup(self, lookup):
         start = D("2023-03-01")
-        snaps = [
-            make_snap("a", "r", start + timedelta(days=d), stars=d % 3) for d in range(0, 21, 2)
-        ]
-        index = RepoIndex.build(snaps)
-        _assert_lookups_match_a_scan(index, snaps, start)  # freezes the in-order timeline
-        for offset, stars in ((5, 9), (4, 0), (30, 4), (4, 7)):
-            snap = make_snap("a", "r", start + timedelta(days=offset), stars=stars)
-            index.add(snap)
-            snaps.append(snap)
-            _assert_lookups_match_a_scan(index, snaps, start)
+        index = RepoIndex.build([make_snap("a", "r", start)])
+        index.add(make_snap("b", "r", start))  # before any lookup
+        lookup(index, start)
+        for snap in (make_snap("a", "r", start, stars=0), make_snap("absent", "r", start)):
+            with pytest.raises(RuntimeError, match="after its first lookup"):
+                index.add(snap)
+            with pytest.raises(RuntimeError, match="after its first lookup"):
+                index.extend([snap])
+        # the refused rows left every answer as it was
+        assert index.quality_ok("a", "r", start) and index.nearest("a", "r", start).stars == 5
+        assert index.nearest("absent", "r", start) is None
+        assert index.count_quality([0, 1], ["a/r", "absent/r"], start.toordinal()) == 1
 
-    def test_counts_past_the_narrow_columns_round_trip(self):
+    @pytest.mark.parametrize("order", ["in-order", "out-of-order"])
+    def test_counts_past_the_narrow_columns_round_trip(self, order):
         start = D("2023-03-01")
         wide = [0, 1, 2**31 - 1, 2**31, 2**32 + 5, ingest.MAX_COUNT, 7, 2**31]
         snaps = [
             make_snap("a", "r", start + timedelta(days=2 * i), stars=stars, forks=forks)
             for i, (stars, forks) in enumerate(zip(wide, reversed(wide)))
         ]
-        index = RepoIndex.build(snaps)
-        _assert_lookups_match_a_scan(index, snaps, start)  # freezes the in-order timeline
-        # late rows thaw it and arrive out of order, one replacing a same-day row
-        late = ((5, 2**40, 0), (0, 2**31, 2**31 - 1), (6, 0, ingest.MAX_COUNT))
-        for offset, stars, forks in late:
-            snap = make_snap("a", "r", start + timedelta(days=offset), stars=stars, forks=forks)
-            index.add(snap)
-            snaps.append(snap)
-        _assert_lookups_match_a_scan(index, snaps, start)  # the sort path
+        if order == "out-of-order":
+            # late rows, one replacing a same-day row: the sort path
+            late = ((5, 2**40, 0), (0, 2**31, 2**31 - 1), (6, 0, ingest.MAX_COUNT))
+            snaps += [
+                make_snap("a", "r", start + timedelta(days=offset), stars=stars, forks=forks)
+                for offset, stars, forks in late
+            ]
+        _assert_lookups_match_a_scan(RepoIndex.build(snaps), snaps, start)
 
     def test_a_row_shares_only_its_repositorys_last_state(self):
         start = D("2023-03-01")
@@ -839,14 +860,11 @@ class TestRepoIndex:
             make_snap("a", "r", start + timedelta(days=1), stars=4, is_fork=True),
             # the first state again, after another one: a state of its own
             make_snap("a", "r", start + timedelta(days=2), stars=3),
+            # equal to the last state: shares it
+            make_snap("a", "r", start + timedelta(days=9), stars=3),
         ]
         index = RepoIndex.build(snaps)
         _assert_lookups_match_a_scan(index, snaps, start)  # freezes by the sort path
-        # a row equal to the last state after a freeze and thaw shares it
-        snap = make_snap("a", "r", start + timedelta(days=9), stars=3)
-        index.add(snap)
-        snaps.append(snap)
-        _assert_lookups_match_a_scan(index, snaps, start)
         ordinals, states, stars, _forks, fork_flags, _metas = index._frozen[("a", "r")]
         assert list(states) == [0, 1, 2, 2]
         assert (list(stars), list(fork_flags)) == ([3, 4, 3], [0, 1, 0])
@@ -953,14 +971,11 @@ class TestCountDependents:
         base_day = D("2023-03-01")
         deps = [f"u{i}/r{i}" for i in range(12)]
         repos = quality_repo_index(deps)
-        counter = StreamingDependentCounter()
-        counter.request("lib", "npm", base_day)
-        previous = 0
-        for _ in range(60):
-            counter.feed([make_edge("lib", rng.choice(deps), base_day)])
-            current = counter.count("lib", "npm", base_day, repos)
-            assert current >= previous
-            previous = current
+        edges = [make_edge("lib", rng.choice(deps), base_day) for _ in range(60)]
+        # growing prefixes of one edge stream, each fed to a fresh counter
+        counts = [count_one("lib", "npm", base_day, edges[:n], repos) for n in range(1, len(edges) + 1)]
+        assert counts == sorted(counts)
+        assert counts[-1] == len({(e.dependent_owner, e.dependent_repo) for e in edges})
 
     def test_re_crawled_rows_count_once(self):
         days = ["2023-03-01", "2023-03-02"]
@@ -1059,52 +1074,29 @@ class TestStreamingCounter:
         with pytest.raises(KeyError):
             counter.count("lib", "npm", D("2023-03-01"), RepoIndex())
 
-    def test_two_feeds_accumulate(self):
+    def test_a_request_after_the_feed_raises(self):
         counter = StreamingDependentCounter()
-        when = D("2023-03-01")
-        counter.request("lib", "npm", when)
-        repos = quality_repo_index(["u1/a", "u2/b", "u3/c"])
+        counter.request("lib", "npm", D("2023-03-01"))
         counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
-        assert counter.count("lib", "npm", when, repos) == 1
-        # dependents fed again after a count, one of them already counted
-        again = ("u2/b", "u1/a", "u3/c", "u2/b")
-        counter.feed([make_edge("lib", dep, "2023-03-01") for dep in again])
-        assert counter.count("lib", "npm", when, repos) == 3
+        with pytest.raises(RuntimeError, match="no requests after its feed"):
+            counter.request("lib", "npm", D("2023-03-02"))
+        with pytest.raises(KeyError):
+            counter.count("lib", "npm", D("2023-03-02"), quality_repo_index(["u1/a"]))
 
-    def test_requests_between_feeds_count_as_requests_made_up_front(self):
-        # every row of the first feed lies on a candidate date of the first
-        # requests; the later requests add dates, and a package, for the
-        # second feed's rows
-        start = D("2023-03-01")
-        deps = [f"u{i}/r{i}" for i in range(6)]
-        first = [make_edge("lib", dep, start + timedelta(days=d)) for d in (0, 3, 6) for dep in deps[:4]]
-        second = [
-            make_edge(pkg, dep, start + timedelta(days=d))
-            for d in range(2, 40, 3)
-            for pkg in ("lib", "app")
-            for dep in deps[d % 3 :]
-        ]
-        early = [("lib", start + timedelta(days=7))]
-        late = [(pkg, start + timedelta(days=d)) for pkg in ("lib", "app") for d in (9, 14, 21, 30, 39)]
-        split, together = StreamingDependentCounter(), StreamingDependentCounter()
-        for pkg, when in early:
-            split.request(pkg, "npm", when)
-        split.feed(first)
-        for pkg, when in late:
-            split.request(pkg, "npm", when)
-        split.feed(second)
-        for pkg, when in early + late:
-            together.request(pkg, "npm", when)
-        together.feed(first + second)
-        repos = quality_repo_index(deps[1:], days=[start + timedelta(days=d) for d in range(0, 40, 5)])
-        counts = [split.count(pkg, "npm", when, repos) for pkg, when in early + late]
-        assert counts == [together.count(pkg, "npm", when, repos) for pkg, when in early + late]
-        assert min(counts) > 0
+    def test_a_second_feed_raises(self):
+        counter = StreamingDependentCounter()
+        counter.request("lib", "npm", D("2023-03-01"))
+        counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
+        with pytest.raises(RuntimeError, match="fed once"):
+            counter.feed([make_edge("lib", "u2/b", "2023-03-01")])
+        # the refused rows were not counted
+        assert counter.count("lib", "npm", D("2023-03-01"), quality_repo_index(["u1/a", "u2/b"])) == 1
 
-
-def _brute_quality(snaps, owner, name, when):
-    best = _brute_nearest([s for s in snaps if (s.owner, s.name) == (owner, name)], when)
-    return best is not None and not best.is_fork and best.stars >= 1
+    def test_a_count_before_the_feed_raises(self):
+        counter = StreamingDependentCounter()
+        counter.request("lib", "npm", D("2023-03-01"))
+        with pytest.raises(RuntimeError, match="only after its feed"):
+            counter.count("lib", "npm", D("2023-03-01"), RepoIndex())
 
 
 @st.composite
@@ -1215,48 +1207,6 @@ class TestFusedIngest:
         assert pairs == [(D(day).toordinal(), owner) for day in days for owner in ("acme", "other")]
         assert [row.owner for row in compiled] == ["acme", "other"]
         assert decoded == lines[:2]
-
-    def test_memoized_counts_follow_rows_added_after_a_count(self):
-        start = D("2023-03-01")
-        deps = [(f"u{i}", f"r{i}") for i in range(6)]
-        edges = [
-            make_edge("lib", f"{owner}/{repo}", start + timedelta(days=d))
-            for owner, repo in deps
-            for d in range(0, 12, 3)
-        ]
-        # the last two dependents have no snapshot yet
-        snaps = [
-            make_snap(owner, repo, start + timedelta(days=d), stars=(i + d) % 3)
-            for i, (owner, repo) in enumerate(deps[:4])
-            for d in range(0, 12, 2)
-        ]
-        repos = RepoIndex.build(snaps)
-        counter = StreamingDependentCounter()
-        days = [start + timedelta(days=d) for d in range(14)]
-        for when in days:
-            counter.request("lib", "npm", when)
-        counter.feed(edges)
-
-        def assert_counts_match_a_scan():
-            for when in days:
-                effective = max(e.snapshot_date for e in edges if e.snapshot_date <= when)
-                bucket = {(e.dependent_owner, e.dependent_repo) for e in edges if e.snapshot_date == effective}
-                want = sum(_brute_quality(snaps, owner, repo, when) for owner, repo in bucket)
-                assert counter.count("lib", "npm", when, repos) == want
-
-        assert_counts_match_a_scan()  # freezes and memoizes every timeline
-        for i, d, stars, is_fork in (
-            (0, 5, 0, False),  # a frozen timeline thaws
-            (4, 3, 2, False),  # a dependent that had no timeline gets one
-            (1, 4, 7, True),  # a same-day duplicate replaces a row
-            (1, 4, 7, False),
-            (5, 13, 1, False),
-        ):
-            owner, repo = deps[i]
-            snap = make_snap(owner, repo, start + timedelta(days=d), stars=stars, is_fork=is_fork)
-            repos.add(snap)
-            snaps.append(snap)
-            assert_counts_match_a_scan()
 
 
 # an integer literal longer than int() converts by default (4,300 digits)
