@@ -36,6 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequen
 from . import __version__
 from .complexity import (
     MockModelClient,
+    ModelClient,
     RequestRejected,
     RetryPolicy,
     agreement_stats,
@@ -658,13 +659,17 @@ class HttpModelClient:
     """Minimal JSON-over-HTTP completion client.
 
     POSTs ``{"model", "system", "user"}`` and expects ``{"text": ...}``
-    back. The auth token, when present in the environment, rides in an
-    Authorization header. Network and envelope failures surface as OSError
+    back. The auth token, when given, rides in an Authorization header; a
+    token no header can carry (a control character, or a character outside
+    Latin-1) is a ConfigError at construction that names the variable that
+    held it, never its value. Network and envelope failures surface as OSError
     so the retry policy treats them as transient; a 4xx other than 408
     (timeout) and 429 (throttled) surfaces as RequestRejected, never retried.
     """
 
     def __init__(self, endpoint: str, model_id: str, token: str | None = None, timeout: float = 60.0) -> None:
+        if token and any(not " " <= char <= "\xff" or char == "\x7f" for char in token):
+            raise ConfigError(f"{MODEL_TOKEN_ENV} holds a control character or a character outside Latin-1")
         self.endpoint = endpoint
         self.model_id = model_id
         self._token = token
@@ -701,9 +706,19 @@ class HttpModelClient:
         return body["text"]
 
 
+def _model_client(config: PipelineConfig) -> ModelClient:
+    if config.model_endpoint:
+        return HttpModelClient(config.model_endpoint, config.model_id, token=os.environ.get(MODEL_TOKEN_ENV))
+    return MockModelClient()
+
+
 def cmd_complexity(
-    config: PipelineConfig, corpus: Corpus | None = None, survivors: Survivors | None = None
+    config: PipelineConfig,
+    corpus: Corpus | None = None,
+    survivors: Survivors | None = None,
+    client: ModelClient | None = None,
 ) -> None:
+    client = client or _model_client(config)  # a bad token is refused before any read or write
     corpus = corpus or Corpus(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -740,12 +755,6 @@ def cmd_complexity(
         items.append((key, release, bundle))
         meta[key] = {"language": snap.language, "release_type": item.release_type.value, "bundle": bundle}
 
-    if config.model_endpoint:
-        client = HttpModelClient(
-            config.model_endpoint, config.model_id, token=os.environ.get(MODEL_TOKEN_ENV)
-        )
-    else:
-        client = MockModelClient()
     ratings, failures = rate_many(
         items,
         client,
@@ -794,6 +803,7 @@ def cmd_complexity(
 
 
 def cmd_all(config: PipelineConfig) -> None:
+    client = _model_client(config)
     # one corpus for every stage: filter's counter feed also registers the
     # cells metrics reads, for every input release (see Corpus.counter)
     corpus = Corpus(config, offsets=(0,) + LookaheadGrid(*config.grid).offsets)
@@ -804,7 +814,7 @@ def cmd_all(config: PipelineConfig) -> None:
         _check_resume(ratings_path, _keys(config, "complexity"), inputs)
     survivors = cmd_filter(config, corpus)
     records = cmd_metrics(config, corpus, survivors)
-    cmd_complexity(config, corpus, survivors)
+    cmd_complexity(config, corpus, survivors, client)
     del corpus, survivors  # analyze needs only the records; free the rest first
     cmd_analyze(config, records)
 

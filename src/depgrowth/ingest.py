@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -45,8 +46,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 JOIN_WINDOW_DAYS = 7
-# the largest stars or forks value (docs/DATA_FORMAT.md); RepoIndex keeps one
-# too large for its 4-byte columns in a side table, exactly
+# the largest stars or forks value (docs/DATA_FORMAT.md): the largest a
+# RepoIndex state column (8-byte "q") holds
 MAX_COUNT = 2**63 - 1
 
 _ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
@@ -551,8 +552,6 @@ def _quality(timeline: tuple | None, target: int) -> bool:
     if pos < 0:
         return False
     state = states[pos]
-    # counts are >= 0 and a wide one is stored negative, so any stored value
-    # but 0 is at least one star
     return not fork_flags[state] and stars[state] != 0
 
 
@@ -568,50 +567,39 @@ def _intern(ids: dict, values: list, value: object) -> int:
 # RepoIndex's column types: a timeline row's ordinal date and state id, and a
 # state's stars, forks, fork flag and metadata id
 _ROW_COLUMNS = "ii"
-_STATE_COLUMNS = "iibi"
-# the largest count a 4-byte column holds as itself
-_NARROW_MAX = 2**31 - 1
-# count_quality's verdicts (0: not yet computed), and a dependent whose
-# timeline it has not yet resolved
+_STATE_COLUMNS = "qqbi"
+# count_quality's verdicts (0: not yet computed)
 _FAIL, _PASS = 1, 2
-_UNRESOLVED = object()
 
 
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
     Each repository's rows are two parallel 4-byte arrays, ordinal date and
-    state id, 8 B a row. Its states (stars, forks and metadata id, 4 bytes
-    each, and a 1-byte fork flag, 13 B a state) are four append-only arrays
-    of its own, and a row whose state equals the repository's last one
-    shares its id, so a repository whose counts seldom change holds few
+    state id, 8 B a row. Its states (stars and forks, 8 bytes each, a 1-byte
+    fork flag and a 4-byte metadata id, 21 B a state) are four append-only
+    arrays of its own, and a row whose state equals the repository's last
+    one shares its id, so a repository whose counts seldom change holds few
     states. Each distinct description/topics/language tuple is held once,
-    and a state holds its id. A stars or forks value past 2^31 - 1 is held
-    once in a side table of wide counts, and its column holds ``~i``
-    (negative, where counts are not) for its position ``i`` there.
+    and a state holds its id. Every count up to ``MAX_COUNT`` is held in
+    its column as itself.
 
     Every row is added before the first lookup, which closes the index:
-    adding a row after it raises RuntimeError. A repository's rows are
-    sorted on its first lookup.
+    adding a row after it raises RuntimeError. The first lookup sorts every
+    repository's rows at once, keeping each day's last row.
     """
 
     def __init__(self) -> None:
         # key -> row columns then state columns; rows appended in arrival
-        # order, then sorted and frozen on the key's first lookup
+        # order, then sorted in place by the first lookup
         self._rows: dict[tuple[str, str], tuple] = {}
-        self._frozen: dict[tuple[str, str], tuple] = {}
         self._closed = False  # set by the first lookup
-        # metadata tuples and wide counts by id, and each one's id
+        # metadata tuples by id, and each one's id
         self._metas: list[tuple] = []
         self._meta_ids: dict[tuple, int] = {}
-        self._wide: list[int] = []
-        self._wide_ids: dict[int, int] = {}
-        # count_quality's memos, indexed by dependent id and emptied when the
-        # ids index other names: each dependent's frozen timeline (None when
-        # absent), and per target ordinal each dependent's verdict (see
-        # _PASS), one byte each
-        self._dep_names: Sequence[str] = ()
-        self._dep_timelines: list = []
+        # count_quality's memo, emptied when its ids index other names: per
+        # target ordinal each dependent's verdict (see _PASS), one byte each
+        self._dep_names: Sequence[tuple[str, str]] = ()
         self._verdicts: dict[int, bytearray] = {}
 
     @classmethod
@@ -640,7 +628,7 @@ class RepoIndex:
             store = self._rows[key] = (*map(array, _ROW_COLUMNS), *map(array, _STATE_COLUMNS))
         ordinals, states, stars, forks, fork_flags, metas = store
         meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
-        state = (self._narrow(snap.stars), self._narrow(snap.forks), int(snap.is_fork), meta)
+        state = (snap.stars, snap.forks, int(snap.is_fork), meta)
         last = len(metas) - 1
         if last < 0 or (stars[last], forks[last], fork_flags[last], metas[last]) != state:
             for column, value in zip(store[2:], state):
@@ -648,33 +636,24 @@ class RepoIndex:
             last += 1
         return ordinals, states, last
 
-    def _narrow(self, count: int) -> int:
-        return count if count <= _NARROW_MAX else ~_intern(self._wide_ids, self._wide, count)
-
-    def _widen(self, stored: int) -> int:
-        return stored if stored >= 0 else self._wide[~stored]
-
     def _timeline(self, key: tuple[str, str]) -> tuple | None:
+        if not self._closed:
+            self._close()
+        return self._rows.get(key)
+
+    def _close(self) -> None:
+        """Sort every timeline by date, keeping each day's last row."""
         self._closed = True
-        frozen = self._frozen.get(key)
-        if frozen is not None:
-            return frozen
-        store = self._rows.get(key)
-        if store is None:
-            return None
-        ordinals, states = store[:2]
-        if all(map(lt, ordinals, ordinals[1:])):
-            # strictly increasing: already sorted with no same-day duplicates
-            frozen = store
-        else:
-            # each day's last row (a later same-day row wins), in date order
-            last = dict(zip(ordinals, range(len(ordinals))))
-            kept = sorted(last.values(), key=ordinals.__getitem__)
-            rows = ([column[i] for i in kept] for column in (ordinals, states))
-            frozen = (*map(array, _ROW_COLUMNS, rows), *store[2:])
-        self._frozen[key] = frozen
-        del self._rows[key]
-        return frozen
+        rows = self._rows
+        for key, store in rows.items():
+            ordinals, states = store[:2]
+            # a strictly increasing timeline is sorted with no same-day duplicates
+            if not all(map(lt, ordinals, ordinals[1:])):
+                # each day's last row (a later same-day row wins), in date order
+                last = dict(zip(ordinals, range(len(ordinals))))
+                kept = sorted(last.values(), key=ordinals.__getitem__)
+                columns = ([column[i] for i in kept] for column in (ordinals, states))
+                rows[key] = (*map(array, _ROW_COLUMNS, columns), *store[2:])
 
     def nearest(self, owner: str, name: str, when: date) -> RepoSnapshot | None:
         """Snapshot joined to ``when``: same day, else latest within 7 days back."""
@@ -691,8 +670,8 @@ class RepoIndex:
             snapshot_date=date.fromordinal(ordinals[pos]),
             owner=owner,
             name=name,
-            stars=self._widen(stars[state]),
-            forks=self._widen(forks[state]),
+            stars=stars[state],
+            forks=forks[state],
             is_fork=bool(fork_flags[state]),
             description=description,
             topics=topics,
@@ -703,19 +682,16 @@ class RepoIndex:
         """True when the joined snapshot exists, is not a fork, and has >= 1 star."""
         return _quality(self._timeline((owner, name)), when.toordinal())
 
-    def count_quality(self, deps: Iterable[int], names: Sequence[str], target: int) -> int:
+    def count_quality(self, deps: Iterable[int], names: Sequence[tuple[str, str]], target: int) -> int:
         """How many dependents in ``deps`` pass :meth:`quality_ok` on ordinal ``target``.
 
-        ``deps`` are ids into ``names``, whose entries are ``owner/name``
-        keys; ``names`` does not change once counted against. Each
-        dependent's timeline is resolved once, and each verdict is computed
-        once per target date.
+        ``deps`` are ids into ``names``, whose entries are ``(owner, name)``
+        keys; ``names`` does not change once counted against. Each verdict
+        is computed once per target date.
         """
         if names is not self._dep_names:
             self._dep_names = names
-            self._dep_timelines = [_UNRESOLVED] * len(names)
             self._verdicts.clear()
-        timelines = self._dep_timelines
         verdicts = self._verdicts.get(target)
         if verdicts is None:
             verdicts = self._verdicts[target] = bytearray(len(names))
@@ -723,11 +699,7 @@ class RepoIndex:
         for dep in deps:
             verdict = verdicts[dep]
             if not verdict:
-                timeline = timelines[dep]
-                if timeline is _UNRESOLVED:
-                    owner, _, name = names[dep].partition("/")
-                    timeline = timelines[dep] = self._timeline((owner, name))
-                verdict = verdicts[dep] = _PASS if _quality(timeline, target) else _FAIL
+                verdict = verdicts[dep] = _PASS if _quality(self._timeline(names[dep]), target) else _FAIL
             if verdict == _PASS:
                 count += 1
         return count
@@ -745,6 +717,9 @@ _UNREQUESTED = (None, None, None)
 # "i" of a bucket not yet counted, so the typecode alone tells count whether
 # to deduplicate
 _DISTINCT = "I"
+# a cell whose rows serve no requested date: kept in its package's cells so
+# the bisection runs once per (package, date); its append discards
+_DROPPED = deque(maxlen=0)
 
 
 class StreamingDependentCounter:
@@ -753,27 +728,30 @@ class StreamingDependentCounter:
     Register every (ecosystem, package, date) cell of interest up front, then
     feed the edge stream once, then count. A request after the feed, a
     second feed or a count before it raises RuntimeError. A row serves a
-    requested date when it lies at most 7 days before it, so the feed first
-    builds, per requested package, the set of its candidate dates: each
-    requested date minus 0 to 7 days. A row on a candidate date costs 4 B,
-    its dependent's id appended to a bucket, until that bucket is first
-    counted and deduplicated; any other row is dropped. Each dependent of a
-    requested package's edge has its ``owner/repo`` key held once. Working
-    memory is proportional to the requested cells plus the rows kept for
-    them and their dependents, never to the total edge row count.
+    requested date when it lies 0 to 7 days before it, so the feed holds
+    each requested package's requested dates as one sorted list, and the
+    first row of a (package, date) cell decides, by a bisection, whether
+    the cell serves a requested date; a cell that serves none is remembered
+    as dropped. A kept cell's row costs 4 B, its dependent's id appended to
+    a bucket, until that bucket is first counted and deduplicated; a
+    dropped cell's row costs nothing. Each dependent of a requested
+    package's edge has its ``(owner, repo)`` key held once. Working memory
+    is proportional to the requested cells, one entry per (requested
+    package, date) in the stream, the kept rows and their dependents; never
+    to the total edge row count.
     """
 
     def __init__(self) -> None:
-        # (eco, pkg) -> requested ordinals
-        self._requests: dict[tuple[str, str], set[int]] = {}
-        # (eco, pkg) -> candidate ordinal -> dependent ids, one per kept row
-        # until counted, then distinct (see _DISTINCT)
-        self._buckets: dict[tuple[str, str], dict[int, array]] = {}
+        # (eco, pkg) -> requested ordinals: a set until the feed, then sorted
+        self._requests: dict[tuple[str, str], set[int] | list[int]] = {}
+        # (eco, pkg) -> row ordinal -> dependent ids, one per kept row until
+        # counted, then distinct (see _DISTINCT); or _DROPPED
+        self._buckets: dict[tuple[str, str], dict[int, array | deque]] = {}
         # every row's ordinal date, sorted; None until the feed
         self._coverage: list[int] | None = None
-        # each dependent's "owner/repo" key -> its id, and the keys by id
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
+        # each dependent's (owner, repo) key -> its id, and the keys by id
+        self._ids: dict[tuple[str, str], int] = {}
+        self._names: list[tuple[str, str]] = []
 
     def request(self, package_name: str, ecosystem: str, when: date) -> None:
         if self._coverage is not None:
@@ -784,25 +762,16 @@ class StreamingDependentCounter:
         if self._coverage is not None:
             raise RuntimeError("StreamingDependentCounter is fed once")
         buckets = self._buckets
-        # each requested package's candidate dates, with one int object per date
-        days: dict[int, int] = {}
-        candidates = {
-            key: frozenset(
-                days.setdefault(day, day)
-                for ordinal in requested
-                for day in range(ordinal - JOIN_WINDOW_DAYS, ordinal + 1)
-            )
-            for key, requested in self._requests.items()
-        }
+        requested = self._requests = {key: sorted(ordinals) for key, ordinals in self._requests.items()}
         ids, names = self._ids, self._names
 
         def compile(edge: DependentEdge) -> tuple:
-            # the package's candidate dates and buckets, and the dependent's id
+            # the package's requested dates and buckets, and the dependent's id
             key = (edge.ecosystem, edge.package_name)
-            dates = candidates.get(key)
+            dates = requested.get(key)
             if dates is None:
                 return _UNREQUESTED
-            dep = _intern(ids, names, f"{edge.dependent_owner}/{edge.dependent_repo}")
+            dep = _intern(ids, names, (edge.dependent_owner, edge.dependent_repo))
             return dates, buckets.setdefault(key, {}), dep
 
         coverage = set()
@@ -812,10 +781,13 @@ class StreamingDependentCounter:
                 continue
             cell = cells.get(ordinal)
             if cell is None:
-                # the first kept row of its cell: keep it only on a candidate date
-                if ordinal not in dates:
-                    continue
-                cell = cells[ordinal] = array("i")
+                # the first row of its cell: keep the cell only when the first
+                # requested date on or after it lies at most 7 days after it
+                pos = bisect_left(dates, ordinal)
+                if pos < len(dates) and dates[pos] - ordinal <= JOIN_WINDOW_DAYS:
+                    cell = cells[ordinal] = array("i")
+                else:
+                    cell = cells[ordinal] = _DROPPED
             cell.append(dep)
         self._coverage = sorted(coverage)
 
@@ -829,17 +801,19 @@ class StreamingDependentCounter:
             RuntimeError: the counter has not been fed.
             DateOutOfRange: no edge coverage within the join window.
         """
-        target = when.toordinal()
-        key = (ecosystem, package_name)
-        if target not in self._requests.get(key, ()):
-            raise KeyError(f"cell ({ecosystem}, {package_name}, {when}) was not requested")
         if self._coverage is None:
             raise RuntimeError("StreamingDependentCounter counts only after its feed")
+        target = when.toordinal()
+        key = (ecosystem, package_name)
+        dates = self._requests.get(key, ())
+        pos = bisect_left(dates, target)
+        if pos == len(dates) or dates[pos] != target:
+            raise KeyError(f"cell ({ecosystem}, {package_name}, {when}) was not requested")
         effective = _resolve_coverage(self._coverage, target)
         if effective is None:
             raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
-        # effective lies at most 7 days before the requested target, so it is
-        # one of the package's candidate dates, whose rows the feed kept
+        # effective lies 0 to 7 days before the requested target, so the feed
+        # kept its cell
         cells = self._buckets.get(key, {})
         cell = cells.get(effective)
         if cell is None:

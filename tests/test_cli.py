@@ -22,7 +22,7 @@ from depgrowth.complexity import (
     build_prompt,
     rate_many,
 )
-from depgrowth.config import resolve_config
+from depgrowth.config import ConfigError, resolve_config
 from depgrowth.ingest import PackageRelease, RepoSnapshot, read_releases
 from depgrowth.synth import build_world, small_config, write_corpus
 
@@ -710,6 +710,31 @@ class TestExitCodes:
         assert f"{filtered} line 4: " in err
         assert "rerun depgrowth filter" in err
         assert [p.name for p in work.iterdir()] == ["filtered_releases.jsonl"]
+
+    @pytest.mark.parametrize("stage", ["complexity", "all"])
+    @pytest.mark.parametrize("token", ["abc\ndef", "abc\rdef", "abc€def"], ids=["newline", "return", "euro"])
+    def test_a_token_no_header_carries_is_config_error(self, corpus_dir, tmp_path, capsys, monkeypatch, stage, token):
+        monkeypatch.setenv(cli.MODEL_TOKEN_ENV, token)
+        out = tmp_path / "never"
+        args = _pipeline_args(corpus_dir, out, "--model-endpoint", "http://127.0.0.1:9/")
+        assert cli.main([stage, *args]) == 2
+        err = capsys.readouterr().err
+        assert cli.MODEL_TOKEN_ENV in err
+        assert token not in err and "abc" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["", "sekrit", "caf\xe9 \xff~"])
+    def test_a_latin_1_token_without_control_characters_passes(self, token):
+        assert cli.HttpModelClient("http://127.0.0.1:9/", "m", token=token).model_id == "m"
+
+    def test_a_direct_complexity_call_refuses_the_token_first(self, corpus_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.MODEL_TOKEN_ENV, "abc\ndef")
+        out = tmp_path / "never"
+        paths = {name: str(corpus_dir / f"{name}.jsonl") for name in cli.CORPUS_INPUTS}
+        config = resolve_config(None, {**paths, "out_dir": str(out), "model_endpoint": "http://127.0.0.1:9/"})
+        with pytest.raises(ConfigError, match=cli.MODEL_TOKEN_ENV):
+            cli.cmd_complexity(config)
+        assert not out.exists()
 
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
@@ -815,7 +816,7 @@ class TestRepoIndex:
             lambda index, when: index.quality_ok("a", "r", when),
             lambda index, when: index.nearest("absent", "r", when),
             lambda index, when: index.quality_ok("absent", "r", when),
-            lambda index, when: index.count_quality([0, 1], ["a/r", "absent/r"], when.toordinal()),
+            lambda index, when: index.count_quality([0, 1], [("a", "r"), ("absent", "r")], when.toordinal()),
         ],
         ids=["nearest", "quality_ok", "nearest-absent", "quality_ok-absent", "count_quality"],
     )
@@ -832,10 +833,10 @@ class TestRepoIndex:
         # the refused rows left every answer as it was
         assert index.quality_ok("a", "r", start) and index.nearest("a", "r", start).stars == 5
         assert index.nearest("absent", "r", start) is None
-        assert index.count_quality([0, 1], ["a/r", "absent/r"], start.toordinal()) == 1
+        assert index.count_quality([0, 1], [("a", "r"), ("absent", "r")], start.toordinal()) == 1
 
     @pytest.mark.parametrize("order", ["in-order", "out-of-order"])
-    def test_counts_past_the_narrow_columns_round_trip(self, order):
+    def test_counts_up_to_the_largest_round_trip(self, order):
         start = D("2023-03-01")
         wide = [0, 1, 2**31 - 1, 2**31, 2**32 + 5, ingest.MAX_COUNT, 7, 2**31]
         snaps = [
@@ -864,8 +865,8 @@ class TestRepoIndex:
             make_snap("a", "r", start + timedelta(days=9), stars=3),
         ]
         index = RepoIndex.build(snaps)
-        _assert_lookups_match_a_scan(index, snaps, start)  # freezes by the sort path
-        ordinals, states, stars, _forks, fork_flags, _metas = index._frozen[("a", "r")]
+        _assert_lookups_match_a_scan(index, snaps, start)  # the first lookup takes the sort path
+        ordinals, states, stars, _forks, fork_flags, _metas = index._rows[("a", "r")]
         assert list(states) == [0, 1, 2, 2]
         assert (list(stars), list(fork_flags)) == ([3, 4, 3], [0, 1, 0])
 
@@ -876,7 +877,7 @@ class TestRepoIndex:
         index = RepoIndex.build(snaps)
         _assert_lookups_match_a_scan(index, snaps, start)
         assert index.nearest("a", "r", start + timedelta(days=9)).stars == stars
-        assert len(index._frozen[("a", "r")][2]) == 1
+        assert len(index._rows[("a", "r")][2]) == 1
 
 
 def make_edge(pkg, dep, day, eco="npm"):
@@ -966,6 +967,21 @@ class TestCountDependents:
         with pytest.raises(DateOutOfRange):
             count_one("lib", "npm", D("2023-03-18"), edges, repos)
 
+    def test_a_row_is_kept_for_a_date_0_to_7_days_after_it(self):
+        when = D("2023-03-20")
+        repos = quality_repo_index(["u1/a"], days=[when - timedelta(days=d) for d in range(9)])
+        counter = StreamingDependentCounter()
+        counter.request("lib", "npm", when)
+        # 8 and 7 days before the requested date, on it, and a day after it;
+        # each dropped cell is remembered, its rows held by no bucket
+        days = (-8, -7, 0, 1, -8, 1)
+        counter.feed([make_edge("lib", "u1/a", when + timedelta(days=d)) for d in days])
+        rows = {day - when.toordinal(): len(cell) for day, cell in counter._buckets[("npm", "lib")].items()}
+        assert rows == {-8: 0, -7: 1, 0: 1, 1: 0}
+        assert counter.count("lib", "npm", when, repos) == 1
+        # the row 7 days back is the one the requested date joins to
+        assert count_one("lib", "npm", when, [make_edge("lib", "u1/a", when - timedelta(days=7))], repos) == 1
+
     def test_monotone_in_edge_set(self):
         rng = random.Random(42)
         base_day = D("2023-03-01")
@@ -1004,6 +1020,11 @@ def _assert_counts_match_the_oracle(edges, repo_rows, queries):
     for pkg, eco, when in queries:
         counter.request(pkg, eco, when)
     counter.feed(edges)
+    _assert_counts_match(counter, edges, repo_rows, queries)
+
+
+def _assert_counts_match(counter, edges, repo_rows, queries):
+    """Each query counts on the fed ``counter`` as the naive oracle does."""
     repos = RepoIndex.build(repo_rows)
     for pkg, eco, when in queries:
         expected = naive_dependent_count(edges, repo_rows, pkg, eco, when)
@@ -1098,6 +1119,47 @@ class TestStreamingCounter:
         with pytest.raises(RuntimeError, match="only after its feed"):
             counter.count("lib", "npm", D("2023-03-01"), RepoIndex())
 
+    def test_feed_memory_follows_the_rows_not_the_requested_dates(self):
+        # a tenth of the paper's shape: 3,300 packages, 10 release days each
+        # over two years, and the default grid's 6 dates per release (the
+        # day before, the day itself and 90, 180, 270 and 360 days after)
+        rng = random.Random(3300)
+        start = D("2021-01-01")
+        offsets = (-1, 0, 90, 180, 270, 360)
+        requested = {
+            f"pkg{i}": [
+                start + timedelta(days=day + offset) for day in rng.sample(range(730), 10) for offset in offsets
+            ]
+            for i in range(3300)
+        }
+        counter = StreamingDependentCounter()
+        for pkg, days in requested.items():
+            for when in days:
+                counter.request(pkg, "npm", when)
+        # a small stream: rows for 20 packages, each 0 to 9 days before one
+        # of 5 of its requested dates, so some rows serve no requested date
+        deps = [f"u{i}/r{i}" for i in range(30)]
+        queries = [(f"pkg{i}", "npm", when) for i in range(20) for when in rng.sample(requested[f"pkg{i}"], 5)]
+        edges = [
+            make_edge(pkg, rng.choice(deps), when - timedelta(days=rng.randint(0, 9)), eco)
+            for pkg, eco, when in queries
+            for _ in range(4)
+        ]
+        tracemalloc.start()
+        try:
+            counter.feed(edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        edge_days = sorted({edge.snapshot_date for edge in edges})
+        repo_rows = [
+            make_snap(*dep.split("/"), day, stars=rng.randrange(3), is_fork=rng.random() < 0.1)
+            for day in edge_days
+            for dep in deps
+        ]
+        _assert_counts_match(counter, edges, repo_rows, queries)
+
 
 @st.composite
 def _dump_lines(draw, line_fn, mutations):
@@ -1108,10 +1170,6 @@ def _dump_lines(draw, line_fn, mutations):
 
 # every date the lines above hold, and a week past the latest
 _LOOKUP_DAYS = [D("2023-02-27") + timedelta(days=d) for d in range(20)]
-
-
-def _indexed_keys(index):
-    return set(index._rows) | set(index._frozen)
 
 
 class _Wrapped:
@@ -1136,7 +1194,7 @@ class TestFusedIngest:
         index = RepoIndex.build(_Wrapped(reader))
         assert [(v.line_no, v.message) for v in reader.violations] == violations
         expected = RepoIndex.build(list(rows))
-        assert _indexed_keys(index) == _indexed_keys(expected)
+        assert set(index._rows) == set(expected._rows)
         for owner, name in {(row.owner, row.name) for row in rows} | {("acme", "libfoo")}:
             for when in _LOOKUP_DAYS:
                 assert index.nearest(owner, name, when) == expected.nearest(owner, name, when)
