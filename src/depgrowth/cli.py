@@ -48,7 +48,6 @@ from .complexity import (
 from .config import ConfigError, PipelineConfig, file_sha256, resolve_config
 from .filters import ClassifiedRelease, filter_semver, pre_release_date, run_filter_cascade
 from .ingest import (
-    DateOutOfRange,
     PackageRelease,
     RecordReader,
     RepoIndex,
@@ -120,6 +119,17 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _out_dir(config: PipelineConfig) -> Path:
+    """The output directory, made when missing; one that cannot be made
+    (a file by that name, say) is a ConfigError."""
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make out_dir {config.out_dir}: {exc}") from exc
+    return out
 
 
 def _write_records(path: Path, schema: str, provenance: dict, rows: Iterable[Mapping]) -> int:
@@ -292,7 +302,7 @@ def _header_provenance(path: Path, remedy: str) -> tuple[dict, dict]:
         with open(path, encoding="utf-8") as handle:
             built = json.loads(handle.readline())["provenance"]
         return dict(built["keys"]), dict(built["inputs"])
-    except (OSError, ValueError, LookupError, TypeError):
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
         raise DataError(f"{path} has no provenance keys and inputs; {remedy}") from None
 
 
@@ -394,7 +404,8 @@ class Corpus:
         return self._repos
 
     def counter(self, releases: Sequence[PackageRelease]) -> tuple[StreamingDependentCounter, int]:
-        """Dependent counter fed once from the edge file, and the edge violation count.
+        """Dependent counter over :meth:`repos`'s index, fed once from the
+        edge file, and the edge violation count.
 
         The first caller's releases each register the pre-release day plus
         ``offsets`` days after the release date; later callers get the same
@@ -406,29 +417,16 @@ class Corpus:
         requested.
         """
         if self._counter is None:
-            counter = StreamingDependentCounter()
-            one_day = timedelta(days=1)
+            counter = StreamingDependentCounter(self.repos()[0])
             for release in releases:
                 name, eco, day = release.package_name, release.ecosystem, release.release_date
-                counter.request(name, eco, day - one_day)
+                counter.request(name, eco, pre_release_date(release))
                 for offset in self._offsets:
                     counter.request(name, eco, day + timedelta(days=offset))
             reader = read_dependent_edges(self._config.dependent_edges)
             counter.feed(reader)
             self._counter = counter, len(reader.violations)
         return self._counter
-
-
-def _count_provider(
-    counter: StreamingDependentCounter, repos: RepoIndex
-) -> Callable[[str, str, object], int | None]:
-    def count(package_name: str, ecosystem: str, when) -> int | None:
-        try:
-            return counter.count(package_name, ecosystem, when, repos)
-        except DateOutOfRange:
-            return None
-
-    return count
 
 
 def _release_row(release: PackageRelease) -> dict:
@@ -453,23 +451,16 @@ def _release_key(release: PackageRelease) -> str:
 
 def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivors:
     corpus = corpus or Corpus(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     provenance = _provenance(config, "filter", corpus)
     reader = read_releases(config.releases)
     releases = list(reader)
     repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter(releases)
-    count = _count_provider(counter, repos)
-
-    def pre_count(item: ClassifiedRelease) -> int | None:
-        release = item.release
-        return count(release.package_name, release.ecosystem, pre_release_date(item))
-
     survivors, reports = run_filter_cascade(
         releases,
         repos,
-        pre_count,
+        counter.count,
         allowed=config.ecosystems,
         threshold=config.min_dependents,
         zero_split=config.zero_split,
@@ -509,15 +500,13 @@ def cmd_metrics(
 ) -> list[ReleaseRecord]:
     grid = LookaheadGrid(*config.grid)
     corpus = corpus or Corpus(config, offsets=(0,) + grid.offsets)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     if survivors is None:
         survivors = _load_survivors(out / "filtered_releases.jsonl", config)
     provenance = _provenance(config, "metrics", corpus)
     repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter([item.release for item in survivors])
-    count = _count_provider(counter, repos)
-    records, skipped = build_release_records(survivors, repos, count, grid)
+    records, skipped = build_release_records(survivors, repos, counter.count, grid)
     n_records = _write_artifact(
         out, "release_records.jsonl", provenance, (_record_row(record) for record in records)
     )
@@ -559,8 +548,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None = None) -> None:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     grid = LookaheadGrid(*config.grid)
     offset = grid.final_offset
     # every artifact is read, and so checked, before the first write
@@ -699,7 +687,7 @@ class HttpModelClient:
             raise OSError(f"model endpoint broke off the response: {exc!r}") from exc
         try:
             body = json.loads(reply)
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge integer, deep nesting
             raise OSError(f"model endpoint returned invalid JSON: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(body.get("text"), str):
             raise OSError("model endpoint response lacks a text field")
@@ -720,8 +708,7 @@ def cmd_complexity(
 ) -> None:
     client = client or _model_client(config)  # a bad token is refused before any read or write
     corpus = corpus or Corpus(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     # the resume state and the human ratings are checked before any rating
     ratings_path = out / "ratings.jsonl"
     existing_rows: dict[str, dict] = {}

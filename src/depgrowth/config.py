@@ -120,12 +120,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long to convert, deep nesting
+        message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise ConfigError(f"config {path} is not valid JSON: {message}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return PipelineConfig(**_coerce(raw)).validate()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import date, timedelta
 from typing import Callable, Iterable, Union
 
 from .ingest import PackageRelease, RepoIndex
@@ -37,6 +37,7 @@ from .semver import (
 
 __all__ = [
     "ClassifiedRelease",
+    "CountProvider",
     "FilterReport",
     "dedup_same_day",
     "filter_ecosystems",
@@ -76,6 +77,10 @@ class ClassifiedRelease:
 
 
 Releaselike = Union[PackageRelease, ClassifiedRelease]
+
+# (package_name, ecosystem, date) -> dependent count, or None when the edge
+# data has no coverage within the join window of the date
+CountProvider = Callable[[str, str, date], "int | None"]
 
 
 def _pkg(item: Releaselike) -> PackageRelease:
@@ -240,14 +245,15 @@ def filter_ecosystems(
 
 def filter_min_dependents(
     items: Iterable[Releaselike],
-    pre_count: Callable[[Releaselike], int | None],
+    dependent_count: CountProvider,
     threshold: int = DEFAULT_MIN_DEPENDENTS,
 ) -> tuple[list[Releaselike], FilterReport]:
     """Keep releases with at least ``threshold`` dependents the day before.
 
-    ``pre_count`` maps a release to its distinct quality-dependent count on
-    release_date - 1 day, or None when the edge data gives no coverage for
-    that day. A threshold of 0 keeps everything (vacuous filter).
+    ``dependent_count`` is asked for each release's package on
+    :func:`pre_release_date`; a None count (no edge coverage for that day)
+    drops the release as ``NoDependentData``. A threshold of 0 keeps
+    everything (vacuous filter) and asks for no count.
 
     Raises:
         ValueError: negative threshold.
@@ -262,7 +268,8 @@ def filter_min_dependents(
             kept.append(item)
             report.records_out += 1
             continue
-        count = pre_count(item)
+        release = _pkg(item)
+        count = dependent_count(release.package_name, release.ecosystem, pre_release_date(item))
         if count is None:
             report.drop(REASON_NO_DEPENDENT_DATA)
         elif count >= threshold:
@@ -274,7 +281,7 @@ def filter_min_dependents(
     return kept, report
 
 
-def pre_release_date(item: Releaselike):
+def pre_release_date(item: Releaselike) -> date:
     """The day before the release, on which the dependents threshold is read."""
     return _pkg(item).release_date - timedelta(days=1)
 
@@ -282,7 +289,7 @@ def pre_release_date(item: Releaselike):
 def run_filter_cascade(
     releases: Iterable[PackageRelease],
     repos: RepoIndex,
-    pre_count: Callable[[ClassifiedRelease], int | None],
+    dependent_count: CountProvider,
     allowed: Iterable[str] = DEFAULT_ECOSYSTEMS,
     threshold: int = DEFAULT_MIN_DEPENDENTS,
     zero_split: str = "patch",
@@ -293,5 +300,5 @@ def run_filter_cascade(
     named, r3 = filter_name_match(classified)
     deduped, r4 = dedup_same_day(named)
     in_scope, r5 = filter_ecosystems(deduped, allowed)
-    final, r6 = filter_min_dependents(in_scope, pre_count, threshold)
+    final, r6 = filter_min_dependents(in_scope, dependent_count, threshold)
     return final, [r1, r2, r3, r4, r5, r6]  # type: ignore[return-value]

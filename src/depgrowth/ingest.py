@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
-    "DateOutOfRange",
     "DependentEdge",
     "PackageRelease",
     "RepoIndex",
@@ -80,10 +79,6 @@ class SchemaViolation(ValueError):
         self.message = message
 
 
-class DateOutOfRange(LookupError):
-    """A dependent-count lookup has no edge coverage within the join window."""
-
-
 # Snapshot and edge rows number in the millions, so they are NamedTuples
 # (cheap to build); the few thousand releases stay a frozen dataclass.
 class RepoSnapshot(NamedTuple):
@@ -124,10 +119,12 @@ class DependentEdge(NamedTuple):
 
 @contextmanager
 def _lines(source: Source) -> Iterator[Iterator[str]]:
-    """The source's lines, each without its line end."""
+    """The source's lines, each without its line end. A file's bytes that
+    are not UTF-8 come through as lone surrogates, for the reader to refuse
+    line by line."""
     if isinstance(source, (str, Path)):
         try:
-            handle = open(source, "r", encoding="utf-8")
+            handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise SourceUnavailable(f"cannot open {source}: {exc}") from exc
         with handle:
@@ -343,23 +340,32 @@ class RecordReader:
     def _row(self, line_no: int, line: str) -> object | None:
         """The row parsed from one line; None for a blank line, the header
         or a violation, which is recorded."""
+        # a str holds only code points below 128 exactly when isascii(), an
+        # O(1) check; only a line with others can hold a lone surrogate
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                self.violations.append(SchemaViolation(line_no, "invalid UTF-8"))
+                return None
         # json.loads(line) rejects a leading BOM, runs raw_decode(line, idx)
         # with idx past any leading whitespace, and rejects anything but
         # whitespace after the value. When raw_decode at 0 consumes the whole
         # line, the line has no BOM, no leading whitespace and nothing after
         # the value, so json.loads returns the same object. Both raise a
         # plain ValueError, not a JSONDecodeError, for an integer literal
-        # longer than the interpreter converts.
+        # longer than the interpreter converts, and a RecursionError for
+        # nesting deeper than the interpreter's recursion limit.
         try:
             obj, end = _raw_decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             end = -1
         if end != len(line):
             if not line.strip():
                 return None
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 message = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 self.violations.append(SchemaViolation(line_no, f"invalid JSON: {message}"))
                 return None
@@ -568,8 +574,6 @@ def _intern(ids: dict, values: list, value: object) -> int:
 # state's stars, forks, fork flag and metadata id
 _ROW_COLUMNS = "ii"
 _STATE_COLUMNS = "qqbi"
-# count_quality's verdicts (0: not yet computed)
-_FAIL, _PASS = 1, 2
 
 
 class RepoIndex:
@@ -597,10 +601,6 @@ class RepoIndex:
         # metadata tuples by id, and each one's id
         self._metas: list[tuple] = []
         self._meta_ids: dict[tuple, int] = {}
-        # count_quality's memo, emptied when its ids index other names: per
-        # target ordinal each dependent's verdict (see _PASS), one byte each
-        self._dep_names: Sequence[tuple[str, str]] = ()
-        self._verdicts: dict[int, bytearray] = {}
 
     @classmethod
     def build(cls, snapshots: Iterable[RepoSnapshot]) -> "RepoIndex":
@@ -682,28 +682,6 @@ class RepoIndex:
         """True when the joined snapshot exists, is not a fork, and has >= 1 star."""
         return _quality(self._timeline((owner, name)), when.toordinal())
 
-    def count_quality(self, deps: Iterable[int], names: Sequence[tuple[str, str]], target: int) -> int:
-        """How many dependents in ``deps`` pass :meth:`quality_ok` on ordinal ``target``.
-
-        ``deps`` are ids into ``names``, whose entries are ``(owner, name)``
-        keys; ``names`` does not change once counted against. Each verdict
-        is computed once per target date.
-        """
-        if names is not self._dep_names:
-            self._dep_names = names
-            self._verdicts.clear()
-        verdicts = self._verdicts.get(target)
-        if verdicts is None:
-            verdicts = self._verdicts[target] = bytearray(len(names))
-        count = 0
-        for dep in deps:
-            verdict = verdicts[dep]
-            if not verdict:
-                verdict = verdicts[dep] = _PASS if _quality(self._timeline(names[dep]), target) else _FAIL
-            if verdict == _PASS:
-                count += 1
-        return count
-
 
 def _resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
     """Latest coverage ordinal at or before ``target`` within the join window."""
@@ -720,10 +698,13 @@ _DISTINCT = "I"
 # a cell whose rows serve no requested date: kept in its package's cells so
 # the bisection runs once per (package, date); its append discards
 _DROPPED = deque(maxlen=0)
+# a dependent's quality verdict on one date (0: not yet computed)
+_FAIL, _PASS = 1, 2
 
 
 class StreamingDependentCounter:
-    """Single-pass distinct-dependent counting for requested package-dates.
+    """Single-pass distinct-dependent counting for requested package-dates,
+    of the dependents that pass the quality join on one :class:`RepoIndex`.
 
     Register every (ecosystem, package, date) cell of interest up front, then
     feed the edge stream once, then count. A request after the feed, a
@@ -741,7 +722,8 @@ class StreamingDependentCounter:
     to the total edge row count.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, repos: RepoIndex) -> None:
+        self._repos = repos
         # (eco, pkg) -> requested ordinals: a set until the feed, then sorted
         self._requests: dict[tuple[str, str], set[int] | list[int]] = {}
         # (eco, pkg) -> row ordinal -> dependent ids, one per kept row until
@@ -752,6 +734,8 @@ class StreamingDependentCounter:
         # each dependent's (owner, repo) key -> its id, and the keys by id
         self._ids: dict[tuple[str, str], int] = {}
         self._names: list[tuple[str, str]] = []
+        # per target ordinal each dependent's verdict (see _PASS), one byte each
+        self._verdicts: dict[int, bytearray] = {}
 
     def request(self, package_name: str, ecosystem: str, when: date) -> None:
         if self._coverage is not None:
@@ -791,15 +775,13 @@ class StreamingDependentCounter:
             cell.append(dep)
         self._coverage = sorted(coverage)
 
-    def count(
-        self, package_name: str, ecosystem: str, when: date, repos: RepoIndex
-    ) -> int:
-        """Quality-dependent count for a previously requested cell.
+    def count(self, package_name: str, ecosystem: str, when: date) -> int | None:
+        """Quality-dependent count for a previously requested cell, or None
+        when no edge row lies within the join window of ``when``.
 
         Raises:
             KeyError: the cell was never requested.
             RuntimeError: the counter has not been fed.
-            DateOutOfRange: no edge coverage within the join window.
         """
         if self._coverage is None:
             raise RuntimeError("StreamingDependentCounter counts only after its feed")
@@ -811,7 +793,7 @@ class StreamingDependentCounter:
             raise KeyError(f"cell ({ecosystem}, {package_name}, {when}) was not requested")
         effective = _resolve_coverage(self._coverage, target)
         if effective is None:
-            raise DateOutOfRange(f"no edge coverage within {JOIN_WINDOW_DAYS} days of {when}")
+            return None
         # effective lies 0 to 7 days before the requested target, so the feed
         # kept its cell
         cells = self._buckets.get(key, {})
@@ -820,4 +802,15 @@ class StreamingDependentCounter:
             return 0
         if cell.typecode != _DISTINCT:
             cell = cells[effective] = array(_DISTINCT, set(cell))
-        return repos.count_quality(cell, self._names, target)
+        verdicts = self._verdicts.get(target)
+        if verdicts is None:
+            verdicts = self._verdicts[target] = bytearray(len(self._names))
+        names, timeline = self._names, self._repos._timeline
+        count = 0
+        for dep in cell:
+            verdict = verdicts[dep]
+            if not verdict:
+                verdict = verdicts[dep] = _PASS if _quality(timeline(names[dep]), target) else _FAIL
+            if verdict == _PASS:
+                count += 1
+        return count

@@ -15,14 +15,13 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .filters import ClassifiedRelease, pre_release_date
+from .filters import ClassifiedRelease, CountProvider, pre_release_date
 from .ingest import RepoIndex
 from .semver import ReleaseType, Version, VersionSeries, format_version, version_series
 
 __all__ = [
-    "CountProvider",
     "LogDiffSample",
     "LookaheadGrid",
     "METRICS",
@@ -138,11 +137,6 @@ def log_difference(v0: float, v1: float) -> float:
     if v0 <= 0 or v1 <= 0:
         raise NonPositiveInput(f"log difference needs positive values, got {v0}, {v1}")
     return math.log(v1) - math.log(v0)
-
-
-# (package_name, ecosystem, date) -> dependent count, or None when the edge
-# data has no coverage within the join window of the date
-CountProvider = Callable[[str, str, date], "int | None"]
 
 
 def build_release_records(

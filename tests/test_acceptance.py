@@ -29,7 +29,6 @@ from depgrowth.complexity import (
 )
 from depgrowth.filters import pre_release_date, run_filter_cascade
 from depgrowth.ingest import (
-    DateOutOfRange,
     PackageRelease,
     RepoIndex,
     RepoSnapshot,
@@ -87,28 +86,16 @@ def engine_run(corpus_dir):
     started = time.monotonic()
     releases = list(read_releases(corpus_dir / "releases.jsonl"))
     repos = RepoIndex.build(read_repo_snapshots(corpus_dir / "repo_snapshots.jsonl"))
-    counter = StreamingDependentCounter()
-    one_day = timedelta(days=1)
+    counter = StreamingDependentCounter(repos)
     for release in releases:
-        counter.request(release.package_name, release.ecosystem, release.release_date - one_day)
+        counter.request(release.package_name, release.ecosystem, pre_release_date(release))
         for offset in (0,) + GRID.offsets:
             counter.request(
                 release.package_name, release.ecosystem, release.release_date + timedelta(days=offset)
             )
     counter.feed(read_dependent_edges(corpus_dir / "dependent_edges.jsonl"))
-
-    def count(package_name, ecosystem, when):
-        try:
-            return counter.count(package_name, ecosystem, when, repos)
-        except DateOutOfRange:
-            return None
-
-    def pre_count(item):
-        release = item.release
-        return count(release.package_name, release.ecosystem, pre_release_date(item))
-
-    survivors, reports = run_filter_cascade(releases, repos, pre_count)
-    records, skipped = build_release_records(survivors, repos, count, GRID)
+    survivors, reports = run_filter_cascade(releases, repos, counter.count)
+    records, skipped = build_release_records(survivors, repos, counter.count, GRID)
     samples = {}
     exclusions = {}
     for metric in METRICS:
@@ -569,7 +556,9 @@ def test_j_streaming_million_edges_bounded():
     base = date(2023, 1, 1)
     query_day = base + timedelta(days=7 * 50)
 
-    counter = StreamingDependentCounter()
+    # the index takes its rows after the feed, before the first count
+    repos = RepoIndex()
+    counter = StreamingDependentCounter(repos)
     for p in range(n_packages):
         counter.request(f"pkg-npm-{p:04d}", "npm", query_day)
 
@@ -597,7 +586,6 @@ def test_j_streaming_million_edges_bounded():
             expected[p].add(dep)
 
     # dependents only count when their own repo passes the quality join
-    repos = RepoIndex()
     for dep in range(500):
         repos.add(
             RepoSnapshot(
@@ -611,6 +599,6 @@ def test_j_streaming_million_edges_bounded():
         )
     rng = random.Random(7)
     for p in rng.sample(range(n_packages), 50):
-        got = counter.count(f"pkg-npm-{p:04d}", "npm", query_day, repos)
+        got = counter.count(f"pkg-npm-{p:04d}", "npm", query_day)
         want = sum(1 for dep in expected[p] if dep < 500)
         assert got == want

@@ -736,6 +736,41 @@ class TestExitCodes:
             cli.cmd_complexity(config)
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["filter", "metrics", "complexity", "analyze", "all"])
+    def test_an_out_dir_naming_a_file_is_config_error(self, corpus_dir, tmp_path, capsys, stage):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        assert cli.main([stage, *_pipeline_args(corpus_dir, taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot make out_dir {taken}: ")
+        assert taken.read_text(encoding="utf-8") == "a file\n"
+
+    @pytest.mark.parametrize("fault", ["byte not UTF-8", "deeply nested header"])
+    def test_an_unreadable_records_line_is_data_error(self, corpus_dir, out_dir, tmp_path, capsys, fault):
+        work = tmp_path / "work"
+        work.mkdir()
+        records = work / "release_records.jsonl"
+        lines = (out_dir / "release_records.jsonl").read_bytes().splitlines(keepends=True)
+        if fault == "byte not UTF-8":
+            lines[1] = lines[1].replace(b'"release_date"', b'"release\xff_date"', 1)
+            named = f"{records} line 2: invalid UTF-8; "
+        else:
+            lines[0] = b"[" * 200_000 + b"\n"
+            named = f"{records} line 1: invalid JSON: "
+        records.write_bytes(b"".join(lines))
+        assert cli.main(["analyze", *_pipeline_args(corpus_dir, work)]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "rerun depgrowth metrics" in err
+        assert [p.name for p in work.iterdir()] == ["release_records.jsonl"]
+
+    def test_a_deeply_nested_resume_header_is_data_error(self, corpus_dir, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        ratings = work / "ratings.jsonl"
+        ratings.write_text("[" * 200_000 + "\n", encoding="utf-8")
+        assert cli.main(["all", *_pipeline_args(corpus_dir, work)]) == 3
+        assert f"{ratings} has no provenance keys and inputs; remove it to rate afresh" in capsys.readouterr().err
+        assert [p.name for p in work.iterdir()] == ["ratings.jsonl"]
+
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -1010,6 +1045,13 @@ class TestHttpModelClient:
             urllib.request, "urlopen", lambda request, timeout=None: _FakeResponse(body)
         )
         with pytest.raises(OSError):
+            self._client().complete("a", "b")
+
+
+    def test_a_deeply_nested_reply_raises_oserror(self, monkeypatch):
+        reply = _FakeResponse(b'{"text": ' + b"[" * 200_000)
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: reply)
+        with pytest.raises(OSError, match="invalid JSON"):
             self._client().complete("a", "b")
 
 

@@ -63,6 +63,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"[" * 200_000, b'{"alpha": ' + b"7" * 5000 + b"}", b'{"out_dir": "caf\xe9"}'],
+        ids=["deep nesting", "huge integer", "not UTF-8"],
+    )
+    def test_an_unreadable_document_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="cfg.json"):
+            load_config(path)
+
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")

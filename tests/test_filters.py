@@ -188,28 +188,44 @@ class TestMinDependents:
         counts = {"five": 5, "four": 4}
         items = [rel(pkg="five"), rel(pkg="four")]
         kept, report = filter_min_dependents(
-            items, lambda i: counts[i.package_name], threshold=5
+            items, lambda pkg, eco, when: counts[pkg], threshold=5
         )
         assert [i.package_name for i in kept] == ["five"]
         assert report.reasons == {"FewDependents": 1}
 
     def test_zero_threshold_keeps_everything(self):
         items = [rel(pkg="a"), rel(pkg="b")]
-        kept, report = filter_min_dependents(items, lambda i: None, threshold=0)
+        kept, report = filter_min_dependents(items, lambda pkg, eco, when: None, threshold=0)
         assert len(kept) == 2
         assert report.reasons == {}
 
     def test_missing_coverage_reported(self):
-        kept, report = filter_min_dependents([rel()], lambda i: None, threshold=5)
+        kept, report = filter_min_dependents([rel()], lambda pkg, eco, when: None, threshold=5)
         assert kept == []
         assert report.reasons == {"NoDependentData": 1}
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            filter_min_dependents([], lambda i: 0, threshold=-1)
+            filter_min_dependents([], lambda pkg, eco, when: 0, threshold=-1)
 
     def test_pre_release_date_is_day_before(self):
         assert pre_release_date(rel(day="2023-03-05")) == D("2023-03-04")
+
+    def test_the_count_is_asked_for_the_day_before_each_release(self):
+        asked = []
+
+        def dependent_count(pkg, eco, when):
+            asked.append((pkg, eco, when))
+            return 5
+
+        items = [rel(pkg="a", day="2023-03-01"), rel(pkg="b", eco="pypi", day="2024-01-01")]
+        classified, _ = filter_semver(items)
+        kept, _ = filter_min_dependents(classified, dependent_count, threshold=5)
+        assert kept == classified
+        assert asked == [("a", "npm", D("2023-02-28")), ("b", "pypi", D("2023-12-31"))]
+        # a threshold of 0 asks for no count
+        filter_min_dependents(items, dependent_count, threshold=0)
+        assert len(asked) == 2
 
 
 class TestReport:
@@ -288,7 +304,7 @@ class TestCascade:
         kept, reports = run_filter_cascade(
             releases,
             repos,
-            pre_count=lambda c: counts.get(c.release.package_name),
+            dependent_count=lambda pkg, eco, when: counts.get(pkg),
             threshold=5,
         )
         assert [c.release.package_name for c in kept] == ["good"]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from depgrowth import ingest
 from depgrowth.ingest import (
-    DateOutOfRange,
     DependentEdge,
     PackageRelease,
     RecordReader,
@@ -816,9 +815,9 @@ class TestRepoIndex:
             lambda index, when: index.quality_ok("a", "r", when),
             lambda index, when: index.nearest("absent", "r", when),
             lambda index, when: index.quality_ok("absent", "r", when),
-            lambda index, when: index.count_quality([0, 1], [("a", "r"), ("absent", "r")], when.toordinal()),
+            lambda index, when: count_one("lib", "npm", when, _edges_of_a_and_absent(when), index),
         ],
-        ids=["nearest", "quality_ok", "nearest-absent", "quality_ok-absent", "count_quality"],
+        ids=["nearest", "quality_ok", "nearest-absent", "quality_ok-absent", "count"],
     )
     def test_no_row_is_taken_after_a_lookup(self, lookup):
         start = D("2023-03-01")
@@ -833,7 +832,7 @@ class TestRepoIndex:
         # the refused rows left every answer as it was
         assert index.quality_ok("a", "r", start) and index.nearest("a", "r", start).stars == 5
         assert index.nearest("absent", "r", start) is None
-        assert index.count_quality([0, 1], [("a", "r"), ("absent", "r")], start.toordinal()) == 1
+        assert count_one("lib", "npm", start, _edges_of_a_and_absent(start), index) == 1
 
     @pytest.mark.parametrize("order", ["in-order", "out-of-order"])
     def test_counts_up_to_the_largest_round_trip(self, order):
@@ -901,11 +900,17 @@ def quality_repo_index(dep_names, day="2023-03-01", days=None):
 
 
 def count_one(pkg, eco, when, edges, repos):
-    """The count of one cell from a counter that requested it and was fed ``edges``."""
-    counter = StreamingDependentCounter()
+    """The count of one cell from a counter over ``repos`` that requested it
+    and was fed ``edges``."""
+    counter = StreamingDependentCounter(repos)
     counter.request(pkg, eco, when)
     counter.feed(edges)
-    return counter.count(pkg, eco, when, repos)
+    return counter.count(pkg, eco, when)
+
+
+def _edges_of_a_and_absent(when):
+    """Edges of "lib" from a/r, which has snapshots, and absent/r, which has none."""
+    return [make_edge("lib", "a/r", when), make_edge("lib", "absent/r", when)]
 
 
 class TestCountDependents:
@@ -959,18 +964,17 @@ class TestCountDependents:
         repos = quality_repo_index(["u1/a"])
         assert count_one("lib", "npm", D("2023-03-01"), edges, repos) == 0
 
-    def test_out_of_coverage_raises(self):
+    def test_out_of_coverage_is_none(self):
         edges = [make_edge("lib", "u1/a", "2023-03-10")]
         repos = quality_repo_index(["u1/a"], day="2023-03-10")
-        with pytest.raises(DateOutOfRange):
-            count_one("lib", "npm", D("2023-03-09"), edges, repos)
-        with pytest.raises(DateOutOfRange):
-            count_one("lib", "npm", D("2023-03-18"), edges, repos)
+        assert count_one("lib", "npm", D("2023-03-09"), edges, repos) is None
+        assert count_one("lib", "npm", D("2023-03-18"), edges, repos) is None
+        assert count_one("lib", "npm", D("2023-03-17"), edges, repos) == 1
 
     def test_a_row_is_kept_for_a_date_0_to_7_days_after_it(self):
         when = D("2023-03-20")
         repos = quality_repo_index(["u1/a"], days=[when - timedelta(days=d) for d in range(9)])
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(repos)
         counter.request("lib", "npm", when)
         # 8 and 7 days before the requested date, on it, and a day after it;
         # each dropped cell is remembered, its rows held by no bucket
@@ -978,7 +982,7 @@ class TestCountDependents:
         counter.feed([make_edge("lib", "u1/a", when + timedelta(days=d)) for d in days])
         rows = {day - when.toordinal(): len(cell) for day, cell in counter._buckets[("npm", "lib")].items()}
         assert rows == {-8: 0, -7: 1, 0: 1, 1: 0}
-        assert counter.count("lib", "npm", when, repos) == 1
+        assert counter.count("lib", "npm", when) == 1
         # the row 7 days back is the one the requested date joins to
         assert count_one("lib", "npm", when, [make_edge("lib", "u1/a", when - timedelta(days=7))], repos) == 1
 
@@ -1002,21 +1006,17 @@ class TestCountDependents:
         ]
         # every row of the second day crawled again, late and out of order
         dump = lines + lines[:4] + lines[4:][::-1] + lines[5:7]
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(quality_repo_index([f"user1/app{i}" for i in range(4)], days=days))
         for day in days:
             counter.request("libfoo", "npm", D(day))
         counter.feed(read_dependent_edges(dump))
-        repos = quality_repo_index([f"user1/app{i}" for i in range(4)], days=days)
-        assert [counter.count("libfoo", "npm", D(day), repos) for day in days] == [4, 4]
+        assert [counter.count("libfoo", "npm", D(day)) for day in days] == [4, 4]
 
 
 def _assert_counts_match_the_oracle(edges, repo_rows, queries):
-    """Each ``(pkg, eco, when)`` query counts as the naive oracle does.
-
-    Where the oracle finds no coverage (None), the counter raises
-    :class:`DateOutOfRange`.
-    """
-    counter = StreamingDependentCounter()
+    """Each ``(pkg, eco, when)`` query counts as the naive oracle does, None
+    where it finds no coverage."""
+    counter = StreamingDependentCounter(RepoIndex.build(repo_rows))
     for pkg, eco, when in queries:
         counter.request(pkg, eco, when)
     counter.feed(edges)
@@ -1024,15 +1024,10 @@ def _assert_counts_match_the_oracle(edges, repo_rows, queries):
 
 
 def _assert_counts_match(counter, edges, repo_rows, queries):
-    """Each query counts on the fed ``counter`` as the naive oracle does."""
-    repos = RepoIndex.build(repo_rows)
+    """Each query counts on the fed ``counter``, whose index holds
+    ``repo_rows``, as the naive oracle does."""
     for pkg, eco, when in queries:
-        expected = naive_dependent_count(edges, repo_rows, pkg, eco, when)
-        if expected is None:
-            with pytest.raises(DateOutOfRange):
-                counter.count(pkg, eco, when, repos)
-        else:
-            assert counter.count(pkg, eco, when, repos) == expected
+        assert counter.count(pkg, eco, when) == naive_dependent_count(edges, repo_rows, pkg, eco, when)
 
 
 _BASE = D("2023-03-01")
@@ -1090,34 +1085,34 @@ class TestStreamingCounter:
         _assert_counts_match_the_oracle(*world)
 
     def test_unrequested_cell_rejected(self):
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(RepoIndex())
         counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
         with pytest.raises(KeyError):
-            counter.count("lib", "npm", D("2023-03-01"), RepoIndex())
+            counter.count("lib", "npm", D("2023-03-01"))
 
     def test_a_request_after_the_feed_raises(self):
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(quality_repo_index(["u1/a"]))
         counter.request("lib", "npm", D("2023-03-01"))
         counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
         with pytest.raises(RuntimeError, match="no requests after its feed"):
             counter.request("lib", "npm", D("2023-03-02"))
         with pytest.raises(KeyError):
-            counter.count("lib", "npm", D("2023-03-02"), quality_repo_index(["u1/a"]))
+            counter.count("lib", "npm", D("2023-03-02"))
 
     def test_a_second_feed_raises(self):
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(quality_repo_index(["u1/a", "u2/b"]))
         counter.request("lib", "npm", D("2023-03-01"))
         counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
         with pytest.raises(RuntimeError, match="fed once"):
             counter.feed([make_edge("lib", "u2/b", "2023-03-01")])
         # the refused rows were not counted
-        assert counter.count("lib", "npm", D("2023-03-01"), quality_repo_index(["u1/a", "u2/b"])) == 1
+        assert counter.count("lib", "npm", D("2023-03-01")) == 1
 
     def test_a_count_before_the_feed_raises(self):
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(RepoIndex())
         counter.request("lib", "npm", D("2023-03-01"))
         with pytest.raises(RuntimeError, match="only after its feed"):
-            counter.count("lib", "npm", D("2023-03-01"), RepoIndex())
+            counter.count("lib", "npm", D("2023-03-01"))
 
     def test_feed_memory_follows_the_rows_not_the_requested_dates(self):
         # a tenth of the paper's shape: 3,300 packages, 10 release days each
@@ -1132,7 +1127,9 @@ class TestStreamingCounter:
             ]
             for i in range(3300)
         }
-        counter = StreamingDependentCounter()
+        # the index takes its rows after the feed, before the first count
+        repos = RepoIndex()
+        counter = StreamingDependentCounter(repos)
         for pkg, days in requested.items():
             for when in days:
                 counter.request(pkg, "npm", when)
@@ -1158,6 +1155,7 @@ class TestStreamingCounter:
             for day in edge_days
             for dep in deps
         ]
+        repos.extend(repo_rows)
         _assert_counts_match(counter, edges, repo_rows, queries)
 
 
@@ -1206,7 +1204,14 @@ class TestFusedIngest:
         rows, violations = _read(read_dependent_edges(lines))
         cells = {("libfoo", "npm")} | {(row.package_name, row.ecosystem) for row in rows}
         days = data.draw(st.lists(st.sampled_from(_LOOKUP_DAYS), min_size=1, max_size=4))
-        fed, expected = StreamingDependentCounter(), StreamingDependentCounter()
+        deps = sorted({(row.dependent_owner, row.dependent_repo) for row in rows})
+        repo_rows = [
+            make_snap(owner, repo, when, stars=i % 3, is_fork=i % 4 == 3)
+            for i, (owner, repo) in enumerate(deps)
+            for when in _LOOKUP_DAYS[::3]
+        ]
+        repos = RepoIndex.build(repo_rows)
+        fed, expected = StreamingDependentCounter(repos), StreamingDependentCounter(repos)
         for counter in (fed, expected):
             for package, ecosystem in cells:
                 for when in days:
@@ -1217,21 +1222,10 @@ class TestFusedIngest:
         assert [(v.line_no, v.message) for v in reader.violations] == violations
         assert fed._buckets == expected._buckets
         assert fed._coverage == expected._coverage
-        deps = sorted({(row.dependent_owner, row.dependent_repo) for row in rows})
-        repos = RepoIndex.build(
-            make_snap(owner, repo, when, stars=i % 3, is_fork=i % 4 == 3)
-            for i, (owner, repo) in enumerate(deps)
-            for when in _LOOKUP_DAYS[::3]
-        )
         for package, ecosystem in cells:
             for when in days:
-                try:
-                    want = expected.count(package, ecosystem, when, repos)
-                except DateOutOfRange:
-                    with pytest.raises(DateOutOfRange):
-                        fed.count(package, ecosystem, when, repos)
-                    continue
-                assert fed.count(package, ecosystem, when, repos) == want
+                want = naive_dependent_count(rows, repo_rows, package, ecosystem, when)
+                assert fed.count(package, ecosystem, when) == expected.count(package, ecosystem, when) == want
 
     @pytest.mark.parametrize("order", ["date-major", "repository-major"])
     def test_an_index_fed_past_a_dropped_memo_matches_rows(self, order):
@@ -1311,13 +1305,12 @@ class TestOversizedIntegers:
         lines = [line, edge_line(), edge_line(dependent_repo="app2")]
         rows, violations = _read(read_dependent_edges(lines))
         assert len(rows) == 2 and [n for n, _ in violations] == [1]
-        counter = StreamingDependentCounter()
+        counter = StreamingDependentCounter(quality_repo_index(["user1/app1", "user1/app2"]))
         counter.request("libfoo", "npm", D("2023-03-01"))
         reader = read_dependent_edges(lines)
         counter.feed(reader)
         assert [(v.line_no, v.message) for v in reader.violations] == violations
-        repos = quality_repo_index(["user1/app1", "user1/app2"])
-        assert counter.count("libfoo", "npm", D("2023-03-01"), repos) == 2
+        assert counter.count("libfoo", "npm", D("2023-03-01")) == 2
 
 
 class TestCountBound:
@@ -1334,3 +1327,64 @@ class TestCountBound:
         assert line_no == 1 and message.startswith(field)
         snap = index.nearest("acme", "libfoo", D("2023-03-01"))
         assert getattr(snap, field) == 2**63 - 1
+
+
+# deeper than any recursion limit the JSON decoder runs under
+_DEEP = "[" * 200_000
+_READERS = {
+    "snapshots": (read_repo_snapshots, snap_line),
+    "edges": (read_dependent_edges, edge_line),
+    "releases": (read_releases, release_line),
+}
+
+
+class TestUnreadableLines:
+    @pytest.mark.parametrize("kind", _READERS)
+    def test_a_line_that_is_not_utf_8_is_one_violation(self, tmp_path, kind):
+        read, line_fn = _READERS[kind]
+        good = line_fn().encode("utf-8")
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"\n".join([good, good.replace(b"libfoo", b"lib\xfffoo"), good]) + b"\n")
+        rows, violations = _read(read(path))
+        assert len(rows) == 2 and violations == [(2, "invalid UTF-8")]
+
+    @pytest.mark.parametrize("bad", [(b"libfoo", b"lib\xfffoo"), (b"2023-03-02", b"2023-03-\xff2")], ids=["body", "date"])
+    def test_the_index_and_the_counter_refuse_it_past_the_body_memo(self, tmp_path, bad):
+        days = ("2023-03-01", "2023-03-02", "2023-03-03")
+
+        def spoiled(name, body):
+            lines = [_dated(day, body).encode("utf-8") for day in days]
+            lines[1] = lines[1].replace(*bad)
+            path = tmp_path / name
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            return path
+
+        reader = read_repo_snapshots(spoiled("snapshots.jsonl", _BODY))
+        index = RepoIndex.build(reader)
+        assert [(v.line_no, v.message) for v in reader.violations] == [(2, "invalid UTF-8")]
+        assert index.nearest("acme", "libfoo", D("2023-03-02")).snapshot_date == D("2023-03-01")
+        counter = StreamingDependentCounter(quality_repo_index(["user1/app1"], days=days))
+        for day in days:
+            counter.request("libfoo", "npm", D(day))
+        reader = read_dependent_edges(spoiled("edges.jsonl", _body(edge_line(), [])))
+        counter.feed(reader)
+        assert [(v.line_no, v.message) for v in reader.violations] == [(2, "invalid UTF-8")]
+        # the refused line's day is uncovered, so it joins the day before
+        assert counter._coverage == [D(days[0]).toordinal(), D(days[2]).toordinal()]
+        assert [counter.count("libfoo", "npm", D(day)) for day in days] == [1, 1, 1]
+
+    @pytest.mark.parametrize("kind", _READERS)
+    @pytest.mark.parametrize("deep", [_DEEP, '{"x": ' + _DEEP, _DEEP + "]"], ids=["bare", "in-object", "closed-once"])
+    def test_a_deeply_nested_line_is_one_violation(self, kind, deep):
+        read, line_fn = _READERS[kind]
+        rows, violations = _read(read([line_fn(), deep, line_fn()]))
+        assert len(rows) == 2
+        [(line_no, message)] = violations
+        assert line_no == 2 and message.startswith("invalid JSON: ")
+
+    def test_the_index_reads_past_a_deeply_nested_line(self):
+        lines = [_dated("2023-03-01", _BODY), _dated("2023-03-02", '"x":' + _DEEP), _dated("2023-03-03", _BODY)]
+        reader = read_repo_snapshots(lines)
+        index = RepoIndex.build(reader)
+        assert [v.line_no for v in reader.violations] == [2]
+        assert index.nearest("acme", "libfoo", D("2023-03-03")).snapshot_date == D("2023-03-03")

@@ -179,6 +179,20 @@ class TestBuildRecords:
         assert record.metric_values[("stars", 45)] == snap_at.stars
         assert record.metric_values[("forks", 45)] == snap_at.forks
 
+    def test_counts_are_asked_for_the_day_before_and_each_offset(self):
+        repos, provider, _, _ = self._world()
+        asked = []
+
+        def dependent_count(pkg, eco, when):
+            asked.append((pkg, eco, when))
+            return provider(pkg, eco, when)
+
+        build_release_records([classified(day="2023-03-10")], repos, dependent_count, GRID)
+        release_day = D("2023-03-10")
+        assert asked == [("libfoo", "npm", release_day - timedelta(days=1))] + [
+            ("libfoo", "npm", release_day + timedelta(days=offset)) for offset in (0, 45, 90, 135, 180)
+        ]
+
     def test_missing_pre_count_skips_record(self):
         repos, provider, _, _ = self._world()
         records, skipped = build_release_records(
