@@ -59,6 +59,7 @@ from .ingest import (
     _parse_date,
     _req_int,
     _req_str,
+    compact_json,
     read_dependent_edges,
     read_releases,
     read_repo_snapshots,
@@ -132,9 +133,9 @@ def _out_dir(config: PipelineConfig) -> Path:
     return out
 
 
-def _write_records(path: Path, schema: str, provenance: dict, rows: Iterable[Mapping]) -> int:
+def _write_records(path: Path, schema: str, provenance: dict, lines: Iterable[str]) -> int:
     with _replacing(path) as handle:
-        return write_records(handle, schema, rows, provenance)
+        return write_records(handle, schema, lines, provenance)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,34 +155,44 @@ def _write_text(path: Path, provenance: dict, body: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _record_row(record: ReleaseRecord) -> dict:
-    return {
-        "release_date": record.release_date.isoformat(),
-        "ecosystem": record.ecosystem,
-        "package_name": record.package_name,
-        "owner": record.owner,
-        "repo_name": record.repo_name,
-        "version": format_version(record.version),
-        "release_type": record.release_type.value,
-        "series": record.series.value,
-        "pre_dependents": record.pre_dependents,
-        "bin": record.bin.value,
-        "metrics": {
-            f"{metric}@{offset}": value
+def _record_lines(records: Iterable[ReleaseRecord]) -> Iterator[str]:
+    """``release_records.jsonl`` rows as compact JSON lines, the metrics keys
+    in ``(metric, offset)`` order. A metric name needs no JSON escape, and a
+    value is an int (never a bool) or None."""
+    for record in records:
+        cells = ",".join(
+            f'"{metric}@{offset}":{"null" if value is None else value}'
             for (metric, offset), value in sorted(record.metric_values.items())
-        },
-    }
+        )
+        head = compact_json(
+            {
+                "release_date": record.release_date.isoformat(),
+                "ecosystem": record.ecosystem,
+                "package_name": record.package_name,
+                "owner": record.owner,
+                "repo_name": record.repo_name,
+                "version": format_version(record.version),
+                "release_type": record.release_type.value,
+                "series": record.series.value,
+                "pre_dependents": record.pre_dependents,
+                "bin": record.bin.value,
+            }
+        )
+        yield f'{head[:-1]},"metrics":{{{cells}}}}}'
 
 
 def _release_record(row: dict) -> ReleaseRecord:
-    """A ``release_records.jsonl`` row, the inverse of ``_record_row``."""
+    """A ``release_records.jsonl`` row, the inverse of ``_record_lines``.
+
+    An offset is a decimal integer with no leading zero, so no two keys name
+    one cell."""
     metrics = row.get("metrics")
     if not isinstance(metrics, dict):
         raise ValueError("metrics must be an object")
     values: dict[tuple[str, int], int | None] = {}
     for key, value in metrics.items():
         metric, _, offset = key.partition("@")
-        if metric not in METRICS or not (offset.isascii() and offset.isdigit()):
+        if metric not in METRICS or not (offset.isascii() and offset.isdigit()) or str(int(offset)) != offset:
             raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
         values[metric, int(offset)] = None if value is None else _req_int(metrics, key)
     return ReleaseRecord(
@@ -258,8 +269,8 @@ def _read_record_lines(path: Path) -> Iterator:
 _load_samples = _read_record_lines  # perfbench/tracer.py wraps it; remove with ROADMAP item 1
 
 
-def _write_artifact(out: Path, name: str, provenance: dict, rows: Iterable[Mapping]) -> int:
-    return _write_records(out / name, ARTIFACTS[name].schema, provenance, rows)
+def _write_artifact(out: Path, name: str, provenance: dict, lines: Iterable[str]) -> int:
+    return _write_records(out / name, ARTIFACTS[name].schema, provenance, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +440,12 @@ class Corpus:
         return self._counter
 
 
-def _release_row(release: PackageRelease) -> dict:
+def _release_line(release: PackageRelease) -> str:
     # the row's keys are the dataclass's fields, in their order
     row = dict(vars(release), release_date=release.release_date.isoformat())
     if release.release_notes is None:
         del row["release_notes"]
-    return row
+    return compact_json(row)
 
 
 def _release_key(release: PackageRelease) -> str:
@@ -466,7 +477,7 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
         zero_split=config.zero_split,
     )
     n = _write_artifact(
-        out, "filtered_releases.jsonl", provenance, (_release_row(item.release) for item in survivors)
+        out, "filtered_releases.jsonl", provenance, (_release_line(item.release) for item in survivors)
     )
     _write_json(
         out / "filter_report.json",
@@ -484,15 +495,24 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
     return survivors
 
 
-def _sample_row(sample: LogDiffSample) -> dict:
-    # the row's keys are the dataclass's fields, in their order
-    return dict(
-        vars(sample),
-        release_date=sample.release_date.isoformat(),
-        release_type=sample.release_type.value,
-        series=sample.series.value,
-        bin=sample.bin.value,
-    )
+def _sample_lines(records: Sequence[ReleaseRecord], grid: LookaheadGrid, exclusions: dict) -> Iterator[str]:
+    """``log_diff_samples.jsonl`` rows as compact JSON lines, a grid cell at a
+    time, each cell's exclusion tallies put in ``exclusions``. A row joins its
+    record's prefix (the seven fields its samples share, encoded once), its
+    cell's text and ``repr`` of the value, the JSON text of a finite float."""
+    prefixes: dict[tuple, str] = {}
+    for metric in METRICS:
+        for offset in grid.offsets:
+            samples, tallies = log_diff_samples(records, metric, offset)
+            exclusions[f"{metric}@{offset}"] = tallies
+            cell = compact_json({"metric": metric, "offset_days": offset})[1:-1] + ',"value":'
+            for sample in samples:
+                shared = sample[:7]
+                prefix = prefixes.get(shared)
+                if prefix is None:
+                    fields = (*shared[:2], shared[2].isoformat(), shared[3], *(field.value for field in shared[4:]))
+                    prefix = prefixes[shared] = compact_json(dict(zip(LogDiffSample._fields, fields)))[:-1] + ","
+                yield prefix + cell + repr(sample.value) + "}"
 
 
 def cmd_metrics(
@@ -507,20 +527,11 @@ def cmd_metrics(
     repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter([item.release for item in survivors])
     records, skipped = build_release_records(survivors, repos, counter.count, grid)
-    n_records = _write_artifact(
-        out, "release_records.jsonl", provenance, (_record_row(record) for record in records)
-    )
+    n_records = _write_artifact(out, "release_records.jsonl", provenance, _record_lines(records))
     exclusions: dict[str, dict[str, int]] = {}
-
-    def sample_rows() -> Iterator[dict]:
-        # streamed: one grid cell's samples at a time, its tallies as it goes
-        for metric in METRICS:
-            for offset in grid.offsets:
-                samples, tallies = log_diff_samples(records, metric, offset)
-                exclusions[f"{metric}@{offset}"] = tallies
-                yield from map(_sample_row, samples)
-
-    n_samples = _write_artifact(out, "log_diff_samples.jsonl", provenance, sample_rows())
+    n_samples = _write_artifact(
+        out, "log_diff_samples.jsonl", provenance, _sample_lines(records, grid, exclusions)
+    )
     _write_json(
         out / "metrics_report.json",
         {
@@ -587,14 +598,14 @@ def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None 
                 for stratum, row in zip(bundle.row_labels, matrix)
                 for rtype, value in zip(bundle.col_labels, row)
             )
-        _write_artifact(out, f"heatmap_{stem[len('table_'):]}.jsonl", provenance, cell_rows)
+        _write_artifact(out, f"heatmap_{stem[len('table_'):]}.jsonl", provenance, map(compact_json, cell_rows))
 
     timepoint_rows = [
         {**dataclasses.asdict(dist), "strat_by": strat_by}
         for strat_by in ("bin", "series")
         for dist in timepoint_distributions(dependents, grid, strat_by=strat_by, fold_zero=config.fold_zero)
     ]
-    _write_artifact(out, "timepoints.jsonl", provenance, timepoint_rows)
+    _write_artifact(out, "timepoints.jsonl", provenance, map(compact_json, timepoint_rows))
 
     _write_json(
         out / "demographics.json",
@@ -756,7 +767,7 @@ def cmd_complexity(
         info = meta[key]
         record = rating_record(key, rating, info["bundle"], client.model_id)
         merged[key] = {**record, "language": info["language"], "release_type": info["release_type"]}
-    n = _write_artifact(out, "ratings.jsonl", provenance, (merged[k] for k in sorted(merged)))
+    n = _write_artifact(out, "ratings.jsonl", provenance, (compact_json(merged[k]) for k in sorted(merged)))
     # totals, not per-run deltas, so a resumed run writes the same report
     _write_json(
         out / "complexity_report.json",

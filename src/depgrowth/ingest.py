@@ -23,10 +23,10 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
+from itertools import islice, repeat
 from operator import lt
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
     "DependentEdge",
@@ -37,6 +37,7 @@ __all__ = [
     "SchemaViolation",
     "SourceUnavailable",
     "StreamingDependentCounter",
+    "compact_json",
     "read_dependent_edges",
     "read_releases",
     "read_repo_snapshots",
@@ -51,8 +52,8 @@ MAX_COUNT = 2**63 - 1
 
 _ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
 _raw_decode = json.JSONDecoder().raw_decode
-# json.dumps(row, separators=(",", ":")), without an encoder built per call
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# json.dumps(value, separators=(",", ":")), the text of each row write_records writes
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # the start of a compact snapshot or edge line with its date first, as synth
 # writes them; see RecordReader.compiled
 _DATED_PREFIX = '{"snapshot_date":"'
@@ -385,6 +386,15 @@ class RecordReader:
                     f"{where}unsupported {name} schema version {version!r}"
                 )
             return None
+        # a JSON escape spells a lone surrogate in ASCII, past the check above;
+        # only a line with "\u" can hold one
+        if "\\u" in line:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                surrogate = ord(exc.object[exc.start])
+                self.violations.append(SchemaViolation(line_no, f"invalid UTF-8: lone surrogate U+{surrogate:04X}"))
+                return None
         try:
             return self._parse(obj)
         except ValueError as exc:
@@ -524,16 +534,20 @@ def read_dependent_edges(source: Source) -> RecordReader:
     return RecordReader(source, "dependent-edges", _dependent_edge, 4)
 
 
-def write_records(handle: IO[str], schema: str, rows: Iterable[Mapping], provenance: dict | None = None) -> int:
+def write_records(handle: IO[str], schema: str, lines: Iterable[str], provenance: dict | None = None) -> int:
     """Write a sorted-key schema header, with ``provenance`` when given, then
-    one compact JSON row per line; returns the row count."""
+    one line per row of ``lines``, each encoded as by :func:`compact_json`; returns the row count."""
     header: dict = {"schema": schema, "version": SCHEMA_VERSION}
     if provenance is not None:
         header["provenance"] = provenance
     handle.write(json.dumps(header, sort_keys=True) + "\n")
     n = 0
-    for n, row in enumerate(rows, start=1):
-        handle.write(_compact(row) + "\n")
+    lines = iter(lines)
+    # one write per batch of lines: a text handle's write costs more than a join
+    while batch := list(islice(lines, 128)):
+        n += len(batch)
+        batch.append("")
+        handle.write("\n".join(batch))
     return n
 
 

@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .filters import ClassifiedRelease, CountProvider, pre_release_date
 from .ingest import RepoIndex
@@ -112,8 +112,7 @@ class ReleaseRecord:
     metric_values: dict[tuple[str, int], int | None]
 
 
-@dataclass(frozen=True)
-class LogDiffSample:
+class LogDiffSample(NamedTuple):
     """One log-difference observation, denormalized for stratified analysis."""
 
     ecosystem: str
@@ -228,16 +227,16 @@ def log_diff_samples(
             continue
         samples.append(
             LogDiffSample(
-                ecosystem=record.ecosystem,
-                package_name=record.package_name,
-                release_date=record.release_date,
-                version_text=format_version(record.version),
-                release_type=record.release_type,
-                series=record.series,
-                bin=record.bin,
-                metric=metric,
-                offset_days=offset_days,
-                value=log_difference(v0, v1),
+                record.ecosystem,
+                record.package_name,
+                record.release_date,
+                format_version(record.version),
+                record.release_type,
+                record.series,
+                record.bin,
+                metric,
+                offset_days,
+                log_difference(v0, v1),
             )
         )
     return samples, exclusions

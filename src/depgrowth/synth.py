@@ -37,7 +37,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterator
 
-from .ingest import _resolve_coverage, write_records
+from .ingest import _DATED_PREFIX, _resolve_coverage, compact_json, write_records
 
 __all__ = [
     "BASE_DATE",
@@ -616,10 +616,12 @@ def _dep_repo(dep_id: int) -> str:
     return f"lib-{dep_id:05d}"
 
 
-def repo_snapshot_rows(world: SynthWorld) -> Iterator[dict]:
-    """Daily package-repo snapshots plus weekly dependent-pool snapshots."""
+def repo_snapshot_rows(world: SynthWorld) -> Iterator[str]:
+    """Daily package-repo snapshots plus weekly dependent-pool snapshots, as
+    compact JSON lines: the text after a repository's date is encoded once
+    per (stars, forks) state."""
     cfg = world.config
-    iso = _iso_table(cfg.days)
+    dated = [f'{_DATED_PREFIX}{text}",' for text in _iso_table(cfg.days)]
     for pidx, pkg in enumerate(world.packages):
         if pkg.quirk == "ghost":
             continue
@@ -636,40 +638,31 @@ def repo_snapshot_rows(world: SynthWorld) -> Iterator[dict]:
         desc = None if pidx % 7 == 0 else _DESCS[pidx % len(_DESCS)]
         topics = tuple(_TOPICS[(pidx + j) % len(_TOPICS)] for j in range(pidx % 4))
         lang = None if pidx % 11 == 0 else _LANGS[pidx % len(_LANGS)]
+        optional = {"description": desc, "topics": list(topics), "language": lang}
+        head = compact_json({"owner": pkg.owner, "name": pkg.repo_name})[1:-1]
+        tail = compact_json({"is_fork": is_fork, **{k: v for k, v in optional.items() if v}})[1:]
+        state = body = None
         for d in range(cfg.days):
-            row: dict = {
-                "snapshot_date": iso[d],
-                "owner": pkg.owner,
-                "name": pkg.repo_name,
-                "stars": base_stars + (d * star_slope) // 64,
-                "forks": base_forks + (d * fork_slope) // 128,
-                "is_fork": is_fork,
-            }
-            if desc is not None:
-                row["description"] = desc
-            if topics:
-                row["topics"] = list(topics)
-            if lang is not None:
-                row["language"] = lang
-            yield row
+            counts = base_stars + (d * star_slope) // 64, base_forks + (d * fork_slope) // 128
+            if counts != state:
+                state = counts
+                body = f'{head},"stars":{counts[0]},"forks":{counts[1]},{tail}'
+            yield dated[d] + body
     q, z = cfg.pool_quality, cfg.pool_zero_star
     for dep in range(cfg.pool_size):
-        owner, repo = _dep_owner(dep), _dep_repo(dep)
         if dep < q:
             is_fork, base = False, 1 + dep % 40
         elif dep < q + z:
             is_fork, base = False, 0
         else:
             is_fork, base = True, 3
+        head = compact_json({"owner": _dep_owner(dep), "name": _dep_repo(dep)})[1:-1]
+        tail = compact_json({"forks": dep % 5, "is_fork": is_fork})[1:]
+        # a pool repository's stars change at most once a year: one body a year
+        stars = [base + (year if (base and dep < q) else 0) for year in range(cfg.days // 365 + 1)]
+        bodies = [f'{head},"stars":{count},{tail}' for count in stars]
         for d in range(cfg.pool_start_day, cfg.days, cfg.pool_cadence_days):
-            yield {
-                "snapshot_date": iso[d],
-                "owner": owner,
-                "name": repo,
-                "stars": base + (d // 365 if (base and dep < q) else 0),
-                "forks": dep % 5,
-                "is_fork": is_fork,
-            }
+            yield dated[d] + bodies[d // 365]
 
 
 def release_rows(world: SynthWorld) -> Iterator[dict]:
@@ -701,27 +694,27 @@ def release_rows(world: SynthWorld) -> Iterator[dict]:
         }
 
 
-def dependent_edge_rows(world: SynthWorld) -> Iterator[dict]:
-    """Edge rows at each package's own query days; ~1% emitted twice."""
+def dependent_edge_rows(world: SynthWorld) -> Iterator[str]:
+    """Edge rows at each package's own query days, ~1% emitted twice, as
+    compact JSON lines: an edge's dependent part is encoded once per
+    dependent, and its package part once per package."""
     cfg = world.config
-    iso = _iso_table(cfg.days)
+    dated = [f'{_DATED_PREFIX}{text}",' for text in _iso_table(cfg.days)]
+    dependents = [
+        compact_json({"dependent_owner": _dep_owner(dep), "dependent_repo": _dep_repo(dep)})[1:-1]
+        for dep in range(cfg.pool_size)
+    ]
     for pidx, pkg in enumerate(world.packages):
         if not pkg.deps:
             continue
+        package = "," + compact_json({"ecosystem": pkg.ecosystem, "package_name": pkg.package_name})[1:]
         for d in _emission_days(pkg, cfg):
-            date_text = iso[d]
             for span in pkg.deps:
                 if span.start_day <= d < span.end_day:
-                    row = {
-                        "snapshot_date": date_text,
-                        "dependent_owner": _dep_owner(span.dep_id),
-                        "dependent_repo": _dep_repo(span.dep_id),
-                        "ecosystem": pkg.ecosystem,
-                        "package_name": pkg.package_name,
-                    }
-                    yield row
+                    line = dated[d] + dependents[span.dep_id] + package
+                    yield line
                     if (span.dep_id * 131071 + d * 31 + pidx) % 97 == 0:
-                        yield dict(row)
+                        yield line
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +729,7 @@ def write_corpus(world: SynthWorld, out_dir: str | Path) -> dict[str, int]:
     counts = {}
     for name, schema, rows in (
         ("repo_snapshots", "repo-snapshots", repo_snapshot_rows(world)),
-        ("releases", "releases", release_rows(world)),
+        ("releases", "releases", map(compact_json, release_rows(world))),
         ("dependent_edges", "dependent-edges", dependent_edge_rows(world)),
     ):
         with open(out / f"{name}.jsonl", "w", encoding="utf-8") as handle:

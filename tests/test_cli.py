@@ -1,5 +1,6 @@
 """Command line pipeline: stage handoff, determinism, exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -12,6 +13,8 @@ from collections import Counter
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depgrowth import cli, complexity
 from depgrowth.complexity import (
@@ -24,6 +27,15 @@ from depgrowth.complexity import (
 )
 from depgrowth.config import ConfigError, resolve_config
 from depgrowth.ingest import PackageRelease, RepoSnapshot, read_releases
+from depgrowth.metrics import (
+    METRICS,
+    LookaheadGrid,
+    ReleaseRecord,
+    SizeBin,
+    log_diff_samples,
+    log_difference,
+)
+from depgrowth.semver import ReleaseType, Version, VersionSeries, format_version
 from depgrowth.synth import build_world, small_config, write_corpus
 
 
@@ -187,7 +199,7 @@ class TestMetricsStage:
         # Version equality ignores the raw text, so a "v" tag round-trips too
         assert any(r.version.raw.startswith("v") for r in records)
         for record in records:
-            assert cli._release_record(json.loads(json.dumps(cli._record_row(record)))) == record
+            assert cli._release_record(json.loads(next(cli._record_lines([record])))) == record
 
 
 class TestAnalyzeStage:
@@ -641,6 +653,9 @@ class TestExitCodes:
         "metrics not an object": ("metrics", [12]),
         "metrics key without days": ("dependents@later", 12),
         "metrics key of no metric": ("downloads@0", 12),
+        # no leading zero, so no second key names the cell of dependents@90
+        "zero-padded metrics key": ("dependents@090", 999999),
+        "zero-padded zero offset": ("stars@00", 999999),
     }
 
     @pytest.mark.parametrize(
@@ -710,6 +725,37 @@ class TestExitCodes:
         assert f"{filtered} line 4: " in err
         assert "rerun depgrowth filter" in err
         assert [p.name for p in work.iterdir()] == ["filtered_releases.jsonl"]
+
+    @pytest.mark.parametrize("stage", ["metrics", "complexity"])
+    def test_an_escaped_lone_surrogate_in_filtered_releases_is_data_error(
+        self, corpus_dir, out_dir, tmp_path, capsys, stage
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        filtered = work / "filtered_releases.jsonl"
+        lines = (out_dir / "filtered_releases.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["release_notes"] = (row.get("release_notes") or "") + "\ud800"
+        lines[1] = json.dumps(row) + "\n"  # ASCII: the surrogate as a JSON escape
+        filtered.write_text("".join(lines), encoding="utf-8")
+        assert cli.main([stage, *_pipeline_args(corpus_dir, work)]) == 3
+        err = capsys.readouterr().err
+        assert f"{filtered} line 2: invalid UTF-8: lone surrogate U+D800; remove it and rerun depgrowth filter" in err
+        assert [p.name for p in work.iterdir()] == ["filtered_releases.jsonl"]
+
+    def test_an_escaped_lone_surrogate_in_a_release_is_one_violation(self, corpus_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        releases = corpus / "releases.jsonl"
+        lines = releases.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["release_notes"] = (row.get("release_notes") or "") + " \ud800"
+        lines[1] = json.dumps(row) + "\n"
+        releases.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["all", *_pipeline_args(corpus, out)]) == 0
+        report = json.loads((out / "filter_report.json").read_text(encoding="utf-8"))
+        assert report["schema_violations"]["releases"] == 1
 
     @pytest.mark.parametrize("stage", ["complexity", "all"])
     @pytest.mark.parametrize("token", ["abc\ndef", "abc\rdef", "abc€def"], ids=["newline", "return", "euro"])
@@ -879,11 +925,11 @@ class TestStaleResumeState:
 class TestAtomicWrites:
     def test_failed_writer_keeps_previous_artifact(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        cli._write_records(path, "rows", {}, [{"n": 1}, {"n": 2}])
+        cli._write_records(path, "rows", {}, ['{"n":1}', '{"n":2}'])
         before = path.read_bytes()
 
         def rows():
-            yield {"n": 3}
+            yield '{"n":3}'
             raise RuntimeError("killed mid-write")
 
         with pytest.raises(RuntimeError):
@@ -1060,3 +1106,105 @@ class TestMockParity:
         from depgrowth.config import PipelineConfig
 
         assert PipelineConfig().model_id == MockModelClient.model_id
+
+
+def _record_row(record):
+    """A ``release_records.jsonl`` row as a dict, the generic encoder's input."""
+    return {
+        "release_date": record.release_date.isoformat(),
+        "ecosystem": record.ecosystem,
+        "package_name": record.package_name,
+        "owner": record.owner,
+        "repo_name": record.repo_name,
+        "version": format_version(record.version),
+        "release_type": record.release_type.value,
+        "series": record.series.value,
+        "pre_dependents": record.pre_dependents,
+        "bin": record.bin.value,
+        "metrics": {
+            f"{metric}@{offset}": value
+            for (metric, offset), value in sorted(record.metric_values.items())
+        },
+    }
+
+
+def _sample_row(sample):
+    """A ``log_diff_samples.jsonl`` row as a dict, the generic encoder's input."""
+    return dict(
+        sample._asdict(),
+        release_date=sample.release_date.isoformat(),
+        release_type=sample.release_type.value,
+        series=sample.series.value,
+        bin=sample.bin.value,
+    )
+
+
+def _compact(row):
+    return json.dumps(row, separators=(",", ":"))
+
+
+_GRID = LookaheadGrid(180, 45)
+_CELLS = [(metric, offset) for metric in METRICS for offset in (0, *_GRID.offsets)]
+# short strings, so that records often share fields, with the characters JSON
+# escapes (quote, backslash, control characters) and others it writes as \u
+# escapes (non-ASCII, U+2028)
+_TEXT = st.text(st.one_of(st.sampled_from('a"\\\x00\x1f\x7f é\U0001f600'), st.characters()), max_size=4)
+_COUNT = st.one_of(st.none(), st.sampled_from([0, 1, 2**63 - 1]), st.integers(0, 2**63 - 1))
+_NUMBER = st.integers(0, 2**70)
+
+
+@st.composite
+def _records(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = draw(st.lists(st.sampled_from(_CELLS), unique=True))
+        records.append(
+            ReleaseRecord(
+                release_date=draw(st.dates()),
+                ecosystem=draw(_TEXT),
+                package_name=draw(_TEXT),
+                owner=draw(_TEXT),
+                repo_name=draw(_TEXT),
+                version=Version(draw(_NUMBER), draw(_NUMBER), draw(_NUMBER), raw=draw(_TEXT)),
+                release_type=draw(st.sampled_from(ReleaseType)),
+                series=draw(st.sampled_from(VersionSeries)),
+                pre_dependents=draw(st.integers(0, 2**63 - 1)),
+                bin=draw(st.sampled_from(SizeBin)),
+                metric_values={cell: draw(_COUNT) for cell in cells},
+            )
+        )
+    # records that share the fields of another's samples but for a type, a
+    # series or a bin, and records repeated whole
+    if records:
+        for record in draw(st.lists(st.sampled_from(records), max_size=3)):
+            records.append(
+                dataclasses.replace(
+                    record,
+                    release_type=draw(st.sampled_from(ReleaseType)),
+                    series=draw(st.sampled_from(VersionSeries)),
+                    bin=draw(st.sampled_from(SizeBin)),
+                )
+            )
+        records += draw(st.lists(st.sampled_from(records), max_size=2))
+    return records
+
+
+class TestRowEncoders:
+    @given(_records())
+    @settings(max_examples=300, deadline=None)
+    def test_record_and_sample_lines_are_the_generic_encoding(self, records):
+        assert list(cli._record_lines(records)) == [_compact(_record_row(record)) for record in records]
+        exclusions: dict = {}
+        lines = list(cli._sample_lines(records, _GRID, exclusions))
+        expected, tallies = [], {}
+        for metric in METRICS:
+            for offset in _GRID.offsets:
+                samples, tallies[f"{metric}@{offset}"] = log_diff_samples(records, metric, offset)
+                expected += [_compact(_sample_row(sample)) for sample in samples]
+        assert lines == expected
+        assert exclusions == tallies
+
+    @given(st.integers(1, 2**63 - 1), st.integers(1, 2**63 - 1))
+    def test_repr_of_a_log_difference_is_its_json_text(self, v0, v1):
+        value = log_difference(v0, v1)
+        assert repr(value) == json.dumps(value)

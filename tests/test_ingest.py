@@ -1348,6 +1348,40 @@ class TestUnreadableLines:
         rows, violations = _read(read(path))
         assert len(rows) == 2 and violations == [(2, "invalid UTF-8")]
 
+    # the six ASCII characters of a JSON escape, in a string value or a key
+    _SURROGATES = {
+        "high in a value": ('"libfoo"', '"lib\\ud800foo"', "U+D800"),
+        "low in a value": ('"libfoo"', '"lib\\uDC00foo"', "U+DC00"),
+        "in a key": ('"libfoo"', '"libfoo","\\ud83d":1', "U+D83D"),
+    }
+
+    @pytest.mark.parametrize("kind", _READERS)
+    @pytest.mark.parametrize("where", _SURROGATES)
+    def test_an_escaped_lone_surrogate_is_one_violation(self, kind, where):
+        read, line_fn = _READERS[kind]
+        old, new, code_point = self._SURROGATES[where]
+        good = line_fn()
+        bad = good.replace(old, new, 1)
+        rows, violations = _read(read([good, bad, good]))
+        assert len(rows) == 2 and violations == [(2, f"invalid UTF-8: lone surrogate {code_point}")]
+
+    @pytest.mark.parametrize("kind", ["snapshots", "edges"])
+    def test_the_body_memo_refuses_an_escaped_lone_surrogate(self, kind):
+        read, line_fn = _READERS[kind]
+        good = _body(line_fn(), [])
+        bad = good.replace('"libfoo"', '"lib\\ud800foo"', 1)
+        days = ("2023-03-01", "2023-03-02", "2023-03-03", "2023-03-04")
+        lines = [_dated(days[0], good), _dated(days[1], bad), _dated(days[2], bad), _dated(days[3], good)]
+        rows, violations = _read_compiled(read(lines))
+        assert [row.snapshot_date for row in rows] == [D(days[0]), D(days[3])]
+        assert violations == [(2, "invalid UTF-8: lone surrogate U+D800"), (3, "invalid UTF-8: lone surrogate U+D800")]
+
+    @pytest.mark.parametrize("kind", _READERS)
+    def test_an_escaped_surrogate_pair_is_read(self, kind):
+        read, line_fn = _READERS[kind]
+        rows, violations = _read(read([line_fn().replace('"libfoo"', '"lib\\ud83d\\ude00foo"', 1)]))
+        assert violations == [] and "lib\U0001f600foo" in repr(rows[0])
+
     @pytest.mark.parametrize("bad", [(b"libfoo", b"lib\xfffoo"), (b"2023-03-02", b"2023-03-\xff2")], ids=["body", "date"])
     def test_the_index_and_the_counter_refuse_it_past_the_body_memo(self, tmp_path, bad):
         days = ("2023-03-01", "2023-03-02", "2023-03-03")

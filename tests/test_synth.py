@@ -5,6 +5,7 @@ import json
 import pytest
 
 from depgrowth.ingest import (
+    compact_json,
     read_dependent_edges,
     read_releases,
     read_repo_snapshots,
@@ -159,7 +160,7 @@ class TestSpice:
     def test_ghost_repos_emit_no_snapshots(self, world):
         ghosts = {p.owner for p in world.packages if p.quirk == "ghost"}
         assert ghosts
-        owners = {row["owner"] for row in repo_snapshot_rows(world)}
+        owners = {json.loads(line)["owner"] for line in repo_snapshot_rows(world)}
         assert not (ghosts & owners)
 
     def test_prerelease_and_malformed_counts(self, world):
@@ -211,7 +212,7 @@ class TestSpice:
             assert (row["package_name"], row["version_text"]) in native
 
     def test_orphans_predate_coverage(self, world):
-        edge_days = {row["snapshot_date"] for row in dependent_edge_rows(world)}
+        edge_days = {json.loads(line)["snapshot_date"] for line in dependent_edge_rows(world)}
         min_edge = min(edge_days)
         for pkg in world.packages:
             if pkg.quirk == "orphan":
@@ -246,7 +247,7 @@ class TestCoverage:
         from depgrowth.synth import BASE_DATE
         from datetime import timedelta
 
-        edge_days = {row["snapshot_date"] for row in dependent_edge_rows(world)}
+        edge_days = {json.loads(line)["snapshot_date"] for line in dependent_edge_rows(world)}
         for f in live:
             before = (BASE_DATE + timedelta(days=f - 1)).isoformat()
             shifted = (BASE_DATE + timedelta(days=f - 4)).isoformat()
@@ -256,7 +257,7 @@ class TestCoverage:
     def test_duplicate_edge_rows_exist(self, world):
         seen = set()
         dup = 0
-        for row in dependent_edge_rows(world):
+        for row in map(json.loads, dependent_edge_rows(world)):
             key = (
                 row["snapshot_date"],
                 row["dependent_owner"],
@@ -297,6 +298,33 @@ class TestCorpusFiles:
             with open(out / name, encoding="utf-8") as fh:
                 head = json.loads(fh.readline())
             assert head == {"schema": schema, "version": 1}
+
+    def test_lines_are_compact_json_in_schema_table_order(self, tmp_path):
+        # the order of each schema table in docs/DATA_FORMAT.md
+        order = {
+            "repo_snapshots": (
+                "snapshot_date", "owner", "name", "stars", "forks", "is_fork", "description", "topics", "language"
+            ),
+            "releases": (
+                "release_date", "ecosystem", "package_name", "owner", "repo_name", "version_text", "release_notes"
+            ),
+            "dependent_edges": ("snapshot_date", "dependent_owner", "dependent_repo", "ecosystem", "package_name"),
+        }
+        world = build_world(small_config(seed=3))
+        write_corpus(world, tmp_path)
+        for name, lines in (
+            ("repo_snapshots", repo_snapshot_rows(world)),
+            ("releases", map(compact_json, release_rows(world))),
+            ("dependent_edges", dependent_edge_rows(world)),
+        ):
+            lines = list(lines)
+            with open(tmp_path / f"{name}.jsonl", encoding="utf-8") as fh:
+                fh.readline()
+                assert fh.read() == "".join(line + "\n" for line in lines)
+            for line in lines:
+                row = json.loads(line)
+                assert line == json.dumps(row, separators=(",", ":"))
+                assert list(row) == [field for field in order[name] if field in row]
 
     def test_zero_schema_violations(self, corpus_dir):
         out, counts = corpus_dir
