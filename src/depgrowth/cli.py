@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -48,6 +47,7 @@ from .complexity import (
 from .config import ConfigError, PipelineConfig, file_sha256, resolve_config
 from .filters import ClassifiedRelease, filter_semver, pre_release_date, run_filter_cascade
 from .ingest import (
+    MAX_COUNT,
     PackageRelease,
     RecordReader,
     RepoIndex,
@@ -171,7 +171,7 @@ def _record_lines(records: Iterable[ReleaseRecord]) -> Iterator[str]:
                 "package_name": record.package_name,
                 "owner": record.owner,
                 "repo_name": record.repo_name,
-                "version": format_version(record.version),
+                "version": record.version_text,
                 "release_type": record.release_type.value,
                 "series": record.series.value,
                 "pre_dependents": record.pre_dependents,
@@ -181,33 +181,49 @@ def _record_lines(records: Iterable[ReleaseRecord]) -> Iterator[str]:
         yield f'{head[:-1]},"metrics":{{{cells}}}}}'
 
 
-def _release_record(row: dict) -> ReleaseRecord:
-    """A ``release_records.jsonl`` row, the inverse of ``_record_lines``.
+class _ReleaseRecords:
+    """The ``release_records.jsonl`` row parser of one read, the inverse of
+    ``_record_lines``.
 
     An offset is a decimal integer with no leading zero, so no two keys name
-    one cell."""
-    metrics = row.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ValueError("metrics must be an object")
-    values: dict[tuple[str, int], int | None] = {}
-    for key, value in metrics.items():
-        metric, _, offset = key.partition("@")
-        if metric not in METRICS or not (offset.isascii() and offset.isdigit()) or str(int(offset)) != offset:
-            raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
-        values[metric, int(offset)] = None if value is None else _req_int(metrics, key)
-    return ReleaseRecord(
-        release_date=_parse_date(row.get("release_date"), "release_date"),
-        ecosystem=_req_str(row, "ecosystem"),
-        package_name=_req_str(row, "package_name"),
-        owner=_req_str(row, "owner"),
-        repo_name=_req_str(row, "repo_name"),
-        version=parse_version(_req_str(row, "version")),
-        release_type=ReleaseType(row.get("release_type")),
-        series=VersionSeries(row.get("series")),
-        pre_dependents=_req_int(row, "pre_dependents"),
-        bin=SizeBin(row.get("bin")),
-        metric_values=values,
-    )
+    one cell. Each distinct metrics key is checked and mapped to its
+    ``(metric, offset)`` cell once per read; only a key that passes is kept.
+    """
+
+    def __init__(self) -> None:
+        self._cells: dict[str, tuple[str, int]] = {}
+
+    def __call__(self, row: dict) -> ReleaseRecord:
+        metrics = row.get("metrics")
+        if not isinstance(metrics, dict):
+            raise ValueError("metrics must be an object")
+        cells = self._cells
+        values: dict[tuple[str, int], int | None] = {}
+        for key, value in metrics.items():
+            cell = cells.get(key)
+            if cell is None:
+                metric, _, offset = key.partition("@")
+                if metric not in METRICS or not (offset.isascii() and offset.isdigit()) or str(int(offset)) != offset:
+                    raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
+                cell = cells[key] = metric, int(offset)
+            if value is not None and (type(value) is not int or not 0 <= value <= MAX_COUNT):
+                value = _req_int(metrics, key)  # refuses it, with the field's message
+            values[cell] = value
+        # the fields are checked in their order, the first bad one named
+        return ReleaseRecord(
+            release_date=_parse_date(row.get("release_date"), "release_date"),
+            ecosystem=_req_str(row, "ecosystem"),
+            package_name=_req_str(row, "package_name"),
+            owner=_req_str(row, "owner"),
+            repo_name=_req_str(row, "repo_name"),
+            version=(version := parse_version(_req_str(row, "version"))),
+            version_text=format_version(version),
+            release_type=ReleaseType(row.get("release_type")),
+            series=VersionSeries(row.get("series")),
+            pre_dependents=_req_int(row, "pre_dependents"),
+            bin=SizeBin(row.get("bin")),
+            metric_values=values,
+        )
 
 
 def _rating_row(row: dict) -> dict:
@@ -228,15 +244,16 @@ def _human_rating(row: dict) -> tuple[str, int]:
 class _Artifact(NamedTuple):
     stage: str  # the stage that writes it
     schema: str  # its header schema
-    parse: Callable[[dict], object] | None = None  # a row, as a later stage reads it
+    # makes one read's row parser, which gives a row as a later stage reads it
+    parser: Callable[[], Callable[[dict], object]] | None = None
 
 
 # the artifacts a stage writes under a schema header
 ARTIFACTS = {
-    "filtered_releases.jsonl": _Artifact("filter", "releases", _package_release),
-    "release_records.jsonl": _Artifact("metrics", "release-records", _release_record),
+    "filtered_releases.jsonl": _Artifact("filter", "releases", lambda: _package_release),
+    "release_records.jsonl": _Artifact("metrics", "release-records", _ReleaseRecords),
     "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples"),
-    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", _rating_row),
+    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", lambda: _rating_row),
     "heatmap_bins.jsonl": _Artifact("analyze", "heatmap-cells"),
     "heatmap_series.jsonl": _Artifact("analyze", "heatmap-cells"),
     "timepoints.jsonl": _Artifact("analyze", "timepoint-distributions"),
@@ -260,10 +277,10 @@ def _checked_rows(path: Path, schema: str, parse: Callable[[dict], object], reme
 
 def _read_record_lines(path: Path) -> Iterator:
     """The rows of the artifact at ``path``, checked as its table entry says."""
-    stage, schema, parse = ARTIFACTS[path.name]
+    stage, schema, parser = ARTIFACTS[path.name]
     if not path.exists():
         raise DataError(f"{path} does not exist; run the {stage} stage first (depgrowth {stage})")
-    return _checked_rows(path, schema, parse, f"remove it and rerun depgrowth {stage}")
+    return _checked_rows(path, schema, parser(), f"remove it and rerun depgrowth {stage}")
 
 
 _load_samples = _read_record_lines  # perfbench/tracer.py wraps it; remove with ROADMAP item 1
@@ -441,8 +458,8 @@ class Corpus:
 
 
 def _release_line(release: PackageRelease) -> str:
-    # the row's keys are the dataclass's fields, in their order
-    row = dict(vars(release), release_date=release.release_date.isoformat())
+    # the row's keys are the tuple's fields, in their order
+    row = dict(release._asdict(), release_date=release.release_date.isoformat())
     if release.release_notes is None:
         del row["release_notes"]
     return compact_json(row)
@@ -601,7 +618,7 @@ def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None 
         _write_artifact(out, f"heatmap_{stem[len('table_'):]}.jsonl", provenance, map(compact_json, cell_rows))
 
     timepoint_rows = [
-        {**dataclasses.asdict(dist), "strat_by": strat_by}
+        {**dist._asdict(), "strat_by": strat_by}
         for strat_by in ("bin", "series")
         for dist in timepoint_distributions(dependents, grid, strat_by=strat_by, fold_zero=config.fold_zero)
     ]
@@ -634,7 +651,7 @@ def _write_complexity_reports(
         folded = fold_release_type(ReleaseType(raw_type), config.fold_zero)
         by_language_type.setdefault(language, {}).setdefault(folded, []).append(rating)
 
-    descriptives = [dataclasses.asdict(d) for d in complexity_descriptives(by_language)]
+    descriptives = [d._asdict() for d in complexity_descriptives(by_language)]
     _write_json(
         out / "complexity_descriptives.json",
         {"provenance": provenance, "languages": descriptives},
@@ -642,7 +659,7 @@ def _write_complexity_reports(
     try:
         result = complexity_vs_type_tests(by_language_type, fold_zero=config.fold_zero)
         tests = {
-            f"{lang}:{a}:{b}": dataclasses.asdict(test)
+            f"{lang}:{a}:{b}": test._asdict()
             for (lang, a, b), test in sorted(result.tests.items())
         }
         skipped = {f"{lang}:{a}:{b}": reason for (lang, a, b), reason in sorted(result.skipped.items())}
@@ -792,7 +809,7 @@ def cmd_complexity(
             human_scores.append(human_rating)
         try:
             stats = agreement_stats(model_scores, human_scores)
-            agreement = dataclasses.asdict(stats)
+            agreement = stats._asdict()
         except (ValueError, DegenerateInput) as exc:
             agreement = {"error": str(exc), "n": len(model_scores)}
         _write_json(out / "agreement.json", {"provenance": provenance, **agreement})

@@ -16,15 +16,13 @@ service.
 from __future__ import annotations
 
 import collections
-import hashlib
 import heapq
 import itertools
 import queue
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .ingest import PackageRelease, RepoSnapshot
 from .stats import DegenerateInput, pearson, spearman
@@ -182,16 +180,14 @@ Provide only the XML response, without any additional text or formatting.
 """
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     """The two chat messages sent for one rating call."""
 
     system_text: str
     user_text: str
 
 
-@dataclass(frozen=True)
-class ComplexityRating:
+class ComplexityRating(NamedTuple):
     """Parsed model verdict. rating is None when the model answered "null"."""
 
     required_skills: tuple[str, ...]
@@ -199,8 +195,7 @@ class ComplexityRating:
     rating: Optional[int]
 
 
-@dataclass(frozen=True)
-class AgreementStats:
+class AgreementStats(NamedTuple):
     n: int
     spearman_rho: float
     pearson_r: float
@@ -324,8 +319,13 @@ def render_rating(rating: ComplexityRating, closer: str = "rating-response") -> 
     )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class _PolicyFields(NamedTuple):
+    max_attempts: int = 3
+    backoff: float = 0.5
+    sleeper: Callable[[float], None] = time.sleep
+
+
+class RetryPolicy(_PolicyFields):
     """Retry schedule for each rating.
 
     A malformed response or a transport error (OSError family) on attempt
@@ -337,15 +337,15 @@ class RetryPolicy:
     for tests; a recording sleeper makes every wait instant.
     """
 
-    max_attempts: int = 3
-    backoff: float = 0.5
-    sleeper: Callable[[float], None] = field(default=time.sleep, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "RetryPolicy":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.backoff < 0:
             raise ValueError("backoff must be non-negative")
+        return self
 
 
 class ModelClient(Protocol):
@@ -387,6 +387,8 @@ class MockModelClient:
     )
 
     def complete(self, system_text: str, user_text: str) -> str:
+        import hashlib  # on use, as in prompt_sha256
+
         digest = hashlib.sha256(
             system_text.encode("utf-8") + b"\x1f" + user_text.encode("utf-8")
         ).digest()
@@ -434,12 +436,14 @@ class _TokenBucket:
 _FAILURES = (RequestRejected, ExhaustedRetries)
 
 
-@dataclass(eq=False)
 class _Task:
-    key: str
-    release: PackageRelease
-    bundle: PromptBundle
-    attempts: int = 0
+    __slots__ = ("key", "release", "bundle", "attempts")
+
+    def __init__(self, key: str, release: PackageRelease, bundle: PromptBundle) -> None:
+        self.key = key
+        self.release = release
+        self.bundle = bundle
+        self.attempts = 0
 
 
 class _Batch:
@@ -640,6 +644,8 @@ def agreement_stats(
 
 def prompt_sha256(bundle: PromptBundle) -> str:
     """Stable hex digest of both messages, for provenance records."""
+    import hashlib  # on use, so a command that hashes nothing skips its import
+
     payload = bundle.system_text.encode("utf-8") + b"\x1f" + bundle.user_text.encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 

@@ -8,12 +8,10 @@ bad config never produces partial output.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import typing
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .filters import DEFAULT_ECOSYSTEMS, DEFAULT_MIN_DEPENDENTS
 from .metrics import SUPPORTED_GRIDS
@@ -31,8 +29,7 @@ class ConfigError(ValueError):
     """The configuration is malformed or violates an invariant."""
 
 
-@dataclasses.dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """Resolved settings for one pipeline run."""
 
     repo_snapshots: str = "repo_snapshots.jsonl"
@@ -137,12 +134,14 @@ def resolve_config(file_path: str | Path | None, overrides: Mapping[str, object]
     values: dict = {}
     if file_path is not None:
         base = load_config(file_path)
-        values.update(dataclasses.asdict(base))
+        values.update(base._asdict())
     values.update(_coerce({k: v for k, v in overrides.items() if v is not None}))
     return PipelineConfig(**_coerce(values)).validate()
 
 
 def file_sha256(path: str | Path) -> str:
+    import hashlib  # on use, so a command that hashes no file skips its import
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         while True:

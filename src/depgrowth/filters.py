@@ -21,9 +21,8 @@ Every stage returns a :class:`FilterReport` whose counts satisfy
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .ingest import PackageRelease, RepoIndex
 from .semver import (
@@ -67,8 +66,7 @@ REASON_FEW_DEPENDENTS = "FewDependents"
 REASON_NO_DEPENDENT_DATA = "NoDependentData"
 
 
-@dataclass(frozen=True)
-class ClassifiedRelease:
+class ClassifiedRelease(NamedTuple):
     """A release that survived semver parsing, with its classification."""
 
     release: PackageRelease
@@ -87,7 +85,6 @@ def _pkg(item: Releaselike) -> PackageRelease:
     return item.release if isinstance(item, ClassifiedRelease) else item
 
 
-@dataclass
 class FilterReport:
     """Audit record for one filter stage.
 
@@ -95,10 +92,15 @@ class FilterReport:
     ``check`` method asserts it.
     """
 
-    stage: str
-    records_in: int = 0
-    records_out: int = 0
-    reasons: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("stage", "records_in", "records_out", "reasons")
+
+    def __init__(
+        self, stage: str, records_in: int = 0, records_out: int = 0, reasons: dict[str, int] | None = None
+    ) -> None:
+        self.stage = stage
+        self.records_in = records_in
+        self.records_out = records_out
+        self.reasons: dict[str, int] = {} if reasons is None else reasons
 
     def drop(self, reason: str, count: int = 1) -> None:
         self.reasons[reason] = self.reasons.get(reason, 0) + count

@@ -21,7 +21,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import date
 from itertools import islice, repeat
 from operator import lt
@@ -80,8 +79,8 @@ class SchemaViolation(ValueError):
         self.message = message
 
 
-# Snapshot and edge rows number in the millions, so they are NamedTuples
-# (cheap to build); the few thousand releases stay a frozen dataclass.
+# Record types are NamedTuples: snapshot and edge rows number in the
+# millions, and a NamedTuple is cheap to build, and to declare at import.
 class RepoSnapshot(NamedTuple):
     snapshot_date: date
     owner: str
@@ -94,8 +93,7 @@ class RepoSnapshot(NamedTuple):
     language: str | None = None
 
 
-@dataclass(frozen=True)
-class PackageRelease:
+class PackageRelease(NamedTuple):
     release_date: date
     ecosystem: str
     package_name: str

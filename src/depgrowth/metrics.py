@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, NamedTuple, Sequence
 
@@ -67,8 +66,12 @@ def size_bin(count: int) -> SizeBin:
     return SizeBin.HUGE
 
 
-@dataclass(frozen=True)
-class LookaheadGrid:
+class _GridFields(NamedTuple):
+    horizon_days: int
+    step_days: int
+
+
+class LookaheadGrid(_GridFields):
     """Forward measurement offsets: multiples of ``step_days`` up to the horizon.
 
     The final multiple at or below ``horizon_days`` is the grid's headline
@@ -76,14 +79,15 @@ class LookaheadGrid:
     day 360, the last 90-day multiple inside 365 days.
     """
 
-    horizon_days: int
-    step_days: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "LookaheadGrid":
+        self = super().__new__(cls, *args, **kwargs)
         if self.step_days <= 0 or self.horizon_days <= 0:
             raise ValueError("grid days must be positive")
         if self.step_days > self.horizon_days:
             raise ValueError("step cannot exceed horizon")
+        return self
 
     @property
     def offsets(self) -> tuple[int, ...]:
@@ -94,9 +98,11 @@ class LookaheadGrid:
         return self.offsets[-1]
 
 
-@dataclass(frozen=True)
-class ReleaseRecord:
-    """One surviving release with its adoption measurements."""
+class ReleaseRecord(NamedTuple):
+    """One surviving release with its adoption measurements.
+
+    ``version_text`` is ``format_version(version)``, rendered once per
+    record for the rows and samples that carry it."""
 
     release_date: date
     ecosystem: str
@@ -104,6 +110,7 @@ class ReleaseRecord:
     owner: str
     repo_name: str
     version: Version
+    version_text: str
     release_type: ReleaseType
     series: VersionSeries
     pre_dependents: int
@@ -183,6 +190,7 @@ def build_release_records(
                 owner=release.owner,
                 repo_name=release.repo_name,
                 version=item.version,
+                version_text=format_version(item.version),
                 release_type=item.release_type,
                 series=version_series(item.version),
                 pre_dependents=pre,
@@ -230,7 +238,7 @@ def log_diff_samples(
                 record.ecosystem,
                 record.package_name,
                 record.release_date,
-                format_version(record.version),
+                record.version_text,
                 record.release_type,
                 record.series,
                 record.bin,

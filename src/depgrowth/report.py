@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .metrics import LogDiffSample, LookaheadGrid, SizeBin
 from .semver import ReleaseType, VersionSeries
@@ -74,8 +73,7 @@ def fold_release_type(release_type: ReleaseType | str, fold_zero: bool = True) -
     return value
 
 
-@dataclass(frozen=True)
-class StratumSummary:
+class StratumSummary(NamedTuple):
     """One table cell: a (ecosystem, stratum, release-type) sample group.
 
     std is None for single-sample cells. significantly_highest marks the
@@ -211,8 +209,7 @@ def summary_table_rows(summaries: Sequence[StratumSummary]) -> tuple[list[str], 
     return header, rows
 
 
-@dataclass(frozen=True)
-class HeatmapBundle:
+class HeatmapBundle(NamedTuple):
     """Per-ecosystem mean matrices on one shared color scale.
 
     matrices maps ecosystem -> row-major tuples (stratum x release type);
@@ -292,8 +289,7 @@ def tukey_quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     return _median_of_sorted(ordered[:half]), med, _median_of_sorted(ordered[n - half:])
 
 
-@dataclass(frozen=True)
-class TimepointDistribution:
+class TimepointDistribution(NamedTuple):
     """Box-plot record for one (ecosystem, stratum, type, offset) cell.
 
     Carries raw extrema and 1.5*IQR fences so a renderer can choose either
@@ -382,8 +378,7 @@ def release_demographics(records: Iterable[tuple[str, str]]) -> dict[str, dict[s
     return {eco: counts[eco] for eco in sorted(counts)}
 
 
-@dataclass(frozen=True)
-class LanguageDescriptives:
+class LanguageDescriptives(NamedTuple):
     language: str
     n: int
     mean: float
@@ -426,8 +421,7 @@ def complexity_descriptives(
     return out
 
 
-@dataclass(frozen=True)
-class ComplexityTypeTests:
+class ComplexityTypeTests(NamedTuple):
     """Pairwise Welch results between release-type rating groups.
 
     tests maps (language, type_a, type_b); pairs that cannot run (missing

@@ -16,8 +16,9 @@ Key responsibilities:
 from __future__ import annotations
 
 import enum
+import operator
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "MalformedVersion",
@@ -68,24 +69,48 @@ _VERSION_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=True)
-class Version:
-    """A parsed three-component version.
-
-    Ordering and equality use only the numeric components; ``raw`` keeps the
-    original text for audit output and is excluded from comparisons.
-    """
-
+class _VersionFields(NamedTuple):
     major: int
     minor: int
     patch: int
-    raw: str = field(default="", compare=False, repr=False)
+    raw: str = ""
 
-    def __post_init__(self) -> None:
+
+def _on_components(op):
+    def compare(self, other):
+        if not isinstance(other, Version):
+            return NotImplemented
+        return op(self[:3], other[:3])
+
+    return compare
+
+
+class Version(_VersionFields):
+    """A parsed three-component version.
+
+    Ordering, equality and hashing use only the numeric components; ``raw``
+    keeps the original text for audit output and is excluded from them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Version":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("major", "minor", "patch"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+        return self
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    __eq__ = _on_components(operator.eq)
+    __ne__ = _on_components(operator.ne)
+    __lt__ = _on_components(operator.lt)
+    __le__ = _on_components(operator.le)
+    __gt__ = _on_components(operator.gt)
+    __ge__ = _on_components(operator.ge)
 
 
 class ReleaseType(enum.Enum):

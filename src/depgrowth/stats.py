@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
     "AnovaResult",
@@ -201,16 +200,14 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnovaResult:
+class AnovaResult(NamedTuple):
     f_stat: float
     df_between: int
     df_within: int
     p_value: float
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t_stat: float
     df: float
     p_value: float
@@ -220,8 +217,7 @@ class TTestResult:
     n_b: int
 
 
-@dataclass(frozen=True)
-class SpearmanResult:
+class SpearmanResult(NamedTuple):
     rho: float
     p_value: float
     n: int
@@ -377,8 +373,7 @@ def spearman(x: Sequence[float], y: Sequence[float], exact: bool = False) -> Spe
     return SpearmanResult(rho=rho, p_value=p, n=n, method="t-approx")
 
 
-@dataclass(frozen=True)
-class PairwiseWelchResult:
+class PairwiseWelchResult(NamedTuple):
     """All pairwise Welch comparisons for a set of labeled groups.
 
     ``significantly_highest`` is the label whose mean is the strict maximum

@@ -1,9 +1,9 @@
 """Command line pipeline: stage handoff, determinism, exit codes."""
 
-import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -199,7 +199,51 @@ class TestMetricsStage:
         # Version equality ignores the raw text, so a "v" tag round-trips too
         assert any(r.version.raw.startswith("v") for r in records)
         for record in records:
-            assert cli._release_record(json.loads(next(cli._record_lines([record])))) == record
+            assert cli._ReleaseRecords()(json.loads(next(cli._record_lines([record])))) == record
+
+
+class TestReleaseRecordRows:
+    """``release_records.jsonl`` rows as one read parses them."""
+
+    @pytest.fixture
+    def row(self, out_dir):
+        return _rows(out_dir / "release_records.jsonl")[0]
+
+    @staticmethod
+    def _with(row, key, value):
+        return {**row, "metrics": {**row["metrics"], key: value}}
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "dependents@090",
+            "dependents@-1",
+            "dependents@+1",
+            "dependents@ 1",
+            "dependents@1.0",
+            "dependents@",
+            "dependents@\u0663",  # ARABIC-INDIC DIGIT THREE: isdigit(), and int() reads it
+            "downloads@0",
+        ],
+    )
+    def test_key_refused(self, row, key):
+        with pytest.raises(ValueError, match=f"metrics key {re.escape(repr(key))} is not <metric>@<days>"):
+            cli._ReleaseRecords()(self._with(row, key, 7))
+
+    def test_offset_zero_accepted(self, row):
+        record = cli._ReleaseRecords()(self._with(row, "dependents@0", 7))
+        assert record.metric_values["dependents", 0] == 7
+
+    def test_key_and_value_checked_after_the_cell_was_read(self, row):
+        parse = cli._ReleaseRecords()
+        assert parse(self._with(row, "dependents@90", 7)).metric_values["dependents", 90] == 7
+        # another spelling of the cell, then a bad value under the same key
+        with pytest.raises(ValueError, match="metrics key 'dependents@090' is not"):
+            parse(self._with(row, "dependents@090", 7))
+        for value in (-1, True, 7.0, "7"):
+            with pytest.raises(ValueError, match="dependents@90 must be an integer from 0 to"):
+                parse(self._with(row, "dependents@90", value))
+        assert parse(self._with(row, "dependents@90", None)).metric_values["dependents", 90] is None
 
 
 class TestAnalyzeStage:
@@ -528,6 +572,27 @@ class TestParseOnce:
             ("_read_record_lines", "ratings.jsonl"): 2 if resumed else 1,
         }
 
+    def test_each_record_version_is_rendered_once_per_stage(self, corpus_dir, tmp_path, monkeypatch):
+        # a record's version text reaches its row and every one of its
+        # samples, rendered once when the record is built or read
+        renders = []
+
+        def counted(version):
+            renders.append(version)
+            return format_version(version)
+
+        for module in ("depgrowth.cli", "depgrowth.metrics"):
+            monkeypatch.setattr(f"{module}.format_version", counted)
+        out = tmp_path / "out"
+        runs = {}
+        for command in ("filter", "metrics", "analyze", "all"):
+            renders.clear()
+            assert cli.main([command, *_pipeline_args(corpus_dir, out)]) == 0
+            runs[command] = len(renders)
+        report = json.loads((out / "metrics_report.json").read_text(encoding="utf-8"))
+        assert report["samples"] > report["records"] > 0
+        assert runs == {"filter": 0, "metrics": report["records"], "analyze": report["records"], "all": report["records"]}
+
     def test_analyze_parses_records_not_samples(self, corpus_dir, out_dir, tmp_path, monkeypatch):
         # on its own, analyze builds its dependents samples from the release
         # records, as inside all
@@ -552,19 +617,37 @@ class TestParseOnce:
         }
 
 
+def _loaded(modules, *argv):
+    """Which of ``modules`` a fresh interpreter without site (``-S``) holds
+    after importing the CLI and, given ``argv``, running ``main(argv)``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys\n"
+        "from depgrowth import cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.splitlines()[-1]
+
+
 class TestStartup:
-    def test_importing_the_cli_leaves_the_http_stack_unloaded(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        code = (
-            "import sys, depgrowth.cli; "
-            "print(sorted(m for m in ('http.client', 'ssl', 'email', 'urllib.request') "
-            "if m in sys.modules))"
-        )
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
+    def test_importing_the_cli_leaves_unused_modules_unloaded(self):
+        # the HTTP stack, dataclass machinery, digests and the corpus generator
+        unused = ("http.client", "ssl", "email", "urllib.request", "dataclasses", "inspect", "hashlib", "depgrowth.synth")
+        assert _loaded(unused) == "[]"
+
+    def test_standalone_analyze_loads_no_hashlib(self, corpus_dir, out_dir, tmp_path):
+        work = tmp_path / "work"
+        shutil.copytree(out_dir, work)
+        assert _loaded(("hashlib",), "analyze", *_pipeline_args(corpus_dir, work)) == "[]"
+
+    def test_filter_loads_hashlib_to_digest_its_inputs(self, corpus_dir, tmp_path):
+        assert _loaded(("hashlib",), "filter", *_pipeline_args(corpus_dir, tmp_path)) == "['hashlib']"
 
 
 class TestExitCodes:
@@ -665,6 +748,7 @@ class TestExitCodes:
             "finer grid",
             "cut-short records line",
             "samples over records",
+            "zero-padded key after its cell was read",
             *_BAD_RECORD_FIELDS,
         ],
     )
@@ -696,6 +780,13 @@ class TestExitCodes:
         elif fault == "samples over records":
             shutil.copy(out_dir / "log_diff_samples.jsonl", records)
             named = f"{records}: expected schema 'release-records'"
+        elif fault == "zero-padded key after its cell was read":
+            # line 2 maps dependents@45 to its cell; line 3 spells it 045
+            row = json.loads(lines[2])
+            row["metrics"]["dependents@045"] = row["metrics"].pop("dependents@45")
+            lines[2] = json.dumps(row) + "\n"
+            records.write_text("".join(lines), encoding="utf-8")
+            named = f"{records} line 3: metrics key 'dependents@045'"
         else:
             field, value = self._BAD_RECORD_FIELDS[fault]
             row = json.loads(lines[1])
@@ -1158,6 +1249,7 @@ def _records(draw):
     records = []
     for _ in range(draw(st.integers(0, 5))):
         cells = draw(st.lists(st.sampled_from(_CELLS), unique=True))
+        version = Version(draw(_NUMBER), draw(_NUMBER), draw(_NUMBER), raw=draw(_TEXT))
         records.append(
             ReleaseRecord(
                 release_date=draw(st.dates()),
@@ -1165,7 +1257,8 @@ def _records(draw):
                 package_name=draw(_TEXT),
                 owner=draw(_TEXT),
                 repo_name=draw(_TEXT),
-                version=Version(draw(_NUMBER), draw(_NUMBER), draw(_NUMBER), raw=draw(_TEXT)),
+                version=version,
+                version_text=format_version(version),
                 release_type=draw(st.sampled_from(ReleaseType)),
                 series=draw(st.sampled_from(VersionSeries)),
                 pre_dependents=draw(st.integers(0, 2**63 - 1)),
@@ -1178,8 +1271,7 @@ def _records(draw):
     if records:
         for record in draw(st.lists(st.sampled_from(records), max_size=3)):
             records.append(
-                dataclasses.replace(
-                    record,
+                record._replace(
                     release_type=draw(st.sampled_from(ReleaseType)),
                     series=draw(st.sampled_from(VersionSeries)),
                     bin=draw(st.sampled_from(SizeBin)),

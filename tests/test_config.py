@@ -1,6 +1,5 @@
 """Configuration loading, validation, hashing, and the provenance it feeds."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -38,16 +37,16 @@ class TestValidate:
         ],
     )
     def test_invariant_violations(self, field, value):
-        config = dataclasses.replace(PipelineConfig(), **{field: value})
+        config = PipelineConfig()._replace(**{field: value})
         with pytest.raises(ConfigError):
             config.validate()
 
     def test_all_supported_grids_pass(self):
         for grid in ((180, 45), (365, 90), (730, 180)):
-            dataclasses.replace(PipelineConfig(), grid=grid).validate()
+            PipelineConfig()._replace(grid=grid).validate()
 
     def test_unknown_ecosystem_message_names_offender(self):
-        config = dataclasses.replace(PipelineConfig(), ecosystems=("npm", "cargo"))
+        config = PipelineConfig()._replace(ecosystems=("npm", "cargo"))
         with pytest.raises(ConfigError, match="cargo"):
             config.validate()
 

@@ -241,6 +241,7 @@ class TestLogDiffSamples:
             owner="acme",
             repo_name="libfoo",
             version=version,
+            version_text="1.2.3",
             release_type=ReleaseType.PATCH,
             series=VersionSeries.ONE_VER,
             pre_dependents=50,

@@ -94,7 +94,17 @@ class TestParse:
         assert parse_version(format_version(v)) == v
 
     def test_equality_ignores_raw(self):
-        assert parse_version("v1.2.3+b") == parse_version("1.2.3")
+        tagged, plain = parse_version("v1.2.3+b"), parse_version("1.2.3")
+        assert tagged == plain and not tagged != plain
+        # raw sorts neither way: "v1.2.3+b" > "1.2.3" as text
+        assert not tagged < plain and not plain < tagged
+        assert tagged <= plain and plain <= tagged
+        assert tagged >= plain and not tagged > plain
+        assert hash(tagged) == hash(plain) and len({tagged, plain}) == 1
+        later = parse_version("1.2.4")
+        assert sorted([later, tagged, plain]) == [tagged, plain, later]
+        assert [v.raw for v in sorted([later, tagged, plain])] == ["v1.2.3+b", "1.2.3", "1.2.4"]
+        assert [v.raw for v in sorted([plain, tagged])] == ["1.2.3", "v1.2.3+b"]
 
     def test_ordering_on_components(self):
         assert parse_version("1.2.3") < parse_version("1.10.0") < parse_version("2.0.0")
