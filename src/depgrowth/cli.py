@@ -57,6 +57,7 @@ from .ingest import (
     _opt_str,
     _package_release,
     _parse_date,
+    _req_ecosystem,
     _req_int,
     _req_str,
     compact_json,
@@ -212,7 +213,7 @@ class _ReleaseRecords:
         # the fields are checked in their order, the first bad one named
         return ReleaseRecord(
             release_date=_parse_date(row.get("release_date"), "release_date"),
-            ecosystem=_req_str(row, "ecosystem"),
+            ecosystem=_req_ecosystem(row),
             package_name=_req_str(row, "package_name"),
             owner=_req_str(row, "owner"),
             repo_name=_req_str(row, "repo_name"),

@@ -14,15 +14,18 @@ Stages (in canonical pipeline order):
 5. ecosystem allow-list.
 6. minimum dependents on the day before the release.
 
-Every stage returns a :class:`FilterReport` whose counts satisfy
-``records_in == records_out + sum(reasons.values())``.
+Each stage is a rule run by one screening loop: the rule returns the item to
+keep (the semver rule, the :class:`ClassifiedRelease` it builds) or a ``str``
+reason code to drop it. Every stage returns a :class:`FilterReport` whose
+counts satisfy ``records_in == records_out + sum(reasons.values())``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from datetime import date, timedelta
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, TypeVar, Union
 
 from .ingest import PackageRelease, RepoIndex
 from .semver import (
@@ -75,6 +78,8 @@ class ClassifiedRelease(NamedTuple):
 
 
 Releaselike = Union[PackageRelease, ClassifiedRelease]
+_In = TypeVar("_In")
+_Out = TypeVar("_Out")
 
 # (package_name, ecosystem, date) -> dependent count, or None when the edge
 # data has no coverage within the join window of the date
@@ -85,25 +90,17 @@ def _pkg(item: Releaselike) -> PackageRelease:
     return item.release if isinstance(item, ClassifiedRelease) else item
 
 
-class FilterReport:
+class FilterReport(NamedTuple):
     """Audit record for one filter stage.
 
     Invariant: ``records_in == records_out + sum(reasons.values())``. The
     ``check`` method asserts it.
     """
 
-    __slots__ = ("stage", "records_in", "records_out", "reasons")
-
-    def __init__(
-        self, stage: str, records_in: int = 0, records_out: int = 0, reasons: dict[str, int] | None = None
-    ) -> None:
-        self.stage = stage
-        self.records_in = records_in
-        self.records_out = records_out
-        self.reasons: dict[str, int] = {} if reasons is None else reasons
-
-    def drop(self, reason: str, count: int = 1) -> None:
-        self.reasons[reason] = self.reasons.get(reason, 0) + count
+    stage: str
+    records_in: int
+    records_out: int
+    reasons: dict[str, int]
 
     def check(self) -> None:
         total = self.records_out + sum(self.reasons.values())
@@ -122,6 +119,23 @@ class FilterReport:
         }
 
 
+def _screen(stage: str, items: Iterable[_In], rule: Callable[[_In], _Out | str]) -> tuple[list[_Out], FilterReport]:
+    """Apply ``rule`` to each item: keep what it returns, or count the ``str``
+    reason it returns as one drop. Builds and checks the stage's report."""
+    kept: list[_Out] = []
+    reasons: Counter[str] = Counter()
+    records_in = 0
+    for records_in, item in enumerate(items, 1):
+        outcome = rule(item)
+        if isinstance(outcome, str):
+            reasons[outcome] += 1
+        else:
+            kept.append(outcome)
+    report = FilterReport(stage, records_in, len(kept), dict(reasons))
+    report.check()
+    return kept, report
+
+
 _SEPARATOR_RUN = re.compile(r"[-_]+")
 
 
@@ -138,93 +152,64 @@ def filter_repo_quality(
     A repository that is both a fork and starless reports ``ForkedRepo``
     (fork status is checked first).
     """
-    report = FilterReport(stage="repo_quality")
-    kept: list[PackageRelease] = []
-    for release in releases:
-        report.records_in += 1
+
+    def rule(release: PackageRelease) -> PackageRelease | str:
         snap = repos.nearest(release.owner, release.repo_name, release.release_date)
         if snap is None:
-            report.drop(REASON_NO_SNAPSHOT)
-        elif snap.is_fork:
-            report.drop(REASON_FORKED)
-        elif snap.stars < 1:
-            report.drop(REASON_LOW_ENGAGEMENT)
-        else:
-            kept.append(release)
-            report.records_out += 1
-    report.check()
-    return kept, report
+            return REASON_NO_SNAPSHOT
+        if snap.is_fork:
+            return REASON_FORKED
+        return release if snap.stars >= 1 else REASON_LOW_ENGAGEMENT
+
+    return _screen("repo_quality", releases, rule)
 
 
 def filter_semver(
     releases: Iterable[PackageRelease], zero_split: str = "patch"
 ) -> tuple[list[ClassifiedRelease], FilterReport]:
     """Parse and classify version texts; drop non-semver and pre-releases."""
-    report = FilterReport(stage="semver")
-    kept: list[ClassifiedRelease] = []
-    for release in releases:
-        report.records_in += 1
+
+    def rule(release: PackageRelease) -> ClassifiedRelease | str:
         try:
             version = parse_version(release.version_text)
         except PreReleaseExcluded:
-            report.drop(REASON_PRE_RELEASE)
-            continue
+            return REASON_PRE_RELEASE
         except MalformedVersion:
-            report.drop(REASON_MALFORMED)
-            continue
-        kept.append(
-            ClassifiedRelease(
-                release=release,
-                version=version,
-                release_type=classify_release(version, zero_split=zero_split),
-            )
+            return REASON_MALFORMED
+        return ClassifiedRelease(
+            release=release,
+            version=version,
+            release_type=classify_release(version, zero_split=zero_split),
         )
-        report.records_out += 1
-    report.check()
-    return kept, report
+
+    return _screen("semver", releases, rule)
 
 
 def filter_name_match(
     items: Iterable[Releaselike],
 ) -> tuple[list[Releaselike], FilterReport]:
     """Keep releases whose package name matches the repository name."""
-    report = FilterReport(stage="name_match")
-    kept: list[Releaselike] = []
-    for item in items:
-        report.records_in += 1
+
+    def rule(item: Releaselike) -> Releaselike | str:
         release = _pkg(item)
-        if normalize_name(release.package_name) == normalize_name(release.repo_name):
-            kept.append(item)
-            report.records_out += 1
-        else:
-            report.drop(REASON_NAME_MISMATCH)
-    report.check()
-    return kept, report
+        same = normalize_name(release.package_name) == normalize_name(release.repo_name)
+        return item if same else REASON_NAME_MISMATCH
+
+    return _screen("name_match", items, rule)
+
+
+def _package_day(item: Releaselike) -> tuple[str, str, date]:
+    release = _pkg(item)
+    return release.ecosystem, release.package_name, release.release_date
 
 
 def dedup_same_day(
     items: Iterable[Releaselike],
 ) -> tuple[list[Releaselike], FilterReport]:
     """Remove every release of a package-day that released more than once."""
-    report = FilterReport(stage="same_day_dedup")
     buffered = list(items)
-    report.records_in = len(buffered)
-    counts: dict[tuple[str, str, object], int] = {}
-    for item in buffered:
-        release = _pkg(item)
-        key = (release.ecosystem, release.package_name, release.release_date)
-        counts[key] = counts.get(key, 0) + 1
-    kept: list[Releaselike] = []
-    for item in buffered:
-        release = _pkg(item)
-        key = (release.ecosystem, release.package_name, release.release_date)
-        if counts[key] == 1:
-            kept.append(item)
-            report.records_out += 1
-        else:
-            report.drop(REASON_SAME_DAY)
-    report.check()
-    return kept, report
+    counts = Counter(map(_package_day, buffered))
+    return _screen("same_day_dedup", buffered, lambda item: item if counts[_package_day(item)] == 1 else REASON_SAME_DAY)
 
 
 def filter_ecosystems(
@@ -232,17 +217,7 @@ def filter_ecosystems(
 ) -> tuple[list[Releaselike], FilterReport]:
     """Keep releases from the allowed ecosystems only."""
     allowed_set = frozenset(allowed)
-    report = FilterReport(stage="ecosystems")
-    kept: list[Releaselike] = []
-    for item in items:
-        report.records_in += 1
-        if _pkg(item).ecosystem in allowed_set:
-            kept.append(item)
-            report.records_out += 1
-        else:
-            report.drop(REASON_ECOSYSTEM)
-    report.check()
-    return kept, report
+    return _screen("ecosystems", items, lambda item: item if _pkg(item).ecosystem in allowed_set else REASON_ECOSYSTEM)
 
 
 def filter_min_dependents(
@@ -262,25 +237,17 @@ def filter_min_dependents(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    report = FilterReport(stage="min_dependents")
-    kept: list[Releaselike] = []
-    for item in items:
-        report.records_in += 1
+
+    def rule(item: Releaselike) -> Releaselike | str:
         if threshold == 0:
-            kept.append(item)
-            report.records_out += 1
-            continue
+            return item
         release = _pkg(item)
         count = dependent_count(release.package_name, release.ecosystem, pre_release_date(item))
         if count is None:
-            report.drop(REASON_NO_DEPENDENT_DATA)
-        elif count >= threshold:
-            kept.append(item)
-            report.records_out += 1
-        else:
-            report.drop(REASON_FEW_DEPENDENTS)
-    report.check()
-    return kept, report
+            return REASON_NO_DEPENDENT_DATA
+        return item if count >= threshold else REASON_FEW_DEPENDENTS
+
+    return _screen("min_dependents", items, rule)
 
 
 def pre_release_date(item: Releaselike) -> date:

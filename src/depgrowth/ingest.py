@@ -311,8 +311,8 @@ class RecordReader:
     Iteration decodes every line.
 
     A dated reader, one whose ``parse`` builds a tuple with the
-    ``snapshot_date`` first, is given the number of fields after the date
-    that name a row's subject (``key_fields``). Its :meth:`compiled`
+    ``snapshot_date`` first, may be given the number of fields after the
+    date that name a row's subject (``key_fields``). Its :meth:`compiled`
     decodes each distinct row body of a compact, date-first line once.
     """
 
@@ -428,9 +428,9 @@ class RecordReader:
         # the line passes all four tests above; a line shorter than 28 has a
         # head no key equals. Any other line takes the full path, _row,
         # which writes every violation.
-        # The memo keeps the last body of each subject (the first key_fields
-        # fields after the date: a repository, or a whole edge), so it never
-        # holds more bodies than the input has subjects. The rows of the
+        # The memo keeps one rest per subject, its last, when key_fields
+        # names one (a snapshot's repository), and otherwise one per distinct
+        # body text (an edge's body is all of its edge). The rows of the
         # first date have little before them to repeat, so they are allowed
         # for: once the later rows that missed the memo outnumber its hits
         # plus those first rows, bodies do not repeat here, and the memo is
@@ -440,7 +440,6 @@ class RecordReader:
         # rest -> compile(its first row); None once the memo is dropped
         bodies: dict[str, object] | None = {}
         subjects: dict[tuple, str] = {}  # a row's key fields -> its rest
-        strings: dict[str, str] = {}  # one copy of each key field string
         first_day = None
         first_rows = missed = hits = 0
         with _lines(self._source) as lines:
@@ -475,7 +474,6 @@ class RecordReader:
                     if missed > hits + first_rows:
                         bodies = None
                         subjects.clear()
-                        strings.clear()
                         continue
                 if line[:28] not in days:
                     continue  # D did not parse: it may end in '\', and B is then no body
@@ -491,13 +489,13 @@ class RecordReader:
                             continue
                     except ValueError:
                         continue
-                # the key fields' strings are shared across subjects, and their
-                # table is bounded as the memo is: by the input's subjects
-                key = tuple([strings.setdefault(v, v) for v in row[1 : 1 + key_fields]])
-                old = subjects.get(key)
-                if old is not None:
-                    del bodies[old]
-                rest = subjects[key] = line[28:]
+                rest = line[28:]
+                if key_fields:
+                    key = row[1 : 1 + key_fields]
+                    old = subjects.get(key)
+                    if old is not None:
+                        del bodies[old]
+                    subjects[key] = rest
                 bodies[rest] = value
 
 
@@ -529,7 +527,7 @@ def read_releases(source: Source) -> RecordReader:
 
 def read_dependent_edges(source: Source) -> RecordReader:
     """Reader for dependent edge records (schema ``dependent-edges``)."""
-    return RecordReader(source, "dependent-edges", _dependent_edge, 4)
+    return RecordReader(source, "dependent-edges", _dependent_edge)
 
 
 def write_records(handle: IO[str], schema: str, lines: Iterable[str], provenance: dict | None = None) -> int:

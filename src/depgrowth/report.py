@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .metrics import LogDiffSample, LookaheadGrid, SizeBin
 from .semver import ReleaseType, VersionSeries
@@ -91,15 +91,28 @@ class StratumSummary(NamedTuple):
     significantly_highest: bool
 
 
-def _stratum_value(sample: LogDiffSample, strat_by: str) -> str:
-    if strat_by == "bin":
-        return sample.bin.value
-    return sample.series.value
+def _cells(
+    samples: Iterable[LogDiffSample], strat_by: str, fold_zero: bool, offsets: Container[int]
+) -> dict[tuple[str, str, str, int], list[float]]:
+    """Values of the samples whose offset is in ``offsets``, grouped by
+    (ecosystem, stratum, folded type, offset) in table order: ecosystem
+    ascending, stratum and type in their documented order, then offset.
 
-
-def _check_strat_by(strat_by: str) -> None:
+    Raises:
+        ValueError: unknown strat_by.
+    """
     if strat_by not in _STRATUM_ORDERS:
         raise ValueError(f"strat_by must be 'bin' or 'series', got {strat_by!r}")
+    cells: dict[tuple[str, str, str, int], list[float]] = {}
+    for sample in samples:
+        if sample.offset_days in offsets:
+            stratum = sample.bin.value if strat_by == "bin" else sample.series.value
+            key = (sample.ecosystem, stratum, fold_release_type(sample.release_type, fold_zero), sample.offset_days)
+            cells.setdefault(key, []).append(sample.value)
+    stratum_order = {name: i for i, name in enumerate(_STRATUM_ORDERS[strat_by])}
+    type_order = {name: i for i, name in enumerate(RAW_TYPE_ORDER)}
+    order = sorted(cells, key=lambda k: (k[0], stratum_order[k[1]], type_order[k[2]], k[3]))
+    return {key: cells[key] for key in order}
 
 
 def summary_table(
@@ -121,34 +134,23 @@ def summary_table(
     Raises:
         ValueError: unknown strat_by, or samples mixing metrics.
     """
-    _check_strat_by(strat_by)
+    cells = _cells(samples, strat_by, fold_zero, (offset_days,))
     metrics_seen = {s.metric for s in samples}
     if len(metrics_seen) > 1:
         raise ValueError(f"samples mix metrics {sorted(metrics_seen)}; summarize one at a time")
 
-    cells: dict[tuple[str, str], dict[str, list[float]]] = {}
-    for sample in samples:
-        if sample.offset_days != offset_days:
-            continue
-        row_key = (sample.ecosystem, _stratum_value(sample, strat_by))
-        label = fold_release_type(sample.release_type, fold_zero)
-        cells.setdefault(row_key, {}).setdefault(label, []).append(sample.value)
-
-    type_order = FOLDED_TYPE_ORDER if fold_zero else RAW_TYPE_ORDER
-    stratum_order = {name: i for i, name in enumerate(_STRATUM_ORDERS[strat_by])}
+    rows: dict[tuple[str, str], dict[str, list[float]]] = {}
+    for (eco, stratum, label, _), values in cells.items():
+        rows.setdefault((eco, stratum), {})[label] = values
     summaries: list[StratumSummary] = []
-    for eco, stratum in sorted(cells, key=lambda k: (k[0], stratum_order[k[1]])):
-        groups = cells[(eco, stratum)]
+    for (eco, stratum), groups in rows.items():
         winner: Optional[str] = None
         if len(groups) >= 2:
             try:
                 winner = pairwise_welch(groups, alpha=alpha).significantly_highest
             except DegenerateInput:
                 winner = None
-        for label in type_order:
-            values = groups.get(label)
-            if not values:
-                continue
+        for label, values in groups.items():
             std = math.sqrt(sample_variance(values)) if len(values) >= 2 else None
             summaries.append(
                 StratumSummary(
@@ -322,27 +324,8 @@ def timepoint_distributions(
     Only samples whose offset is on the grid contribute; empty cells are
     omitted. Output order is (ecosystem, stratum, type, offset).
     """
-    _check_strat_by(strat_by)
-    cells: dict[tuple[str, str, str, int], list[float]] = {}
-    offsets = set(grid.offsets)
-    for sample in samples:
-        if sample.offset_days not in offsets:
-            continue
-        key = (
-            sample.ecosystem,
-            _stratum_value(sample, strat_by),
-            fold_release_type(sample.release_type, fold_zero),
-            sample.offset_days,
-        )
-        cells.setdefault(key, []).append(sample.value)
-
-    stratum_order = {name: i for i, name in enumerate(_STRATUM_ORDERS[strat_by])}
-    type_order = {name: i for i, name in enumerate(RAW_TYPE_ORDER)}
     out: list[TimepointDistribution] = []
-    for eco, stratum, rtype, offset in sorted(
-        cells, key=lambda k: (k[0], stratum_order[k[1]], type_order[k[2]], k[3])
-    ):
-        values = cells[(eco, stratum, rtype, offset)]
+    for (eco, stratum, rtype, offset), values in _cells(samples, strat_by, fold_zero, set(grid.offsets)).items():
         q1, med, q3 = tukey_quartiles(values)
         iqr = q3 - q1
         out.append(

@@ -409,43 +409,20 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
 
         # --- filter bait ---
         slots = list(cfg.lattice)
-        for i in range(cfg.n_ghost):
-            days = sorted(rng.sample(slots, 2))
-            rel = tuple(SynthRelease(d, v) for d, v in zip(days, ("1.0.0", "1.1.0")))
-            name = f"ghost-{eco}-{i:02d}"
-            packages.append(
-                SynthPackage(eco, name, f"ghostorg-{eco}-{i:02d}", name, "spice", "ghost", rel, (), 0)
-            )
-        for i in range(cfg.n_forked):
-            days = sorted(rng.sample(slots, 2))
-            rel = tuple(SynthRelease(d, v) for d, v in zip(days, ("1.0.0", "1.1.0")))
-            name = f"forkish-{eco}-{i:02d}"
-            packages.append(
-                SynthPackage(eco, name, f"forkorg-{eco}-{i:02d}", name, "spice", "forked_repo", rel, (), 0)
-            )
-        for i in range(cfg.n_low_engagement):
-            days = sorted(rng.sample(slots, 2))
-            rel = tuple(SynthRelease(d, v) for d, v in zip(days, ("1.0.0", "1.1.0")))
-            name = f"dim-{eco}-{i:02d}"
-            packages.append(
-                SynthPackage(eco, name, f"dimorg-{eco}-{i:02d}", name, "spice", "low_engagement", rel, (), 0)
-            )
-        for i in range(cfg.n_name_mismatch):
-            days = sorted(rng.sample(slots, 2))
-            rel = tuple(SynthRelease(d, v) for d, v in zip(days, ("1.0.0", "1.1.0")))
-            packages.append(
-                SynthPackage(
-                    eco,
-                    f"misfit-{eco}-{i:02d}",
-                    f"misorg-{eco}-{i:02d}",
-                    f"misfits-{eco}-{i:02d}",
-                    "spice",
-                    "name_mismatch",
-                    rel,
-                    (),
-                    0,
+        for count, prefix, org, quirk in (
+            (cfg.n_ghost, "ghost", "ghostorg", "ghost"),
+            (cfg.n_forked, "forkish", "forkorg", "forked_repo"),
+            (cfg.n_low_engagement, "dim", "dimorg", "low_engagement"),
+            (cfg.n_name_mismatch, "misfit", "misorg", "name_mismatch"),
+        ):
+            for i in range(count):
+                days = sorted(rng.sample(slots, 2))
+                rel = tuple(SynthRelease(d, v) for d, v in zip(days, ("1.0.0", "1.1.0")))
+                name = f"{prefix}-{eco}-{i:02d}"
+                repo = f"misfits-{eco}-{i:02d}" if quirk == "name_mismatch" else name
+                packages.append(
+                    SynthPackage(eco, name, f"{org}-{eco}-{i:02d}", repo, "spice", quirk, rel, (), 0)
                 )
-            )
         for i in range(cfg.n_same_day_pairs):
             day = rng.choice(slots)
             rel = (SynthRelease(day, "1.1.0"), SynthRelease(day, "1.2.0"))
@@ -470,26 +447,17 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
             packages.append(
                 SynthPackage(eco, name, f"loneorg-{eco}-{i:02d}", name, "spice", "orphan", (SynthRelease(30, "1.0.0"),), (), 0)
             )
-        for i in range(cfg.n_prerelease_pkgs):
-            days = sorted(rng.sample(range(60, min(700, cfg.days - 30)), cfg.prerelease_per_pkg))
-            rel = tuple(
-                SynthRelease(d, _PRERELEASE_TEXTS[j % len(_PRERELEASE_TEXTS)])
-                for j, d in enumerate(days)
-            )
-            name = f"edge-{eco}-{i:02d}"
-            packages.append(
-                SynthPackage(eco, name, f"edgeorg-{eco}-{i:02d}", name, "spice", "junk_versions", rel, (), 0)
-            )
-        for i in range(cfg.n_malformed_pkgs):
-            days = sorted(rng.sample(range(60, min(700, cfg.days - 30)), cfg.malformed_per_pkg))
-            rel = tuple(
-                SynthRelease(d, _MALFORMED_TEXTS[j % len(_MALFORMED_TEXTS)])
-                for j, d in enumerate(days)
-            )
-            name = f"mangle-{eco}-{i:02d}"
-            packages.append(
-                SynthPackage(eco, name, f"mangleorg-{eco}-{i:02d}", name, "spice", "junk_versions", rel, (), 0)
-            )
+        for count, per_pkg, prefix, texts in (
+            (cfg.n_prerelease_pkgs, cfg.prerelease_per_pkg, "edge", _PRERELEASE_TEXTS),
+            (cfg.n_malformed_pkgs, cfg.malformed_per_pkg, "mangle", _MALFORMED_TEXTS),
+        ):
+            for i in range(count):
+                days = sorted(rng.sample(range(60, min(700, cfg.days - 30)), per_pkg))
+                rel = tuple(SynthRelease(d, texts[j % len(texts)]) for j, d in enumerate(days))
+                name = f"{prefix}-{eco}-{i:02d}"
+                packages.append(
+                    SynthPackage(eco, name, f"{prefix}org-{eco}-{i:02d}", name, "spice", "junk_versions", rel, (), 0)
+                )
 
     world = SynthWorld(
         config=cfg,

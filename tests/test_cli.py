@@ -739,6 +739,9 @@ class TestExitCodes:
         # no leading zero, so no second key names the cell of dependents@90
         "zero-padded metrics key": ("dependents@090", 999999),
         "zero-padded zero offset": ("stars@00", 999999),
+        # analyze names heatmap files after the ecosystem
+        "path as record ecosystem": ("ecosystem", "../../escaped"),
+        "uppercase record ecosystem": ("ecosystem", "NPM"),
     }
 
     @pytest.mark.parametrize(
@@ -798,6 +801,26 @@ class TestExitCodes:
         assert "rerun depgrowth metrics" in err
         assert named in err
         assert not (work / "table_bins.txt").exists()
+
+    def test_a_path_in_every_records_ecosystem_writes_nothing(self, corpus_dir, out_dir, tmp_path, capsys):
+        # before the check, analyze built heatmap file names from the
+        # ecosystem and ended in a traceback (exit 1) opening one
+        work = tmp_path / "nested" / "work"
+        work.mkdir(parents=True)
+        records = work / "release_records.jsonl"
+        lines = (out_dir / "release_records.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(lines[1:], start=1):
+            row = json.loads(line)
+            if row["ecosystem"] == "npm":
+                row["ecosystem"] = "../../escaped"
+                lines[i] = json.dumps(row) + "\n"
+        records.write_text("".join(lines), encoding="utf-8")
+        first = next(i for i, line in enumerate(lines) if "escaped" in line) + 1
+        assert cli.main(["analyze", *_pipeline_args(corpus_dir, work)]) == 3
+        err = capsys.readouterr().err
+        assert f"{records} line {first}: ecosystem must be a lowercase identifier, got '../../escaped'" in err
+        assert "rerun depgrowth metrics" in err
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["release_records.jsonl"]
 
     @pytest.mark.parametrize("stage", ["metrics", "complexity"])
     def test_bad_filtered_row_is_data_error(self, corpus_dir, out_dir, tmp_path, capsys, stage):

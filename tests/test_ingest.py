@@ -597,18 +597,19 @@ class TestBodyMemo:
         _read_compiled(read_repo_snapshots(lines[:3] + lines[9:12] + lines[:3]))
         assert decoded.count(lines[0]) == 2
 
-    def test_the_edge_memo_keeps_one_body_per_edge(self):
+    @pytest.mark.parametrize("reorder, bodies", [(False, 4), (True, 5)], ids=["four-texts", "one-reordered"])
+    def test_the_edge_memo_keeps_one_body_per_edge(self, reorder, bodies):
         edges = [_body(edge_line(), [("package_name", f"lib{i}")]) for i in range(4)]
-        # key order differs, the edge is the same: the later text replaces
-        # the earlier one
+        # key order differs, the edge is the same: a text of its own, kept
+        # beside the first one
         reordered = json.dumps(
             dict(reversed(json.loads("{" + edges[0]).items())), separators=(",", ":")
         )[1:]
         days = [(date(2023, 3, 1) + timedelta(days=d)).isoformat() for d in range(5)]
-        lines = [_dated(day, b) for day in days for b in edges + [reordered]]
+        lines = [_dated(day, b) for day in days for b in edges + [reordered] * reorder]
         rows, sizes = _read_with_memo_sizes(read_dependent_edges(lines))
         assert rows == list(RecordReader(lines, "dependent-edges", _edge_by_helpers))
-        assert max(sizes) == 4 and None not in sizes
+        assert max(sizes) == bodies and None not in sizes
 
     def test_a_memoized_edge_is_the_value_its_body_first_compiled_to(self):
         bodies = [_body(edge_line(), []), _body(edge_line(), [("package_name", "libbar")])]

@@ -1,5 +1,7 @@
 """Structural tests for the deterministic synthetic corpus."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -325,6 +327,35 @@ class TestCorpusFiles:
                 row = json.loads(line)
                 assert line == json.dumps(row, separators=(",", ":"))
                 assert list(row) == [field for field in order[name] if field in row]
+
+    @pytest.mark.parametrize(
+        "config, digests",
+        [
+            (
+                small_config(3),
+                {
+                    "repo_snapshots": "daaca1dcc0509f6278fde895ce95975601d5ab0be434d9e2e8b05d2088f9b645",
+                    "releases": "78b1b301b5c24ebef249aeffe17fdcefcd28d7b5410e31d3b1553dbd3051113c",
+                    "dependent_edges": "cab537e5e71f421601f9f8bc88700b507fcebac57be630c846ef8ce97f51f6cc",
+                },
+            ),
+            # the benchmark's bench shape
+            (
+                dataclasses.replace(small_config(7), smalls=40, larges=0, pool_quality=1000),
+                {
+                    "repo_snapshots": "5debb4e46ccdfbcc8203413aca9e5fbfffe580377ef30ba2af5487bc8d447eb4",
+                    "releases": "26a3b16758ff2d83e63688ad316c30a84fc1dbf16055031fed8b28757e205a54",
+                    "dependent_edges": "a0c212a0b8e72e289a7966ecf2dc83c556f15c86f3dc2d7ff409a744060de635",
+                },
+            ),
+        ],
+        ids=["small-seed-3", "bench-seed-7"],
+    )
+    def test_corpus_bytes_are_pinned(self, config, digests, tmp_path):
+        # a change to the generators' RNG order or row layout changes these
+        write_corpus(build_world(config), tmp_path)
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == digest, name
 
     def test_zero_schema_violations(self, corpus_dir):
         out, counts = corpus_dir
