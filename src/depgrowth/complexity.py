@@ -18,6 +18,7 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
+import math
 import queue
 import re
 import threading
@@ -414,9 +415,10 @@ class _TokenBucket:
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
-        if rate_per_sec <= 0:
-            raise ValueError("rate_per_sec must be positive")
-        self._interval = 1.0 / rate_per_sec
+        if not 0 < rate_per_sec < math.inf:  # NaN fails every comparison
+            raise ValueError("rate_per_sec must be a finite positive number")
+        # 1 / n, not 1.0 / n: an int too large for a float gives 0.0, not an OverflowError
+        self._interval = 1 / rate_per_sec
         self._clock = clock
         self._sleeper = sleeper
         self._lock = threading.Lock()

@@ -9,6 +9,7 @@ bad config never produces partial output.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -73,8 +74,9 @@ class PipelineConfig(NamedTuple):
             )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.rate_per_sec is not None and self.rate_per_sec <= 0:
-            raise ConfigError(f"rate_per_sec must be positive, got {self.rate_per_sec}")
+        # NaN fails every comparison, so a test of `<= 0` alone admits it
+        if self.rate_per_sec is not None and not 0 < self.rate_per_sec < math.inf:
+            raise ConfigError(f"rate_per_sec must be a finite positive number, got {self.rate_per_sec}")
         return self
 
 

@@ -201,59 +201,39 @@ def _topics(obj: dict) -> tuple[str, ...]:
 
 
 def _repo_snapshot(obj: dict) -> RepoSnapshot:
-    # One pass over the fields with the helpers' rules (at most stricter);
-    # any row it refuses goes through the helper chain, which writes the
-    # message for the first bad field or builds the row after all.
+    # One pass over the fields, in field order: each is read once and tested
+    # inline, and one that fails its test takes its helper's return. For a
+    # JSON-decoded row (no subclass of str or int but bool) each test admits
+    # what its helper admits, so the helper raises that field's message; on
+    # another dict it may return a value the test was stricter on.
     get = obj.get
-    raw_date = get("snapshot_date")
+    snapshot_date = _parse_date(get("snapshot_date"), "snapshot_date")
     owner = get("owner")
+    if type(owner) is not str or not owner:
+        owner = _req_str(obj, "owner")
     name = get("name")
+    if type(name) is not str or not name:
+        name = _req_str(obj, "name")
     stars = get("stars")
+    if type(stars) is not int or not 0 <= stars <= MAX_COUNT:
+        stars = _req_int(obj, "stars")
     forks = get("forks")
+    if type(forks) is not int or not 0 <= forks <= MAX_COUNT:
+        forks = _req_int(obj, "forks")
     is_fork = get("is_fork")
+    if type(is_fork) is not bool:
+        is_fork = _req_bool(obj, "is_fork")
     description = get("description")
+    if description is not None and type(description) is not str:
+        description = _opt_str(obj, "description")
     topics = get("topics", [])
+    if type(topics) is not list or (topics and not all(type(topic) is str for topic in topics)):
+        topics = _topics(obj)
     language = get("language")
-    if (
-        type(raw_date) is str
-        and type(owner) is str
-        and owner
-        and type(name) is str
-        and name
-        and type(stars) is int
-        and 0 <= stars <= MAX_COUNT
-        and type(forks) is int
-        and 0 <= forks <= MAX_COUNT
-        and type(is_fork) is bool
-        and (description is None or type(description) is str)
-        and type(topics) is list
-        and (not topics or all(type(topic) is str for topic in topics))
-        and (language is None or type(language) is str)
-    ):
-        try:
-            return RepoSnapshot(
-                _iso_date(raw_date),
-                owner,
-                name,
-                stars,
-                forks,
-                is_fork,
-                description,
-                tuple(topics),
-                language,
-            )
-        except ValueError:
-            pass  # a bad date: the chain below reports it
+    if language is not None and type(language) is not str:
+        language = _opt_str(obj, "language")
     return RepoSnapshot(
-        snapshot_date=_parse_date(obj.get("snapshot_date"), "snapshot_date"),
-        owner=_req_str(obj, "owner"),
-        name=_req_str(obj, "name"),
-        stars=_req_int(obj, "stars"),
-        forks=_req_int(obj, "forks"),
-        is_fork=_req_bool(obj, "is_fork"),
-        description=_opt_str(obj, "description"),
-        topics=_topics(obj),
-        language=_opt_str(obj, "language"),
+        snapshot_date, owner, name, stars, forks, is_fork, description, tuple(topics), language
     )
 
 
@@ -270,35 +250,22 @@ def _package_release(obj: dict) -> PackageRelease:
 
 
 def _dependent_edge(obj: dict) -> DependentEdge:
-    # the same fast check as _repo_snapshot's, with the same fallback
+    # the same one pass as _repo_snapshot's
     get = obj.get
-    raw_date = get("snapshot_date")
+    snapshot_date = _parse_date(get("snapshot_date"), "snapshot_date")
     owner = get("dependent_owner")
+    if type(owner) is not str or not owner:
+        owner = _req_str(obj, "dependent_owner")
     repo = get("dependent_repo")
+    if type(repo) is not str or not repo:
+        repo = _req_str(obj, "dependent_repo")
     ecosystem = get("ecosystem")
+    if type(ecosystem) is not str or not _ECOSYSTEM_RE.fullmatch(ecosystem):
+        ecosystem = _req_ecosystem(obj)
     package = get("package_name")
-    if (
-        type(raw_date) is str
-        and type(owner) is str
-        and owner
-        and type(repo) is str
-        and repo
-        and type(ecosystem) is str
-        and _ECOSYSTEM_RE.fullmatch(ecosystem)
-        and type(package) is str
-        and package
-    ):
-        try:
-            return DependentEdge(_iso_date(raw_date), owner, repo, ecosystem, package)
-        except ValueError:
-            pass
-    return DependentEdge(
-        snapshot_date=_parse_date(obj.get("snapshot_date"), "snapshot_date"),
-        dependent_owner=_req_str(obj, "dependent_owner"),
-        dependent_repo=_req_str(obj, "dependent_repo"),
-        ecosystem=_req_ecosystem(obj),
-        package_name=_req_str(obj, "package_name"),
-    )
+    if type(package) is not str or not package:
+        package = _req_str(obj, "package_name")
+    return DependentEdge(snapshot_date, owner, repo, ecosystem, package)
 
 
 class RecordReader:
@@ -744,7 +711,9 @@ class StreamingDependentCounter:
         # each dependent's (owner, repo) key -> its id, and the keys by id
         self._ids: dict[tuple[str, str], int] = {}
         self._names: list[tuple[str, str]] = []
-        # per target ordinal each dependent's verdict (see _PASS), one byte each
+        # per target ordinal each dependent's verdict (see _PASS), one byte each;
+        # judged once per (dependent, date), not once per package it depends on:
+        # with them count takes a third to two thirds of the CPU it takes without
         self._verdicts: dict[int, bytearray] = {}
 
     def request(self, package_name: str, ecosystem: str, when: date) -> None:

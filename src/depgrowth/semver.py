@@ -59,8 +59,11 @@ class PreReleaseExcluded(VersionParseError):
 # Strict grammar: numeric core without leading zeros, optional pre-release and
 # build-metadata suffixes with the usual dotted-identifier alphabet. The
 # pre-release group is matched (not rejected by the regex) so that it can be
-# reported as PreReleaseExcluded rather than MalformedVersion.
-_NUM = r"(?:0|[1-9]\d*)"
+# reported as PreReleaseExcluded rather than MalformedVersion. A numeric
+# component has at most 640 digits (sys.int_info.str_digits_check_threshold,
+# the lowest limit PYTHONINTMAXSTRDIGITS can set), so int() converts every one
+# it matches, and a longer one is MalformedVersion whatever that setting is.
+_NUM = r"(?:0|[1-9]\d{0,639})"
 _PRE_IDENT = r"(?:0|[1-9]\d*|\d*[A-Za-z-][0-9A-Za-z-]*)"
 _VERSION_RE = re.compile(
     rf"^[vV]?(?P<major>{_NUM})\.(?P<minor>{_NUM})\.(?P<patch>{_NUM})"

@@ -871,6 +871,26 @@ class TestExitCodes:
         report = json.loads((out / "filter_report.json").read_text(encoding="utf-8"))
         assert report["schema_violations"]["releases"] == 1
 
+    def test_a_version_component_too_long_to_convert_is_a_malformed_drop(self, corpus_dir, out_dir, tmp_path):
+        # 5,000 digits: more than int() converts under the default limit
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        releases = corpus / "releases.jsonl"
+        lines = releases.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["version_text"] = "1" * 5000 + ".0.0"
+        lines[1] = json.dumps(row) + "\n"
+        releases.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["filter", *_pipeline_args(corpus, out)]) == 0
+
+        def malformed(path):
+            report = json.loads((path / "filter_report.json").read_text(encoding="utf-8"))
+            (stage,) = [stage for stage in report["stages"] if stage["stage"] == "semver"]
+            return stage["reasons"]["MalformedVersion"]
+
+        assert malformed(out) == malformed(out_dir) + 1
+
     @pytest.mark.parametrize("stage", ["complexity", "all"])
     @pytest.mark.parametrize("token", ["abc\ndef", "abc\rdef", "abc€def"], ids=["newline", "return", "euro"])
     def test_a_token_no_header_carries_is_config_error(self, corpus_dir, tmp_path, capsys, monkeypatch, stage, token):

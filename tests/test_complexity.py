@@ -561,9 +561,18 @@ def test_token_bucket_spaces_acquisitions():
     assert sleeps == [0.5, 1.0]
 
 
-def test_token_bucket_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        _TokenBucket(rate_per_sec=0.0)
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_token_bucket_rejects_nonpositive_rate(rate):
+    with pytest.raises(ValueError, match="finite positive"):
+        _TokenBucket(rate_per_sec=rate)
+
+
+def test_token_bucket_takes_an_int_too_large_for_a_float():
+    sleeps = []
+    bucket = _TokenBucket(rate_per_sec=10**400, clock=lambda: 100.0, sleeper=sleeps.append)
+    bucket.acquire()
+    bucket.acquire()
+    assert sleeps == []
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ class TestValidate:
             ("ecosystems", ("npm", "cargo")),
             ("workers", 0),
             ("rate_per_sec", 0.0),
+            ("rate_per_sec", float("nan")),
+            ("rate_per_sec", float("inf")),
+            ("rate_per_sec", float("-inf")),
         ],
     )
     def test_invariant_violations(self, field, value):
@@ -140,6 +143,13 @@ class TestFieldTypes:
         path.write_text(json.dumps({key: value}), encoding="utf-8")
         assert getattr(load_config(path), key) == value
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_a_rate_that_is_not_finite_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"rate_per_sec": %s}' % text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^rate_per_sec must be a finite positive number"):
+            load_config(path)
+
     def test_the_cli_exits_2_naming_the_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"min_dependents": "5"}), encoding="utf-8")
@@ -177,6 +187,13 @@ class TestResolveConfig:
         path.write_text(json.dumps({"grid": [365, 90]}), encoding="utf-8")
         with pytest.raises(ConfigError):
             resolve_config(path, {"alpha": 5.0})
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_a_rate_flag_that_is_not_finite_exits_2(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        assert cli.main(["complexity", f"--rate-per-sec={text}", "--out-dir", str(out)]) == 2
+        assert "rate_per_sec" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHashing:

@@ -69,6 +69,20 @@ class TestParse:
         with pytest.raises(MalformedVersion):
             parse_version(text)
 
+    def test_a_component_of_640_digits_parses(self):
+        big = "9" * 640
+        version = parse_version(f"1.{big}.{big}")
+        assert version.minor == version.patch == int(big)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 641 + ".0.0", "1." + "1" * 641 + ".0", "1.0." + "1" * 5000],
+        ids=["major of 641", "minor of 641", "patch of 5000"],
+    )
+    def test_a_component_past_640_digits_is_malformed(self, text):
+        with pytest.raises(MalformedVersion):
+            parse_version(text)
+
     def test_prerelease_is_a_parse_error_subclass(self):
         # Callers that only care about "unusable version" can catch one type.
         from depgrowth.semver import VersionParseError
