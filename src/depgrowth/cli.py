@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from datetime import timedelta
 from pathlib import Path
@@ -187,8 +188,10 @@ class _ReleaseRecords:
     ``_record_lines``.
 
     An offset is a decimal integer with no leading zero, so no two keys name
-    one cell. Each distinct metrics key is checked and mapped to its
-    ``(metric, offset)`` cell once per read; only a key that passes is kept.
+    one cell, and of at most 640 digits, as a version component is, so
+    int() reads it under any PYTHONINTMAXSTRDIGITS. Each distinct metrics
+    key is checked and mapped to its ``(metric, offset)`` cell once per
+    read; only a key that passes is kept.
     """
 
     def __init__(self) -> None:
@@ -204,7 +207,7 @@ class _ReleaseRecords:
             cell = cells.get(key)
             if cell is None:
                 metric, _, offset = key.partition("@")
-                if metric not in METRICS or not (offset.isascii() and offset.isdigit()) or str(int(offset)) != offset:
+                if metric not in METRICS or not re.fullmatch(r"0|[1-9][0-9]{0,639}", offset):
                     raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
                 cell = cells[key] = metric, int(offset)
             if value is not None and (type(value) is not int or not 0 <= value <= MAX_COUNT):
@@ -724,8 +727,15 @@ class HttpModelClient:
 
 
 def _model_client(config: PipelineConfig) -> ModelClient:
+    """The client that rates; without an endpoint the mock rates, so a
+    model_id other than the mock's is a ConfigError, not a false stamp."""
     if config.model_endpoint:
         return HttpModelClient(config.model_endpoint, config.model_id, token=os.environ.get(MODEL_TOKEN_ENV))
+    if config.model_id != MockModelClient.model_id:
+        raise ConfigError(
+            f"model_id {config.model_id!r} needs a model endpoint; without one the mock rates as "
+            f"{MockModelClient.model_id!r}"
+        )
     return MockModelClient()
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import collections
 import heapq
-import itertools
 import math
 import queue
 import re
@@ -332,10 +331,11 @@ class RetryPolicy(_PolicyFields):
     A malformed response or a transport error (OSError family) on attempt
     k is retried no sooner than backoff * 2**(k-1) seconds later, up to
     max_attempts attempts in all. A release waiting out its backoff holds
-    no worker: the workers rate other releases meanwhile, and one calls
-    ``sleeper`` only when nothing else is ready, for the time until the
-    earliest retry is due, then takes that retry. ``sleeper`` is injectable
-    for tests; a recording sleeper makes every wait instant.
+    no worker: the scheduling thread hands other releases out meanwhile,
+    and calls ``sleeper`` only when no request is in flight and none is
+    ready, for the time until the earliest retry is due, then hands that
+    retry out. ``sleeper`` is injectable for tests; a recording sleeper
+    makes every wait instant.
     """
 
     __slots__ = ()
@@ -407,7 +407,7 @@ class MockModelClient:
 
 
 class _TokenBucket:
-    """Blocking rate limiter: at most rate_per_sec acquisitions per second."""
+    """Rate limiter for one thread: at most rate_per_sec acquisitions per second."""
 
     def __init__(
         self,
@@ -421,161 +421,20 @@ class _TokenBucket:
         self._interval = 1 / rate_per_sec
         self._clock = clock
         self._sleeper = sleeper
-        self._lock = threading.Lock()
         self._next_free = clock()
 
     def acquire(self) -> None:
-        with self._lock:
-            now = self._clock()
-            wait = self._next_free - now
-            self._next_free = max(self._next_free, now) + self._interval
+        now = self._clock()
+        wait = self._next_free - now
+        self._next_free = max(self._next_free, now) + self._interval
         if wait > 0:
             self._sleeper(wait)
 
 
-# The outcomes reported as a release's failure. Any other exception stops
-# the batch and reaches the caller.
+# The outcomes reported as a release's failure, and those retried under
+# RetryPolicy. Any other exception stops the batch and reaches the caller.
 _FAILURES = (RequestRejected, ExhaustedRetries)
-
-
-class _Task:
-    __slots__ = ("key", "release", "bundle", "attempts")
-
-    def __init__(self, key: str, release: PackageRelease, bundle: PromptBundle) -> None:
-        self.key = key
-        self.release = release
-        self.bundle = bundle
-        self.attempts = 0
-
-
-class _Batch:
-    """Releases rated by a fixed set of worker threads from one schedule.
-
-    Every release starts ready. After a transient failure it waits in
-    ``_waiting``, a heap on its not-before time, so its worker is free to
-    take other work. A worker takes a due retry first, then the next ready
-    release; when nothing is ready it takes the earliest retry and sleeps
-    until that retry is due. Each outcome reaches the calling thread
-    through ``_results``, and each worker's exit through a ``None``.
-    """
-
-    def __init__(
-        self,
-        todo: Sequence[_Task],
-        client: ModelClient,
-        policy: RetryPolicy,
-        workers: int,
-        bucket: _TokenBucket | None,
-    ) -> None:
-        self._ready = collections.deque(todo)
-        self._waiting: list[tuple[float, int, _Task]] = []
-        self._tiebreak = itertools.count()
-        self._lock = threading.Lock()
-        self._stopped = False
-        self._results: queue.SimpleQueue = queue.SimpleQueue()
-        self._client = client
-        self._policy = policy
-        self._bucket = bucket
-        self._threads = [threading.Thread(target=self._work) for _ in range(min(workers, len(todo)))]
-
-    def run(
-        self, on_result: Callable[[str, ComplexityRating], None] | None
-    ) -> tuple[dict[str, ComplexityRating], dict[str, Exception]]:
-        """Ratings and failures by key; the first other exception is raised
-        once every worker has finished its request in flight."""
-        ratings: dict[str, ComplexityRating] = {}
-        failures: dict[str, Exception] = {}
-        error: BaseException | None = None
-        try:
-            for thread in self._threads:
-                thread.start()
-            running = len(self._threads)
-            while running:
-                result = self._results.get()
-                if result is None:
-                    running -= 1
-                    continue
-                key, outcome = result
-                if isinstance(outcome, ComplexityRating):
-                    ratings[key] = outcome
-                    if on_result is not None:
-                        on_result(key, outcome)
-                elif isinstance(outcome, _FAILURES):
-                    failures[key] = outcome
-                elif error is None:
-                    error = outcome
-        finally:
-            self._stopped = True
-            for thread in self._threads:
-                if thread.ident is not None:
-                    thread.join()
-        if error is not None:
-            raise error
-        return ratings, failures
-
-    def _next(self, retry: tuple[_Task, float] | None) -> tuple[_Task, float] | None:
-        """Schedule ``retry``, a task and its backoff, then pick the next task
-        and the seconds to wait before it; None when no work is left.
-
-        One clock reading both sets the retry's not-before time and decides
-        what is due.
-        """
-        with self._lock:
-            now = time.monotonic()
-            if retry is not None:
-                task, backoff = retry
-                heapq.heappush(self._waiting, (now + backoff, next(self._tiebreak), task))
-            if self._stopped:
-                return None
-            if self._waiting and (self._waiting[0][0] <= now or not self._ready):
-                due, _, task = heapq.heappop(self._waiting)
-                return task, due - now
-            if self._ready:
-                return self._ready.popleft(), 0.0
-            return None
-
-    def _attempt(self, task: _Task) -> ComplexityRating | ExhaustedRetries | float:
-        """One request for ``task``: the rating, the backoff before its retry,
-        or ExhaustedRetries with the last failure chained. The one retry rule."""
-        task.attempts += 1
-        bundle = task.bundle
-        try:
-            return parse_rating_response(self._client.complete(bundle.system_text, bundle.user_text))
-        except (MalformedResponse, OSError) as exc:
-            if task.attempts < self._policy.max_attempts:
-                return self._policy.backoff * 2.0 ** (task.attempts - 1)
-            release = task.release
-            exhausted = ExhaustedRetries(
-                f"{self._policy.max_attempts} attempt(s) failed for "
-                f"{release.ecosystem}:{release.package_name} {release.version_text}"
-            )
-            exhausted.__cause__ = exc
-            return exhausted
-
-    def _work(self) -> None:
-        retry = None
-        try:
-            while (picked := self._next(retry)) is not None:
-                task, wait = picked
-                retry = None
-                try:
-                    if wait > 0:
-                        self._policy.sleeper(wait)
-                    if self._bucket is not None:
-                        self._bucket.acquire()
-                    if self._stopped:
-                        return
-                    outcome = self._attempt(task)
-                except BaseException as exc:  # handed to the calling thread
-                    if not isinstance(exc, _FAILURES):
-                        self._stopped = True
-                    outcome = exc
-                if isinstance(outcome, float):
-                    retry = task, outcome
-                else:
-                    self._results.put((task.key, outcome))
-        finally:
-            self._results.put(None)
+_TRANSIENT = (MalformedResponse, OSError)
 
 
 def rate_many(
@@ -591,22 +450,117 @@ def rate_many(
 
     ``items`` yields (key, release, bundle) triples, each bundle built by
     :func:`build_prompt`; keys already present in ``skip_keys`` are not
-    re-rated (resume support). ``min(max_workers, releases)`` threads share
-    one schedule. A release waiting out its retry backoff holds no worker:
-    see RetryPolicy. ``rate_per_sec`` throttles every request, retries
-    included. ``on_result`` fires on the calling thread as each rating
-    completes, in completion order; callers wanting stable order sort by
-    key afterwards. Returns (ratings by key, failure reason by key).
+    re-rated (resume support). The calling thread holds the schedule and
+    hands each request to one of ``min(max_workers, releases)`` threads,
+    which only make requests. A release waiting out its retry backoff holds
+    no worker: see RetryPolicy. ``rate_per_sec`` throttles every request,
+    retries included. ``on_result`` fires on the calling thread as each
+    rating completes, in completion order; callers wanting stable order
+    sort by key afterwards. Returns (ratings by key, failure reason by key).
     Rejected and exhausted releases are reported as failures, not errors.
     Any other exception stops the batch: no request starts after it, those
     in flight finish, and the first such exception is raised.
     """
     if max_workers < 1:
         raise ValueError("max_workers must be at least 1")
+    policy = policy or RetryPolicy()
     skip = set(skip_keys)
     bucket = _TokenBucket(rate_per_sec) if rate_per_sec is not None else None
-    todo = [_Task(*item) for item in items if item[0] not in skip]
-    ratings, failures = _Batch(todo, client, policy or RetryPolicy(), max_workers, bucket).run(on_result)
+    # only this thread touches the schedule: ready tasks, each (key, release,
+    # bundle, next attempt's number), and retries, a heap on not-before time
+    ready = collections.deque((*item, 1) for item in items if item[0] not in skip)
+    waiting: list[tuple[float, tuple]] = []
+    requests: queue.SimpleQueue = queue.SimpleQueue()
+    results: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+
+    def work() -> None:
+        """Put each task from ``requests``, until a None, on ``results`` with
+        its rating or exception, or with None once ``stop`` is set."""
+        while (task := requests.get()) is not None:
+            time.sleep(0)  # yield the GIL, so a worker whose request just raised sets stop first
+            bundle = task[2]
+            try:
+                outcome = None
+                if not stop.is_set():
+                    outcome = parse_rating_response(client.complete(bundle.system_text, bundle.user_text))
+            except BaseException as exc:  # handed to the calling thread
+                if not isinstance(exc, _FAILURES + _TRANSIENT):
+                    stop.set()
+                outcome = exc
+            results.put((task, outcome))
+
+    workers = [threading.Thread(target=work) for _ in range(min(max_workers, len(ready)))]
+    ratings: dict[str, ComplexityRating] = {}
+    failures: dict[str, Exception] = {}
+    error: BaseException | None = None
+    in_flight = 0
+    try:
+        for worker in workers:
+            worker.start()
+        now = time.monotonic()
+        while True:
+            # while a worker is free: a due retry first, then the next ready
+            # release; with nothing in flight and nothing ready, sleep until
+            # the earliest retry is due, then hand that retry out
+            timeout = None
+            while in_flight < len(workers) and not stop.is_set():
+                if waiting and (waiting[0][0] <= now or not ready):
+                    if waiting[0][0] > now:
+                        if in_flight:  # wait for a result no longer than the retry
+                            timeout = waiting[0][0] - now
+                            break
+                        policy.sleeper(waiting[0][0] - now)
+                    task = heapq.heappop(waiting)[1]
+                elif ready:
+                    task = ready.popleft()
+                else:
+                    break
+                if bucket is not None:
+                    bucket.acquire()
+                requests.put(task)
+                in_flight += 1
+                now = time.monotonic()
+            if not in_flight:
+                break
+            try:
+                task, outcome = results.get(timeout=timeout)
+            except queue.Empty:
+                now = time.monotonic()
+                continue
+            # one clock reading both sets a retry's not-before time and
+            # decides what is due
+            now = time.monotonic()
+            in_flight -= 1
+            key, release, bundle, attempt = task
+            if isinstance(outcome, _TRANSIENT):  # the one retry rule
+                if attempt < policy.max_attempts:
+                    backoff = policy.backoff * 2.0 ** (attempt - 1)
+                    heapq.heappush(waiting, (now + backoff, (key, release, bundle, attempt + 1)))
+                    continue
+                exhausted = ExhaustedRetries(
+                    f"{policy.max_attempts} attempt(s) failed for "
+                    f"{release.ecosystem}:{release.package_name} {release.version_text}"
+                )
+                exhausted.__cause__ = outcome
+                outcome = exhausted
+            if isinstance(outcome, ComplexityRating):
+                ratings[key] = outcome
+                if on_result is not None:
+                    on_result(key, outcome)
+            elif isinstance(outcome, _FAILURES):
+                failures[key] = outcome
+            elif outcome is not None and error is None:
+                error = outcome
+    finally:
+        stop.set()
+        for worker in workers:
+            requests.put(None)
+        for worker in workers:
+            if worker.ident is not None:
+                worker.join()
+    if error is not None:
+        raise error
     return ratings, {key: f"{type(exc).__name__}: {exc}" for key, exc in failures.items()}
 
 

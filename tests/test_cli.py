@@ -223,6 +223,7 @@ class TestReleaseRecordRows:
             "dependents@1.0",
             "dependents@",
             "dependents@\u0663",  # ARABIC-INDIC DIGIT THREE: isdigit(), and int() reads it
+            "dependents@" + "1" * 5000,  # past int()'s default digit limit
             "downloads@0",
         ],
     )
@@ -901,6 +902,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert cli.MODEL_TOKEN_ENV in err
         assert token not in err and "abc" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["complexity", "all"])
+    def test_a_model_id_without_an_endpoint_is_config_error(self, corpus_dir, tmp_path, capsys, stage):
+        out = tmp_path / "never"
+        assert cli.main([stage, *_pipeline_args(corpus_dir, out, "--model-id", "gpt-x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model_id 'gpt-x' needs a model endpoint")
         assert not out.exists()
 
     @pytest.mark.parametrize("token", ["", "sekrit", "caf\xe9 \xff~"])

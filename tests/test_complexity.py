@@ -687,6 +687,35 @@ def test_an_unexpected_error_stops_the_batch():
     assert threading.active_count() == threads
 
 
+def test_rate_many_starts_a_due_retry_while_a_slow_request_is_in_flight():
+    backoff = 0.05
+    client = PlannedClient({0: [ConnectionError("reset")]})
+    planned = client.complete
+
+    def slow_release_1(system_text, user_text):
+        if "release 1</release-notes>" in user_text:
+            time.sleep(0.4)
+        return planned(system_text, user_text)
+
+    client.complete = slow_release_1
+    ratings, failures = rate_many(_batch(2), client, RetryPolicy(backoff=backoff), max_workers=2)
+    assert len(ratings) == 2 and failures == {}
+    first, retry = [t for r, t in client.calls if r == 0]
+    # the retry is not held back until release 1's reply, 0.4 s after its start
+    assert backoff <= retry - first <= 0.3
+
+
+def test_an_error_in_on_result_reaches_the_caller():
+    def refuse(key, rating):
+        raise LookupError(f"no room for {key}")
+
+    threads = threading.active_count()
+    with pytest.raises(LookupError, match="no room for npm:pkg-"):
+        rate_many(_batch(20), PlannedClient(delay=0.005), RetryPolicy(sleeper=lambda s: None),
+                  max_workers=3, on_result=refuse)
+    assert threading.active_count() == threads
+
+
 def test_rate_many_throttles_retries_too(monkeypatch):
     now = [100.0]
     sleeps = []
