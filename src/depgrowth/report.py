@@ -129,7 +129,8 @@ def summary_table(
     empty cells are simply absent from the list. Rows and cells come out
     in deterministic order (ecosystem asc, stratum and type in documented
     order). Cell flags follow stats.pairwise_welch: a unique strict-max
-    mean whose every pairwise test exists and rejects at alpha.
+    mean whose Welch test against every other type in the row exists and
+    rejects at alpha, with no multiple-comparison correction.
 
     Raises:
         ValueError: unknown strat_by, or samples mixing metrics.
@@ -144,12 +145,8 @@ def summary_table(
         rows.setdefault((eco, stratum), {})[label] = values
     summaries: list[StratumSummary] = []
     for (eco, stratum), groups in rows.items():
-        winner: Optional[str] = None
-        if len(groups) >= 2:
-            try:
-                winner = pairwise_welch(groups, alpha=alpha).significantly_highest
-            except DegenerateInput:
-                winner = None
+        # every cell holds a value, so pairwise_welch's input checks pass
+        winner = pairwise_welch(groups, alpha=alpha) if len(groups) >= 2 else None
         for label, values in groups.items():
             std = math.sqrt(sample_variance(values)) if len(values) >= 2 else None
             summaries.append(

@@ -23,7 +23,6 @@ __all__ = [
     "AnovaResult",
     "ConvergenceError",
     "DegenerateInput",
-    "PairwiseWelchResult",
     "SpearmanResult",
     "TTestResult",
     "anova_oneway",
@@ -77,25 +76,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        step = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + step * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + step / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        step = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + step * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + step / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for step in (even, odd):
+            d = 1.0 + step * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + step / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_TOL:
             return h
     raise ConvergenceError(
@@ -373,30 +365,12 @@ def spearman(x: Sequence[float], y: Sequence[float], exact: bool = False) -> Spe
     return SpearmanResult(rho=rho, p_value=p, n=n, method="t-approx")
 
 
-class PairwiseWelchResult(NamedTuple):
-    """All pairwise Welch comparisons for a set of labeled groups.
+def pairwise_welch(groups: Mapping[str, Sequence[float]], alpha: float = 0.05) -> str | None:
+    """The label whose mean is significantly the highest, or None.
 
-    ``significantly_highest`` is the label whose mean is the strict maximum
-    and whose every pairwise comparison has p < alpha; None when no label
-    qualifies (tied maxima, an insignificant pair, or a degenerate pair
-    involving the maximum).
-    """
-
-    means: dict[str, float]
-    tests: dict[tuple[str, str], TTestResult]
-    failures: dict[tuple[str, str], str]
-    alpha: float
-    significantly_highest: str | None
-
-
-def pairwise_welch(
-    groups: Mapping[str, Sequence[float]], alpha: float = 0.05
-) -> PairwiseWelchResult:
-    """Run Welch's t-test on every unordered pair of labeled groups.
-
-    No multiple-comparison correction is applied; ``alpha`` is used as-is
-    for the highest-mean flag. Degenerate pairs are recorded under
-    ``failures`` rather than aborting the whole comparison set.
+    That is the unique strict-maximum mean whose Welch test against every
+    other group gives p < alpha, with no multiple-comparison correction; a
+    degenerate pair blocks it. Welch's p ignores argument order.
 
     Raises:
         DegenerateInput: fewer than two groups, or an empty group.
@@ -404,37 +378,23 @@ def pairwise_welch(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    labels = list(groups)
-    if len(labels) < 2:
-        raise DegenerateInput(f"pairwise comparison needs >= 2 groups, got {len(labels)}")
-    for label in labels:
-        if len(groups[label]) == 0:
+    if len(groups) < 2:
+        raise DegenerateInput(f"pairwise comparison needs >= 2 groups, got {len(groups)}")
+    for label, values in groups.items():
+        if len(values) == 0:
             raise DegenerateInput(f"group {label!r} is empty")
 
-    means = {label: mean(groups[label]) for label in labels}
-    tests: dict[tuple[str, str], TTestResult] = {}
-    failures: dict[tuple[str, str], str] = {}
-    for la, lb in itertools.combinations(labels, 2):
-        try:
-            tests[(la, lb)] = welch_t_test(groups[la], groups[lb])
-        except DegenerateInput as exc:
-            failures[(la, lb)] = str(exc)
-
+    means = {label: mean(values) for label, values in groups.items()}
     top = max(means.values())
-    top_labels = [label for label, m in means.items() if m == top]
-    highest: str | None = None
-    if len(top_labels) == 1:
-        candidate = top_labels[0]
-        qualified = True
-        for la, lb in itertools.combinations(labels, 2):
-            if candidate not in (la, lb):
-                continue
-            result = tests.get((la, lb))
-            if result is None or result.p_value >= alpha:
-                qualified = False
-                break
-        if qualified:
-            highest = candidate
-    return PairwiseWelchResult(
-        means=means, tests=tests, failures=failures, alpha=alpha, significantly_highest=highest
-    )
+    leaders = [label for label, m in means.items() if m == top]
+    if len(leaders) != 1:
+        return None
+    leader = leaders[0]
+    for label, values in groups.items():
+        if label != leader:
+            try:
+                if welch_t_test(groups[leader], values).p_value >= alpha:
+                    return None
+            except DegenerateInput:
+                return None
+    return leader

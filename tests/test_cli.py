@@ -1,5 +1,6 @@
 """Command line pipeline: stage handoff, determinism, exit codes."""
 
+import csv
 import io
 import json
 import os
@@ -255,8 +256,6 @@ class TestAnalyzeStage:
             json.loads(first.split("# provenance: ", 1)[1])
 
     def test_csv_parses(self, out_dir):
-        import csv
-
         with open(out_dir / "table_bins.csv", encoding="utf-8") as handle:
             handle.readline()
             rows = list(csv.reader(handle))
@@ -295,6 +294,50 @@ class TestAnalyzeStage:
         assert desc["languages"]
         tests = json.load(open(out_dir / "complexity_type_tests.json"))
         assert set(tests) == {"provenance", "tests", "skipped"}
+
+    def test_flagged_cell_reaches_every_writer(self, tmp_path):
+        # one npm row, small bin: major releases grow their dependents about
+        # tenfold in a year, minor and patch releases barely at all
+        config = resolve_config(None, {"out_dir": str(tmp_path)})
+        offsets = LookaheadGrid(*config.grid).offsets
+        growth = {
+            ReleaseType.MAJOR: [100, 110, 120, 130],
+            ReleaseType.MINOR: [11, 12, 13, 14],
+            ReleaseType.PATCH: [10, 11, 12, 13],
+        }
+        records = []
+        for rtype, finals in growth.items():
+            for i, final in enumerate(finals):
+                version = Version(3, i, 0, raw=f"3.{i}.0")
+                records.append(
+                    ReleaseRecord(
+                        release_date=date(2020, 1, 1 + i),
+                        ecosystem="npm",
+                        package_name=f"pkg-{rtype.value}",
+                        owner="owner",
+                        repo_name=f"pkg-{rtype.value}",
+                        version=version,
+                        version_text=format_version(version),
+                        release_type=rtype,
+                        series=VersionSeries.ONE_VER,
+                        pre_dependents=10,
+                        bin=SizeBin.SMALL,
+                        metric_values={("dependents", 0): 10, **{("dependents", o): final for o in offsets}},
+                    )
+                )
+        cli.cmd_analyze(config, records=records)
+
+        text = (tmp_path / "table_bins.txt").read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split() for line in text] == [
+            ["ecosystem", "stratum", "major", "minor", "patch"],
+            ["npm", "small", "2.438", "±0.113*", "(n=4)", "0.219", "±0.104", "(n=4)", "0.135", "±0.113", "(n=4)"],
+        ]
+        csv_lines = (tmp_path / "table_bins.csv").read_text(encoding="utf-8").splitlines()[2:]
+        by_type = {row[2]: row for row in csv.reader(csv_lines)}
+        assert {rtype: row[6] for rtype, row in by_type.items()} == {"major": "True", "minor": "False", "patch": "False"}
+        heatmap_lines = (tmp_path / "heatmap_bins.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+        cell = {"ecosystem": "npm", "stratum": "small", "release_type": "major", "value": float(by_type["major"][4])}
+        assert cell in [json.loads(line) for line in heatmap_lines]
 
 
 # a faulty line 2 of the human ratings file, KEY standing for a rated key;
