@@ -220,8 +220,7 @@ class _ReleaseRecords:
             package_name=_req_str(row, "package_name"),
             owner=_req_str(row, "owner"),
             repo_name=_req_str(row, "repo_name"),
-            version=(version := parse_version(_req_str(row, "version"))),
-            version_text=format_version(version),
+            version_text=format_version(parse_version(_req_str(row, "version"))),
             release_type=ReleaseType(row.get("release_type")),
             series=VersionSeries(row.get("series")),
             pre_dependents=_req_int(row, "pre_dependents"),
@@ -660,15 +659,12 @@ def _write_complexity_reports(
         out / "complexity_descriptives.json",
         {"provenance": provenance, "languages": descriptives},
     )
-    try:
-        result = complexity_vs_type_tests(by_language_type, fold_zero=config.fold_zero)
-        tests = {
-            f"{lang}:{a}:{b}": test._asdict()
-            for (lang, a, b), test in sorted(result.tests.items())
-        }
-        skipped = {f"{lang}:{a}:{b}": reason for (lang, a, b), reason in sorted(result.skipped.items())}
-    except DegenerateInput as exc:
-        tests, skipped = {}, {"all": str(exc)}
+    result = complexity_vs_type_tests(by_language_type, fold_zero=config.fold_zero)
+    tests = {
+        f"{lang}:{a}:{b}": test._asdict()
+        for (lang, a, b), test in sorted(result.tests.items())
+    }
+    skipped = {f"{lang}:{a}:{b}": reason for (lang, a, b), reason in sorted(result.skipped.items())}
     _write_json(
         out / "complexity_type_tests.json",
         {"provenance": provenance, "tests": tests, "skipped": skipped},

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .filters import ClassifiedRelease, CountProvider, pre_release_date
 from .ingest import RepoIndex
-from .semver import ReleaseType, Version, VersionSeries, format_version, version_series
+from .semver import ReleaseType, VersionSeries, format_version, version_series
 
 __all__ = [
     "LogDiffSample",
@@ -101,15 +101,14 @@ class LookaheadGrid(_GridFields):
 class ReleaseRecord(NamedTuple):
     """One surviving release with its adoption measurements.
 
-    ``version_text`` is ``format_version(version)``, rendered once per
-    record for the rows and samples that carry it."""
+    ``version_text`` is the version's canonical ``format_version`` text,
+    rendered once per record for the rows and samples that carry it."""
 
     release_date: date
     ecosystem: str
     package_name: str
     owner: str
     repo_name: str
-    version: Version
     version_text: str
     release_type: ReleaseType
     series: VersionSeries
@@ -189,7 +188,6 @@ def build_release_records(
                 package_name=release.package_name,
                 owner=release.owner,
                 repo_name=release.repo_name,
-                version=item.version,
                 version_text=format_version(item.version),
                 release_type=item.release_type,
                 series=version_series(item.version),

@@ -16,7 +16,6 @@ Key responsibilities:
 from __future__ import annotations
 
 import enum
-import operator
 import re
 from typing import NamedTuple
 
@@ -72,48 +71,12 @@ _VERSION_RE = re.compile(
 )
 
 
-class _VersionFields(NamedTuple):
+class Version(NamedTuple):
+    """A parsed three-component version."""
+
     major: int
     minor: int
     patch: int
-    raw: str = ""
-
-
-def _on_components(op):
-    def compare(self, other):
-        if not isinstance(other, Version):
-            return NotImplemented
-        return op(self[:3], other[:3])
-
-    return compare
-
-
-class Version(_VersionFields):
-    """A parsed three-component version.
-
-    Ordering, equality and hashing use only the numeric components; ``raw``
-    keeps the original text for audit output and is excluded from them.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "Version":
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("major", "minor", "patch"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-        return self
-
-    def __hash__(self) -> int:
-        return hash(self[:3])
-
-    __eq__ = _on_components(operator.eq)
-    __ne__ = _on_components(operator.ne)
-    __lt__ = _on_components(operator.lt)
-    __le__ = _on_components(operator.le)
-    __gt__ = _on_components(operator.gt)
-    __ge__ = _on_components(operator.ge)
 
 
 class ReleaseType(enum.Enum):
@@ -149,7 +112,7 @@ def parse_version(text: str) -> Version:
         text: Raw version text as published by the ecosystem.
 
     Returns:
-        The parsed version, with ``raw`` preserving ``text`` verbatim.
+        The parsed version's three numeric components.
 
     Raises:
         MalformedVersion: ``text`` does not match the grammar at all.
@@ -161,12 +124,8 @@ def parse_version(text: str) -> Version:
         raise MalformedVersion(text)
     if match.group("pre") is not None:
         raise PreReleaseExcluded(text)
-    return Version(
-        major=int(match.group("major")),
-        minor=int(match.group("minor")),
-        patch=int(match.group("patch")),
-        raw=text,
-    )
+    major, minor, patch = match.group("major", "minor", "patch")
+    return Version(int(major), int(minor), int(patch))
 
 
 def format_version(version: Version) -> str:

@@ -257,7 +257,8 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
     Degrees of freedom follow the Welch-Satterthwaite approximation. One
     sample may have zero variance; both at zero leaves the statistic
-    undefined and raises :class:`DegenerateInput`.
+    undefined, and standard errors whose squares underflow to zero leave the
+    degrees of freedom undefined; either raises :class:`DegenerateInput`.
     """
     n_a, n_b = len(a), len(b)
     if n_a < 2 or n_b < 2:
@@ -269,8 +270,11 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     se2 = se_a + se_b
     if se2 == 0.0:
         raise DegenerateInput("both samples have zero variance")
+    df_denominator = se_a * se_a / (n_a - 1) + se_b * se_b / (n_b - 1)
+    if df_denominator == 0.0:
+        raise DegenerateInput("squared standard errors underflow, degrees of freedom undefined")
     t_stat = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 * se2 / (se_a * se_a / (n_a - 1) + se_b * se_b / (n_b - 1))
+    df = se2 * se2 / df_denominator
     return TTestResult(
         t_stat=t_stat,
         df=df,

@@ -107,6 +107,7 @@ def engine_run(corpus_dir):
     return {
         "n_releases": len(releases),
         "reports": reports,
+        "survivors": survivors,
         "records": records,
         "skipped": skipped,
         "samples": samples,
@@ -157,7 +158,7 @@ def test_b_classifier_matches_rule_table_oracle():
     started = time.monotonic()
     checked = 0
     for major, minor, patch in itertools.product(range(6), repeat=3):
-        version = Version(major=major, minor=minor, patch=patch, raw="x")
+        version = Version(major=major, minor=minor, patch=patch)
         assert classify_release(version).value == expected_type(major, minor, patch)
         assert version_series(version).value == expected_series(major)
         checked += 1
@@ -325,14 +326,18 @@ def test_e_pipeline_matches_naive_oracle(full_world, engine_run, oracle_run):
     assert [r.as_dict() for r in engine_run["reports"]] == oracle_run["reports"]
 
     # survivor sets, pre-release dependent counts, bins, types, series
+    # no survivor was skipped (above), so record i is survivor i's, whose
+    # release keeps the version tag as published
     records = engine_run["records"]
+    survivors = engine_run["survivors"]
+    assert len(records) == len(survivors)
     keys = {}
-    for record in records:
+    for record, survivor in zip(records, survivors):
         key = (
             record.ecosystem,
             record.package_name,
             record.release_date.isoformat(),
-            record.version.raw,
+            survivor.release.version_text,
         )
         keys[id(record)] = key
     assert set(keys.values()) == oracle_run["survivor_keys"]
@@ -346,15 +351,12 @@ def test_e_pipeline_matches_naive_oracle(full_world, engine_run, oracle_run):
         assert record.metric_values == oracle_run["metric_values"][key]
 
     # sample sets match exactly; each log-difference agrees within 1e-12
-    raw_of = {
-        (record.ecosystem, record.package_name, record.release_date.isoformat()): record.version.raw
-        for record in records
-    }
+    tag_of = {key[:3]: key[3] for key in keys.values()}
     engine_samples = {}
     for (metric, offset), samples in engine_run["samples"].items():
         for sample in samples:
             triple = (sample.ecosystem, sample.package_name, sample.release_date.isoformat())
-            engine_samples[((*triple, raw_of[triple]), metric, offset)] = sample.value
+            engine_samples[((*triple, tag_of[triple]), metric, offset)] = sample.value
     assert set(engine_samples) == set(oracle_run["samples"])
     worst = max(
         abs(value - oracle_run["samples"][key]) for key, value in engine_samples.items()

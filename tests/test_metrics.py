@@ -230,7 +230,6 @@ class TestBuildRecords:
 
 class TestLogDiffSamples:
     def _record(self, v0, v1, offset=45, **kw):
-        version = Version(1, 2, 3)
         values = {("dependents", 0): v0, ("dependents", offset): v1}
         from depgrowth.metrics import ReleaseRecord
 
@@ -240,7 +239,6 @@ class TestLogDiffSamples:
             package_name=kw.get("pkg", "libfoo"),
             owner="acme",
             repo_name="libfoo",
-            version=version,
             version_text="1.2.3",
             release_type=ReleaseType.PATCH,
             series=VersionSeries.ONE_VER,

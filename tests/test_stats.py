@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depgrowth.report import complexity_vs_type_tests
 from depgrowth.stats import (
     AnovaResult,
     DegenerateInput,
@@ -268,6 +269,16 @@ class TestWelch:
     def test_degenerate(self, a, b):
         with pytest.raises(DegenerateInput):
             welch_t_test(a, b)
+
+    def test_underflowing_degrees_of_freedom_are_degenerate(self):
+        # both variances are nonzero, but the squares of their standard
+        # errors underflow, so Welch-Satterthwaite divides 0 by 0
+        a, b = [0.0, 1e-160], [0.0, 1e-160, 2e-160]
+        with pytest.raises(DegenerateInput):
+            welch_t_test(a, b)
+        result = complexity_vs_type_tests({"py": {"major": a, "minor": b}})
+        assert result.tests == {}
+        assert "degrees of freedom" in result.skipped[("py", "major", "minor")]
 
     def test_exact_permutation_enumeration_small_n(self):
         # Welch p vs exhaustive 4+4 split enumeration (C(8,4) = 70 splits).
