@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import typing
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -55,6 +56,14 @@ class PipelineConfig(NamedTuple):
             if not _has_type(value, hint):
                 what = hint.__name__ if isinstance(hint, type) else hint
                 raise ConfigError(f"{name} must be of type {what}, got {value!r}")
+        for name in ("releases", "repo_snapshots", "dependent_edges", "out_dir", "human_ratings"):
+            value = getattr(self, name)
+            try:
+                usable = value is None or b"\0" not in os.fsencode(value)
+            except UnicodeEncodeError:  # a lone surrogate that stands for no undecodable byte
+                usable = False
+            if not usable:
+                raise ConfigError(f"{name} is not a path the OS can take, got {value!r}")
         if tuple(self.grid) not in SUPPORTED_GRIDS:
             raise ConfigError(
                 f"grid {self.grid} is not supported; choose one of {SUPPORTED_GRIDS}"

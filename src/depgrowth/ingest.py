@@ -23,7 +23,6 @@ from collections import deque
 from contextlib import contextmanager
 from datetime import date
 from itertools import islice, repeat
-from operator import lt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -519,25 +518,6 @@ def write_records(handle: IO[str], schema: str, lines: Iterable[str], provenance
 # ---------------------------------------------------------------------------
 
 
-def _joined(ordinals: Sequence[int], target: int) -> int:
-    """Position of the row joined to ordinal ``target`` (the join rule), or -1."""
-    pos = bisect_right(ordinals, target) - 1
-    if pos < 0 or target - ordinals[pos] > JOIN_WINDOW_DAYS:
-        return -1
-    return pos
-
-
-def _quality(timeline: tuple | None, target: int) -> bool:
-    if timeline is None:
-        return False
-    ordinals, states, stars, _forks, fork_flags, _metas = timeline
-    pos = _joined(ordinals, target)
-    if pos < 0:
-        return False
-    state = states[pos]
-    return not fork_flags[state] and stars[state] != 0
-
-
 def _intern(ids: dict, values: list, value: object) -> int:
     """``value``'s id: its index in ``values``, which ``ids`` maps it to; added if new."""
     found = ids.get(value)
@@ -547,34 +527,95 @@ def _intern(ids: dict, values: list, value: object) -> int:
     return found
 
 
-# RepoIndex's column types: a timeline row's ordinal date and state id, and a
-# state's stars, forks, fork flag and metadata id
-_ROW_COLUMNS = "ii"
-_STATE_COLUMNS = "qqbi"
+# a timeline's run columns: first ordinal date, step and row count (2 bytes
+# each, so a run closes before either passes _MAX_RUN) and state id
+_RUN_COLUMNS = "iHHi"
+_MAX_RUN = 0xFFFF
+
+
+class _Timeline:
+    """One repository's runs as its rows stream in: the closed runs' columns
+    and the open run, which a row of its state one step after its last row
+    extends (the second row sets the step; ``next`` is None until it does,
+    and once the run is full). An exact repeat of the last row is dropped;
+    any other row opens a run, and one on or before the last row's day
+    leaves the timeline ``unsorted``."""
+
+    __slots__ = ("runs", "first", "step", "count", "state", "next", "unsorted")
+
+    def __init__(self) -> None:
+        self.runs = tuple(map(array, _RUN_COLUMNS))
+        self.count = 0  # rows in the open run; 0 before the first row
+        self.state = self.next = None
+        self.unsorted = False
+
+    def add(self, ordinal: int, state: int) -> None:
+        if ordinal == self.next and state == self.state:
+            self.count += 1
+            self.next = ordinal + self.step if self.count < _MAX_RUN else None
+            return
+        if self.count:
+            gap = ordinal - self.first - (self.count - 1) * self.step  # days after the last row
+            if state == self.state:
+                if gap == 0:
+                    return
+                if self.count == 1 and 0 < gap <= _MAX_RUN:
+                    self.step, self.count, self.next = gap, 2, ordinal + gap
+                    return
+            self.unsorted = self.unsorted or gap <= 0
+            self._close_run()
+        # a run of one row has step 1, so a lookup needs no case of its own
+        self.first, self.step, self.count, self.state, self.next = ordinal, 1, 1, state, None
+
+    def _close_run(self) -> None:
+        for column, value in zip(self.runs, (self.first, self.step, self.count, self.state)):
+            column.append(value)
+
+    def closed(self) -> tuple:
+        """The run columns with every run closed, sorted by date and keeping
+        each day's last row."""
+        if self.count:
+            self._close_run()
+        if not self.unsorted:
+            return self.runs
+        last = {}  # ordinal -> state id; a later same-day row wins
+        for first, step, count, state in zip(*self.runs):
+            for ordinal in range(first, first + count * step, step):
+                last[ordinal] = state
+        timeline = _Timeline()
+        for ordinal in sorted(last):
+            timeline.add(ordinal, last[ordinal])
+        return timeline.closed()
 
 
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
-    Each repository's rows are two parallel 4-byte arrays, ordinal date and
-    state id, 8 B a row. Its states (stars and forks, 8 bytes each, a 1-byte
-    fork flag and a 4-byte metadata id, 21 B a state) are four append-only
-    arrays of its own, and a row whose state equals the repository's last
-    one shares its id, so a repository whose counts seldom change holds few
-    states. Each distinct description/topics/language tuple is held once,
-    and a state holds its id. Every count up to ``MAX_COUNT`` is held in
-    its column as itself.
+    A repository's timeline is a list of runs, rows of one state at a
+    constant step: four arrays of first ordinal date, step and row count
+    (2 bytes each) and state id, 12 B a run. A lookup bisects the run
+    starts and takes the run's row ``min((t - first) // step, count - 1)``.
+    States (stars and forks, 8 bytes each, a 1-byte fork flag and a 4-byte
+    metadata id, 21 B a state) are four append-only arrays shared by every
+    repository, and a row whose state equals its repository's last one
+    shares its id. So a repository whose counts seldom change costs a few
+    runs and states however many rows it has, while one whose state changes
+    with every row, the worst case, costs 33 B a row. Each distinct
+    description/topics/language tuple is held once, and a state holds its
+    id. Every count up to ``MAX_COUNT`` is held in its column as itself.
 
     Every row is added before the first lookup, which closes the index:
-    adding a row after it raises RuntimeError. The first lookup sorts every
-    repository's rows at once, keeping each day's last row.
+    adding a row after it raises RuntimeError. Rows that arrive in date
+    order grow their runs as they stream in (see ``_Timeline``); the first
+    lookup rebuilds the timelines of rows that did not, keeping each day's
+    last row.
     """
 
     def __init__(self) -> None:
-        # key -> row columns then state columns; rows appended in arrival
-        # order, then sorted in place by the first lookup
-        self._rows: dict[tuple[str, str], tuple] = {}
+        # key -> _Timeline, then its closed run columns from the first lookup on
+        self._timelines: dict[tuple[str, str], _Timeline | tuple] = {}
         self._closed = False  # set by the first lookup
+        self._stars, self._forks, self._forked, self._state_metas = map(array, "qqbi")
         # metadata tuples by id, and each one's id
         self._metas: list[tuple] = []
         self._meta_ids: dict[tuple, int] = {}
@@ -592,64 +633,69 @@ class RepoIndex:
         """Add rows; a snapshot reader hands over each distinct body once."""
         if self._closed:
             raise RuntimeError("RepoIndex takes no rows after its first lookup")
-        for ordinal, (ordinals, states, state) in _compiled(snapshots, self._compile):
-            ordinals.append(ordinal)
-            states.append(state)
+        for ordinal, (timeline, state) in _compiled(snapshots, self._compile):
+            timeline.add(ordinal, state)
 
     def _compile(self, snap: RepoSnapshot) -> tuple:
-        """The row's timeline columns and its state id, its state appended
-        unless it equals the repository's last one."""
+        """The row's timeline and state id, its state appended unless it
+        equals the repository's last one."""
         key = (snap.owner, snap.name)
-        store = self._rows.get(key)
-        if store is None:
-            store = self._rows[key] = (*map(array, _ROW_COLUMNS), *map(array, _STATE_COLUMNS))
-        ordinals, states, stars, forks, fork_flags, metas = store
+        timeline = self._timelines.get(key)
+        if timeline is None:
+            timeline = self._timelines[key] = _Timeline()
         meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
         state = (snap.stars, snap.forks, int(snap.is_fork), meta)
-        last = len(metas) - 1
-        if last < 0 or (stars[last], forks[last], fork_flags[last], metas[last]) != state:
-            for column, value in zip(store[2:], state):
-                column.append(value)
-            last += 1
-        return ordinals, states, last
-
-    def _timeline(self, key: tuple[str, str]) -> tuple | None:
-        if not self._closed:
-            self._close()
-        return self._rows.get(key)
+        columns = stars, forks, forked, metas = self._stars, self._forks, self._forked, self._state_metas
+        last = timeline.state
+        if last is not None and (stars[last], forks[last], forked[last], metas[last]) == state:
+            return timeline, last
+        for column, value in zip(columns, state):
+            column.append(value)
+        return timeline, len(stars) - 1
 
     def _close(self) -> None:
-        """Sort every timeline by date, keeping each day's last row."""
+        """Close every timeline's runs."""
         self._closed = True
-        rows = self._rows
-        for key, store in rows.items():
-            ordinals, states = store[:2]
-            # a strictly increasing timeline is sorted with no same-day duplicates
-            if not all(map(lt, ordinals, ordinals[1:])):
-                # each day's last row (a later same-day row wins), in date order
-                last = dict(zip(ordinals, range(len(ordinals))))
-                kept = sorted(last.values(), key=ordinals.__getitem__)
-                columns = ([column[i] for i in kept] for column in (ordinals, states))
-                rows[key] = (*map(array, _ROW_COLUMNS, columns), *store[2:])
+        timelines = self._timelines
+        for key, timeline in timelines.items():
+            timelines[key] = timeline.closed()
+
+    def _joined(self, key: tuple[str, str], target: int) -> tuple[int, int] | None:
+        """(ordinal date, state id) of the repository's row joined to
+        ordinal ``target`` (the join rule), or None."""
+        if not self._closed:
+            self._close()
+        runs = self._timelines.get(key)
+        if runs is None:
+            return None
+        firsts, steps, counts, states = runs
+        pos = bisect_right(firsts, target) - 1
+        if pos < 0:
+            return None
+        first, step = firsts[pos], steps[pos]
+        ordinal = first + min((target - first) // step, counts[pos] - 1) * step
+        if target - ordinal > JOIN_WINDOW_DAYS:
+            return None
+        return ordinal, states[pos]
+
+    def _quality(self, key: tuple[str, str], target: int) -> bool:
+        joined = self._joined(key, target)
+        return joined is not None and not self._forked[joined[1]] and self._stars[joined[1]] != 0
 
     def nearest(self, owner: str, name: str, when: date) -> RepoSnapshot | None:
         """Snapshot joined to ``when``: same day, else latest within 7 days back."""
-        timeline = self._timeline((owner, name))
-        if timeline is None:
+        joined = self._joined((owner, name), when.toordinal())
+        if joined is None:
             return None
-        ordinals, states, stars, forks, fork_flags, metas = timeline
-        pos = _joined(ordinals, when.toordinal())
-        if pos < 0:
-            return None
-        state = states[pos]
-        description, topics, language = self._metas[metas[state]]
+        ordinal, state = joined
+        description, topics, language = self._metas[self._state_metas[state]]
         return RepoSnapshot(
-            snapshot_date=date.fromordinal(ordinals[pos]),
+            snapshot_date=date.fromordinal(ordinal),
             owner=owner,
             name=name,
-            stars=stars[state],
-            forks=forks[state],
-            is_fork=bool(fork_flags[state]),
+            stars=self._stars[state],
+            forks=self._forks[state],
+            is_fork=bool(self._forked[state]),
             description=description,
             topics=topics,
             language=language,
@@ -657,13 +703,15 @@ class RepoIndex:
 
     def quality_ok(self, owner: str, name: str, when: date) -> bool:
         """True when the joined snapshot exists, is not a fork, and has >= 1 star."""
-        return _quality(self._timeline((owner, name)), when.toordinal())
+        return self._quality((owner, name), when.toordinal())
 
 
 def _resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
     """Latest coverage ordinal at or before ``target`` within the join window."""
-    pos = _joined(coverage, target)
-    return None if pos < 0 else coverage[pos]
+    pos = bisect_right(coverage, target) - 1
+    if pos < 0 or target - coverage[pos] > JOIN_WINDOW_DAYS:
+        return None
+    return coverage[pos]
 
 
 # the compiled value of an edge whose package has no requested dates
@@ -784,12 +832,12 @@ class StreamingDependentCounter:
         verdicts = self._verdicts.get(target)
         if verdicts is None:
             verdicts = self._verdicts[target] = bytearray(len(self._names))
-        names, timeline = self._names, self._repos._timeline
+        names, quality = self._names, self._repos._quality
         count = 0
         for dep in cell:
             verdict = verdicts[dep]
             if not verdict:
-                verdict = verdicts[dep] = _PASS if _quality(timeline(names[dep]), target) else _FAIL
+                verdict = verdicts[dep] = _PASS if quality(names[dep], target) else _FAIL
             if verdict == _PASS:
                 count += 1
         return count

@@ -161,7 +161,10 @@ def build_release_records(
     Returns:
         (records, skip tallies by reason)
     """
-    offsets = (0,) + tuple(grid.offsets)
+    # each offset's (metric, offset) keys, built once and shared by every record
+    keyed = [
+        (offset, ("dependents", offset), ("stars", offset), ("forks", offset)) for offset in (0, *grid.offsets)
+    ]
     records: list[ReleaseRecord] = []
     skipped: dict[str, int] = {}
     for item in classified:
@@ -173,14 +176,12 @@ def build_release_records(
             skipped["missing_pre_dependents"] = skipped.get("missing_pre_dependents", 0) + 1
             continue
         values: dict[tuple[str, int], int | None] = {}
-        for offset in offsets:
+        for offset, dependents, stars, forks in keyed:
             when = release.release_date + timedelta(days=offset)
-            values[("dependents", offset)] = dependent_count(
-                release.package_name, release.ecosystem, when
-            )
+            values[dependents] = dependent_count(release.package_name, release.ecosystem, when)
             snap = repos.nearest(release.owner, release.repo_name, when)
-            values[("stars", offset)] = snap.stars if snap else None
-            values[("forks", offset)] = snap.forks if snap else None
+            values[stars] = snap.stars if snap else None
+            values[forks] = snap.forks if snap else None
         records.append(
             ReleaseRecord(
                 release_date=release.release_date,

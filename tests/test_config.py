@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,30 @@ class TestFieldTypes:
         assert cli.main(["analyze", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert "min_dependents" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["a\u0000b", "\ud800"], ids=["NUL", "lone surrogate"])
+    @pytest.mark.parametrize("key", ["releases", "repo_snapshots", "dependent_edges", "out_dir", "human_ratings"])
+    def test_a_path_the_os_cannot_take_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")  # both written as JSON escapes
+        out = [] if key == "out_dir" else ["--out-dir", "out"]
+        assert cli.main(["all", "--config", str(path), *out]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {key} is not a path the OS can take")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_an_undecodable_byte_from_argv_is_still_a_path(self, tmp_path):
+        # byte 0x80 in argv, which the interpreter decodes to a lone surrogate
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "depgrowth.cli", "analyze", "--out-dir", os.fsdecode(b"\x80")],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith(b"data error: ")
 
 
 class TestResolveConfig:
