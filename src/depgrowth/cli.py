@@ -114,7 +114,17 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
     """A text handle on a temp file beside ``path``, moved onto ``path`` once
     closed, so a stage that fails or is killed mid-write leaves the previous
     artifact (or none) in place, never a truncated one."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    prefix = f".{path.name}."
+    for name in os.listdir(path.parent):  # a killed writer's temp file, when its pid runs nothing
+        pid = name[len(prefix) : -len(".tmp")]
+        try:
+            if os.name == "posix" and name == f"{prefix}{pid}.tmp" and re.fullmatch("[0-9]{1,9}", pid):
+                os.kill(int(pid), 0)  # signal 0 only probes
+        except ProcessLookupError:
+            (path.parent / name).unlink(missing_ok=True)
+        except PermissionError:
+            pass  # another user's process
+    tmp = path.with_name(f"{prefix}{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             yield handle
@@ -124,12 +134,14 @@ def _replacing(path: Path) -> Iterator[IO[str]]:
         raise
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    """The output directory, made when missing; one that cannot be made
-    (a file by that name, say) is a ConfigError."""
+def _out_dir(config: PipelineConfig, make: bool = True) -> Path:
+    """The output directory, made when missing unless ``make`` is false (a
+    stage about to read its upstream artifacts there); one that cannot be
+    made (a file by that name, say) is a ConfigError."""
     out = Path(config.out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if make or out.exists():
+            out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make out_dir {config.out_dir}: {exc}") from exc
     return out
@@ -407,14 +419,17 @@ class Corpus:
     """The input files of one command, each hashed and parsed at most once.
 
     ``all`` builds one and hands it to every stage; a standalone stage builds
-    its own.
+    its own. :meth:`counter` feeds the edge file to a counter over an empty
+    index before the snapshot file fills that index, so the edge reader's
+    peak never sits on a finished index; ``complexity`` builds the index alone.
     """
 
     def __init__(self, config: PipelineConfig, offsets: Sequence[int] = ()) -> None:
         self._config = config
         self._offsets = tuple(offsets)
         self._digests: dict[str, str] = {}
-        self._repos: tuple[RepoIndex, int] | None = None
+        self._index = RepoIndex()
+        self._repo_violations: int | None = None  # None until the snapshots are read
         self._counter: tuple[StreamingDependentCounter, int] | None = None
 
     def digest(self, name: str) -> str:
@@ -429,14 +444,15 @@ class Corpus:
 
     def repos(self) -> tuple[RepoIndex, int]:
         """Repo index over every snapshot row, and the snapshot violation count."""
-        if self._repos is None:
+        if self._repo_violations is None:
             reader = read_repo_snapshots(self._config.repo_snapshots)
-            self._repos = RepoIndex.build(reader), len(reader.violations)
-        return self._repos
+            self._index.extend(reader)
+            self._repo_violations = len(reader.violations)
+        return self._index, self._repo_violations
 
     def counter(self, releases: Sequence[PackageRelease]) -> tuple[StreamingDependentCounter, int]:
         """Dependent counter over :meth:`repos`'s index, fed once from the
-        edge file, and the edge violation count.
+        edge file before that index is filled, and the edge violation count.
 
         The first caller's releases each register the pre-release day plus
         ``offsets`` days after the release date; later callers get the same
@@ -448,7 +464,7 @@ class Corpus:
         requested.
         """
         if self._counter is None:
-            counter = StreamingDependentCounter(self.repos()[0])
+            counter = StreamingDependentCounter(self._index)
             for release in releases:
                 name, eco, day = release.package_name, release.ecosystem, release.release_date
                 counter.request(name, eco, pre_release_date(release))
@@ -457,6 +473,7 @@ class Corpus:
             reader = read_dependent_edges(self._config.dependent_edges)
             counter.feed(reader)
             self._counter = counter, len(reader.violations)
+            self.repos()
         return self._counter
 
 
@@ -486,8 +503,8 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
     provenance = _provenance(config, "filter", corpus)
     reader = read_releases(config.releases)
     releases = list(reader)
-    repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter(releases)
+    repos, repo_violations = corpus.repos()
     survivors, reports = run_filter_cascade(
         releases,
         repos,
@@ -540,12 +557,12 @@ def cmd_metrics(
 ) -> list[ReleaseRecord]:
     grid = LookaheadGrid(*config.grid)
     corpus = corpus or Corpus(config, offsets=(0,) + grid.offsets)
-    out = _out_dir(config)
+    out = _out_dir(config, make=survivors is not None)
     if survivors is None:
         survivors = _load_survivors(out / "filtered_releases.jsonl", config)
     provenance = _provenance(config, "metrics", corpus)
-    repos, repo_violations = corpus.repos()
     counter, edge_violations = corpus.counter([item.release for item in survivors])
+    repos, repo_violations = corpus.repos()
     records, skipped = build_release_records(survivors, repos, counter.count, grid)
     n_records = _write_artifact(out, "release_records.jsonl", provenance, _record_lines(records))
     exclusions: dict[str, dict[str, int]] = {}
@@ -579,7 +596,7 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None = None) -> None:
-    out = _out_dir(config)
+    out = _out_dir(config, make=records is not None)
     grid = LookaheadGrid(*config.grid)
     offset = grid.final_offset
     # every artifact is read, and so checked, before the first write
@@ -743,7 +760,7 @@ def cmd_complexity(
 ) -> None:
     client = client or _model_client(config)  # a bad token is refused before any read or write
     corpus = corpus or Corpus(config)
-    out = _out_dir(config)
+    out = _out_dir(config, make=survivors is not None)
     # the resume state and the human ratings are checked before any rating
     ratings_path = out / "ratings.jsonl"
     existing_rows: dict[str, dict] = {}

@@ -19,10 +19,10 @@ import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from datetime import date
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -527,24 +527,25 @@ def _intern(ids: dict, values: list, value: object) -> int:
     return found
 
 
-# a timeline's run columns: first ordinal date, step and row count (2 bytes
-# each, so a run closes before either passes _MAX_RUN) and state id
-_RUN_COLUMNS = "iHHi"
+# the shared run columns: repository id, first ordinal date, step and row
+# count (2 bytes each, so a run closes before either passes _MAX_RUN) and state id
+_RUN_COLUMNS = "iiHHi"
 _MAX_RUN = 0xFFFF
 
 
 class _Timeline:
-    """One repository's runs as its rows stream in: the closed runs' columns
-    and the open run, which a row of its state one step after its last row
-    extends (the second row sets the step; ``next`` is None until it does,
-    and once the run is full). An exact repeat of the last row is dropped;
-    any other row opens a run, and one on or before the last row's day
-    leaves the timeline ``unsorted``."""
+    """One repository's open run as its rows stream in, which a row of its
+    state one step after its last row extends (the second row sets the step;
+    ``next`` is None until it does, and once the run is full). An exact
+    repeat of the last row is dropped; any other row closes the run onto the
+    shared ``runs`` columns and opens one, and a row on or before the last
+    row's day leaves the timeline ``unsorted``."""
 
-    __slots__ = ("runs", "first", "step", "count", "state", "next", "unsorted")
+    __slots__ = ("runs", "repo", "first", "step", "count", "state", "next", "unsorted")
 
-    def __init__(self) -> None:
-        self.runs = tuple(map(array, _RUN_COLUMNS))
+    def __init__(self, repo: int, runs: tuple) -> None:
+        self.runs = runs
+        self.repo = repo
         self.count = 0  # rows in the open run; 0 before the first row
         self.state = self.next = None
         self.unsorted = False
@@ -563,58 +564,60 @@ class _Timeline:
                     self.step, self.count, self.next = gap, 2, ordinal + gap
                     return
             self.unsorted = self.unsorted or gap <= 0
-            self._close_run()
+            self.close_run()
         # a run of one row has step 1, so a lookup needs no case of its own
         self.first, self.step, self.count, self.state, self.next = ordinal, 1, 1, state, None
 
-    def _close_run(self) -> None:
-        for column, value in zip(self.runs, (self.first, self.step, self.count, self.state)):
+    def close_run(self) -> None:
+        for column, value in zip(self.runs, (self.repo, self.first, self.step, self.count, self.state)):
             column.append(value)
 
-    def closed(self) -> tuple:
-        """The run columns with every run closed, sorted by date and keeping
-        each day's last row."""
-        if self.count:
-            self._close_run()
-        if not self.unsorted:
-            return self.runs
-        last = {}  # ordinal -> state id; a later same-day row wins
-        for first, step, count, state in zip(*self.runs):
-            for ordinal in range(first, first + count * step, step):
-                last[ordinal] = state
-        timeline = _Timeline()
-        for ordinal in sorted(last):
-            timeline.add(ordinal, last[ordinal])
-        return timeline.closed()
+
+def _grouped(repos: array, dropped: int) -> tuple[array, list[int]]:
+    """A stable counting sort of run positions by repository id: those of the
+    ids below ``dropped``, and the bounds of each id's, its start and the next's."""
+    bounds = list(accumulate(map(Counter(repos).__getitem__, range(dropped + 1)), initial=0))
+    order, fill = array("i", bytes(4 * len(repos))), bounds[:-1]
+    for pos, repo in enumerate(repos):
+        order[fill[repo]] = pos
+        fill[repo] += 1
+    del order[bounds[dropped] :]
+    return order, bounds[:-1]
 
 
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
     A repository's timeline is a list of runs, rows of one state at a
-    constant step: four arrays of first ordinal date, step and row count
-    (2 bytes each) and state id, 12 B a run. A lookup bisects the run
-    starts and takes the run's row ``min((t - first) // step, count - 1)``.
-    States (stars and forks, 8 bytes each, a 1-byte fork flag and a 4-byte
-    metadata id, 21 B a state) are four append-only arrays shared by every
-    repository, and a row whose state equals its repository's last one
-    shares its id. So a repository whose counts seldom change costs a few
-    runs and states however many rows it has, while one whose state changes
-    with every row, the worst case, costs 33 B a row. Each distinct
-    description/topics/language tuple is held once, and a state holds its
-    id. Every count up to ``MAX_COUNT`` is held in its column as itself.
+    constant step. Every repository's runs share four columns of first
+    ordinal date, step and row count (2 bytes each) and state id, 12 B a
+    run; a lookup bisects the run starts within the repository's bounds and
+    takes the run's row ``min((t - first) // step, count - 1)``. States
+    (stars and forks, 8 bytes each, a 1-byte fork flag and a 4-byte metadata
+    id, 21 B a state) are four shared arrays too, and a row whose state
+    equals its repository's last one shares its id. So a repository whose
+    counts seldom change costs a few runs and states however many rows it
+    has, and one whose state changes with every row, the worst case, 33 B a
+    row. A repository of one row with a short key costs about 230 B in all,
+    most of it its key and id, 4 B its bound. Each distinct metadata tuple
+    is held once. Every count up to ``MAX_COUNT`` is held as itself.
 
-    Every row is added before the first lookup, which closes the index:
-    adding a row after it raises RuntimeError. Rows that arrive in date
-    order grow their runs as they stream in (see ``_Timeline``); the first
-    lookup rebuilds the timelines of rows that did not, keeping each day's
-    last row.
+    Every row is added before the first lookup, which closes the index, so a
+    counter over an empty index may be fed first and the snapshots read
+    after, as the CLI does; adding a row after it raises RuntimeError. A
+    row extends its repository's open run (see ``_Timeline``), and a closed
+    run goes to the columns with its repository's id, 16 B a run, until the
+    first lookup rebuilds the timelines of rows that arrived out of order,
+    keeping each day's last row, and groups the runs by repository.
     """
 
     def __init__(self) -> None:
-        # key -> _Timeline, then its closed run columns from the first lookup on
-        self._timelines: dict[tuple[str, str], _Timeline | tuple] = {}
+        # key -> _Timeline, then its repository id from the first lookup on
+        self._timelines: dict[tuple[str, str], _Timeline | int] = {}
         self._closed = False  # set by the first lookup
+        # the run columns (see _RUN_COLUMNS), then grouped without ids, id's in _bounds[id]:_bounds[id + 1]
+        self._runs = tuple(map(array, _RUN_COLUMNS))
+        self._bounds = array("i")
         self._stars, self._forks, self._forked, self._state_metas = map(array, "qqbi")
         # metadata tuples by id, and each one's id
         self._metas: list[tuple] = []
@@ -642,7 +645,7 @@ class RepoIndex:
         key = (snap.owner, snap.name)
         timeline = self._timelines.get(key)
         if timeline is None:
-            timeline = self._timelines[key] = _Timeline()
+            timeline = self._timelines[key] = _Timeline(len(self._timelines), self._runs)
         meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
         state = (snap.stars, snap.forks, int(snap.is_fork), meta)
         columns = stars, forks, forked, metas = self._stars, self._forks, self._forked, self._state_metas
@@ -654,23 +657,43 @@ class RepoIndex:
         return timeline, len(stars) - 1
 
     def _close(self) -> None:
-        """Close every timeline's runs."""
+        """Close every open run, rebuild the unsorted timelines, group the runs by repository."""
         self._closed = True
-        timelines = self._timelines
+        timelines, runs = self._timelines, self._runs
+        repos, firsts, steps, counts, states = runs
+        unsorted = [timeline.repo for timeline in timelines.values() if timeline.unsorted]
         for key, timeline in timelines.items():
-            timelines[key] = timeline.closed()
+            timeline.close_run()
+            timelines[key] = timeline.repo
+        dropped = len(timelines)  # no repository's id: a rebuilt timeline's old runs take it
+        order, bounds = _grouped(repos, dropped)
+        if unsorted:
+            for repo in unsorted:  # one at a time, its runs in arrival order
+                last = {}  # ordinal -> state id; a later same-day row wins
+                for pos in order[bounds[repo] : bounds[repo + 1]]:
+                    first, step = firsts[pos], steps[pos]
+                    last.update(dict.fromkeys(range(first, first + counts[pos] * step, step), states[pos]))
+                    repos[pos] = dropped
+                timeline = _Timeline(repo, runs)
+                for ordinal in sorted(last):
+                    timeline.add(ordinal, last[ordinal])
+                timeline.close_run()
+            order, bounds = _grouped(repos, dropped)
+        self._runs = tuple(array(column.typecode, map(column.__getitem__, order)) for column in runs[1:])
+        self._bounds = array("i", bounds)
 
     def _joined(self, key: tuple[str, str], target: int) -> tuple[int, int] | None:
         """(ordinal date, state id) of the repository's row joined to
         ordinal ``target`` (the join rule), or None."""
         if not self._closed:
             self._close()
-        runs = self._timelines.get(key)
-        if runs is None:
+        repo = self._timelines.get(key)
+        if repo is None:
             return None
-        firsts, steps, counts, states = runs
-        pos = bisect_right(firsts, target) - 1
-        if pos < 0:
+        firsts, steps, counts, states = self._runs
+        low = self._bounds[repo]
+        pos = bisect_right(firsts, target, low, self._bounds[repo + 1]) - 1
+        if pos < low:
             return None
         first, step = firsts[pos], steps[pos]
         ordinal = first + min((target - first) // step, counts[pos] - 1) * step

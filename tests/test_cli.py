@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import sys
 import urllib.error
 import urllib.request
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,16 @@ from depgrowth.complexity import (
     rate_many,
 )
 from depgrowth.config import ConfigError, resolve_config
-from depgrowth.ingest import PackageRelease, RepoSnapshot, read_releases
+from depgrowth.filters import pre_release_date
+from depgrowth.ingest import (
+    PackageRelease,
+    RepoIndex,
+    RepoSnapshot,
+    StreamingDependentCounter,
+    read_dependent_edges,
+    read_releases,
+    read_repo_snapshots,
+)
 from depgrowth.metrics import (
     METRICS,
     LookaheadGrid,
@@ -756,6 +766,32 @@ class TestExitCodes:
         assert f"{wrong}: expected schema 'releases'" in err
         assert err.count(str(wrong)) == 1
 
+    def test_with_bad_snapshots_and_bad_edges_the_edge_file_is_named(self, corpus_dir, tmp_path, capsys):
+        # the edges are fed before the snapshots are read
+        args = _pipeline_args(corpus_dir, tmp_path / "out")
+        for flag in ("--repo-snapshots", "--dependent-edges"):
+            wrong = tmp_path / f"wrong{flag}.jsonl"
+            wrong.write_text(json.dumps({"schema": "releases", "version": 1}) + "\n", encoding="utf-8")
+            args[args.index(flag) + 1] = str(wrong)
+        assert cli.main(["filter", *args]) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'wrong--dependent-edges.jsonl'}: expected schema 'dependent-edges'" in err
+        assert "wrong--repo-snapshots" not in err
+
+    @pytest.mark.parametrize("stage", ["metrics", "complexity", "analyze"])
+    def test_a_stage_without_its_upstream_makes_no_out_dir(self, corpus_dir, tmp_path, capsys, stage):
+        out = tmp_path / f"fresh-{stage}"
+        assert cli.main([stage, *_pipeline_args(corpus_dir, out)]) == 3
+        assert "does not exist; run the" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["filter", "metrics", "complexity", "analyze"])
+    def test_an_out_dir_that_names_a_file_is_a_config_error(self, corpus_dir, tmp_path, capsys, stage):
+        out = tmp_path / "a-file"
+        out.write_text("", encoding="utf-8")
+        assert cli.main([stage, *_pipeline_args(corpus_dir, out)]) == 2
+        assert "cannot make out_dir" in capsys.readouterr().err
+
     def test_metrics_before_filter_is_data_error(self, corpus_dir, tmp_path):
         assert cli.main(["metrics", *_pipeline_args(corpus_dir, tmp_path / "fresh")]) == 3
 
@@ -1140,6 +1176,54 @@ class TestAtomicWrites:
             cli.main(["metrics", *_pipeline_args(corpus_dir, tmp_path)])
         assert (tmp_path / "log_diff_samples.jsonl").read_bytes() == before
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_a_stage_removes_the_temp_files_of_dead_writers_only(self, corpus_dir, tmp_path):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert cli.main(["filter", *_pipeline_args(corpus_dir, clean)]) == 0
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()
+        out.mkdir()
+        left = [out / f".filtered_releases.jsonl.{pid}.tmp" for pid in (dead.pid, os.getppid())]
+        for path in left:
+            path.write_text('{"schema": "releases"', encoding="utf-8")
+        assert cli.main(["filter", *_pipeline_args(corpus_dir, out)]) == 0
+        assert [path.exists() for path in left] == [False, True]
+        left[1].unlink()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in clean.iterdir()}
+
+
+class TestIngestOrder:
+    @pytest.mark.parametrize("command", ["filter", "all"])
+    def test_the_edges_are_fed_before_the_snapshots_are_read(self, corpus_dir, tmp_path, monkeypatch, command):
+        order = []
+        for name in ("read_repo_snapshots", "read_dependent_edges"):
+            read = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda path, name=name, read=read: order.append(name) or read(path))
+        assert cli.main([command, *_pipeline_args(corpus_dir, tmp_path / "out")]) == 0
+        assert order == ["read_dependent_edges", "read_repo_snapshots"]
+
+    def test_a_counter_fed_before_its_index_is_filled_counts_as_one_fed_after(self, corpus_dir):
+        # every snapshot row shuffled, so the first lookup rebuilds each timeline
+        header, *rows = (corpus_dir / "repo_snapshots.jsonl").read_text(encoding="utf-8").splitlines()
+        random.Random(3).shuffle(rows)
+        snapshots = [header, *rows]
+        releases = list(read_releases(corpus_dir / "releases.jsonl"))
+        offsets = (0,) + LookaheadGrid(180, 45).offsets
+        cells = {(r.package_name, r.ecosystem, pre_release_date(r)) for r in releases}
+        cells |= {(r.package_name, r.ecosystem, r.release_date + timedelta(days=o)) for r in releases for o in offsets}
+        cells = sorted(cells)
+        counts = []
+        for fed_first in (True, False):
+            index = RepoIndex() if fed_first else RepoIndex.build(read_repo_snapshots(snapshots))
+            counter = StreamingDependentCounter(index)
+            for cell in cells:
+                counter.request(*cell)
+            counter.feed(read_dependent_edges(corpus_dir / "dependent_edges.jsonl"))
+            if fed_first:
+                index.extend(read_repo_snapshots(snapshots))
+            counts.append([counter.count(*cell) for cell in cells])
+        assert counts[0] == counts[1]
+        assert sum(1 for count in counts[0] if count) > len(cells) // 4
 
 
 class TestEmptyInputs:
