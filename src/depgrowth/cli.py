@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -88,7 +89,7 @@ from .report import (
     summary_table_rows,
     timepoint_distributions,
 )
-from .semver import ReleaseType, VersionSeries, format_version, parse_version
+from .semver import NUMBER, ReleaseType, VersionSeries, format_version, parse_version
 from .stats import DegenerateInput
 
 __all__ = ["main"]
@@ -195,50 +196,42 @@ def _record_lines(records: Iterable[ReleaseRecord]) -> Iterator[str]:
         yield f'{head[:-1]},"metrics":{{{cells}}}}}'
 
 
-class _ReleaseRecords:
-    """The ``release_records.jsonl`` row parser of one read, the inverse of
-    ``_record_lines``.
+@functools.lru_cache(maxsize=256)
+def _metric_cell(key: str) -> tuple[str, int]:
+    """The ``(metric, offset)`` cell a ``release_records.jsonl`` metrics key
+    names. Its offset is a semver ``NUMBER``, so no two keys name one cell
+    and int() reads it under any PYTHONINTMAXSTRDIGITS."""
+    metric, _, offset = key.partition("@")
+    if metric not in METRICS or not NUMBER.fullmatch(offset):
+        raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
+    return metric, int(offset)
 
-    An offset is a decimal integer with no leading zero, so no two keys name
-    one cell, and of at most 640 digits, as a version component is, so
-    int() reads it under any PYTHONINTMAXSTRDIGITS. Each distinct metrics
-    key is checked and mapped to its ``(metric, offset)`` cell once per
-    read; only a key that passes is kept.
-    """
 
-    def __init__(self) -> None:
-        self._cells: dict[str, tuple[str, int]] = {}
-
-    def __call__(self, row: dict) -> ReleaseRecord:
-        metrics = row.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ValueError("metrics must be an object")
-        cells = self._cells
-        values: dict[tuple[str, int], int | None] = {}
-        for key, value in metrics.items():
-            cell = cells.get(key)
-            if cell is None:
-                metric, _, offset = key.partition("@")
-                if metric not in METRICS or not re.fullmatch(r"0|[1-9][0-9]{0,639}", offset):
-                    raise ValueError(f"metrics key {key!r} is not <metric>@<days>")
-                cell = cells[key] = metric, int(offset)
-            if value is not None and (type(value) is not int or not 0 <= value <= MAX_COUNT):
-                value = _req_int(metrics, key)  # refuses it, with the field's message
-            values[cell] = value
-        # the fields are checked in their order, the first bad one named
-        return ReleaseRecord(
-            release_date=_parse_date(row.get("release_date"), "release_date"),
-            ecosystem=_req_ecosystem(row),
-            package_name=_req_str(row, "package_name"),
-            owner=_req_str(row, "owner"),
-            repo_name=_req_str(row, "repo_name"),
-            version_text=format_version(parse_version(_req_str(row, "version"))),
-            release_type=ReleaseType(row.get("release_type")),
-            series=VersionSeries(row.get("series")),
-            pre_dependents=_req_int(row, "pre_dependents"),
-            bin=SizeBin(row.get("bin")),
-            metric_values=values,
-        )
+def _release_record(row: dict) -> ReleaseRecord:
+    """A ``release_records.jsonl`` row, the inverse of ``_record_lines``."""
+    metrics = row.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ValueError("metrics must be an object")
+    values: dict[tuple[str, int], int | None] = {}
+    for key, value in metrics.items():
+        cell = _metric_cell(key)
+        if value is not None and (type(value) is not int or not 0 <= value <= MAX_COUNT):
+            value = _req_int(metrics, key)  # refuses it, with the field's message
+        values[cell] = value
+    # the fields are checked in their order, the first bad one named
+    return ReleaseRecord(
+        release_date=_parse_date(row.get("release_date"), "release_date"),
+        ecosystem=_req_ecosystem(row),
+        package_name=_req_str(row, "package_name"),
+        owner=_req_str(row, "owner"),
+        repo_name=_req_str(row, "repo_name"),
+        version_text=format_version(parse_version(_req_str(row, "version"))),
+        release_type=ReleaseType(row.get("release_type")),
+        series=VersionSeries(row.get("series")),
+        pre_dependents=_req_int(row, "pre_dependents"),
+        bin=SizeBin(row.get("bin")),
+        metric_values=values,
+    )
 
 
 def _rating_row(row: dict) -> dict:
@@ -259,16 +252,16 @@ def _human_rating(row: dict) -> tuple[str, int]:
 class _Artifact(NamedTuple):
     stage: str  # the stage that writes it
     schema: str  # its header schema
-    # makes one read's row parser, which gives a row as a later stage reads it
-    parser: Callable[[], Callable[[dict], object]] | None = None
+    # gives a row as a later stage reads it
+    parser: Callable[[dict], object] | None = None
 
 
 # the artifacts a stage writes under a schema header
 ARTIFACTS = {
-    "filtered_releases.jsonl": _Artifact("filter", "releases", lambda: _package_release),
-    "release_records.jsonl": _Artifact("metrics", "release-records", _ReleaseRecords),
+    "filtered_releases.jsonl": _Artifact("filter", "releases", _package_release),
+    "release_records.jsonl": _Artifact("metrics", "release-records", _release_record),
     "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples"),
-    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", lambda: _rating_row),
+    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", _rating_row),
     "heatmap_bins.jsonl": _Artifact("analyze", "heatmap-cells"),
     "heatmap_series.jsonl": _Artifact("analyze", "heatmap-cells"),
     "timepoints.jsonl": _Artifact("analyze", "timepoint-distributions"),
@@ -295,7 +288,7 @@ def _read_record_lines(path: Path) -> Iterator:
     stage, schema, parser = ARTIFACTS[path.name]
     if not path.exists():
         raise DataError(f"{path} does not exist; run the {stage} stage first (depgrowth {stage})")
-    return _checked_rows(path, schema, parser(), f"remove it and rerun depgrowth {stage}")
+    return _checked_rows(path, schema, parser, f"remove it and rerun depgrowth {stage}")
 
 
 _load_samples = _read_record_lines  # perfbench/tracer.py wraps it; remove with ROADMAP item 1

@@ -1,11 +1,12 @@
 """Semantic-version parsing and release-type classification.
 
 Release version strings are the raw tag text that ecosystems publish, so the
-parser is deliberately strict: exactly three dot-separated numeric components,
-an optional leading ``v``/``V``, optional build metadata after ``+`` (ignored),
-and no leading zeros. Pre-release versions are not malformed, but they are out
-of scope for release classification, so they raise a dedicated error that
-callers can tally separately from garbage strings.
+parser is deliberately strict: the whole text is an optional leading
+``v``/``V``, exactly three dot-separated ``NUMBER`` components (ASCII digits,
+no leading zeros) and optional build metadata after ``+`` (ignored).
+Pre-release versions are not malformed, but they are out of scope for release
+classification, so they raise a dedicated error that callers can tally
+separately from garbage strings.
 
 Key responsibilities:
     * ``parse_version``: text -> ``Version`` or a typed rejection.
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 __all__ = [
     "MalformedVersion",
+    "NUMBER",
     "PreReleaseExcluded",
     "ReleaseType",
     "Version",
@@ -35,39 +37,37 @@ __all__ = [
 class VersionParseError(ValueError):
     """Base class for version-text rejections."""
 
-    def __init__(self, text: str, reason: str) -> None:
-        super().__init__(f"{reason}: {text!r}")
-        self.text = text
-        self.reason = reason
-
 
 class MalformedVersion(VersionParseError):
     """Text is not ``[v]MAJOR.MINOR.PATCH`` with plain numeric components."""
 
     def __init__(self, text: str) -> None:
-        super().__init__(text, "not a MAJOR.MINOR.PATCH version")
+        super().__init__(f"not a MAJOR.MINOR.PATCH version: {text!r}")
 
 
 class PreReleaseExcluded(VersionParseError):
     """Text is a valid semantic version but carries a pre-release suffix."""
 
     def __init__(self, text: str) -> None:
-        super().__init__(text, "pre-release versions are excluded")
+        super().__init__(f"pre-release versions are excluded: {text!r}")
 
 
-# Strict grammar: numeric core without leading zeros, optional pre-release and
-# build-metadata suffixes with the usual dotted-identifier alphabet. The
-# pre-release group is matched (not rejected by the regex) so that it can be
-# reported as PreReleaseExcluded rather than MalformedVersion. A numeric
-# component has at most 640 digits (sys.int_info.str_digits_check_threshold,
-# the lowest limit PYTHONINTMAXSTRDIGITS can set), so int() converts every one
-# it matches, and a longer one is MalformedVersion whatever that setting is.
-_NUM = r"(?:0|[1-9]\d{0,639})"
-_PRE_IDENT = r"(?:0|[1-9]\d*|\d*[A-Za-z-][0-9A-Za-z-]*)"
+# How a version component, or a metrics-key offset, spells a decimal integer:
+# ASCII digits with no leading zero, so no two spellings name one number, and
+# at most 640 of them (sys.int_info.str_digits_check_threshold, the lowest
+# limit PYTHONINTMAXSTRDIGITS can set), so int() converts every one it
+# matches, whatever that setting is.
+NUMBER = re.compile("0|[1-9][0-9]{0,639}")
+
+# Strict grammar, matched against the whole text: numeric core, optional
+# pre-release and build-metadata suffixes with the usual dotted-identifier
+# alphabet. The pre-release group is matched (not rejected by the regex) so
+# that it can be reported as PreReleaseExcluded rather than MalformedVersion.
+_PRE_IDENT = "(?:0|[1-9][0-9]*|[0-9]*[A-Za-z-][0-9A-Za-z-]*)"
 _VERSION_RE = re.compile(
-    rf"^[vV]?(?P<major>{_NUM})\.(?P<minor>{_NUM})\.(?P<patch>{_NUM})"
+    rf"[vV]?(?P<major>{NUMBER.pattern})\.(?P<minor>{NUMBER.pattern})\.(?P<patch>{NUMBER.pattern})"
     rf"(?:-(?P<pre>{_PRE_IDENT}(?:\.{_PRE_IDENT})*))?"
-    rf"(?:\+(?P<build>[0-9A-Za-z-]+(?:\.[0-9A-Za-z-]+)*))?$"
+    r"(?:\+(?P<build>[0-9A-Za-z-]+(?:\.[0-9A-Za-z-]+)*))?"
 )
 
 
@@ -105,8 +105,9 @@ def parse_version(text: str) -> Version:
     """Parse raw tag text into a :class:`Version`.
 
     Accepts an optional leading ``v`` or ``V`` and strips build metadata
-    (everything after ``+``). Exactly three numeric components are required
-    and leading zeros are rejected.
+    (everything after ``+``). The whole text must match: exactly three
+    components, each a :data:`NUMBER`, so leading zeros, non-ASCII digits
+    and a trailing newline are rejected.
 
     Args:
         text: Raw version text as published by the ecosystem.
@@ -119,7 +120,7 @@ def parse_version(text: str) -> Version:
         PreReleaseExcluded: ``text`` parses but has a pre-release suffix
             (for example ``1.2.3-rc1``).
     """
-    match = _VERSION_RE.match(text)
+    match = _VERSION_RE.fullmatch(text)
     if match is None:
         raise MalformedVersion(text)
     if match.group("pre") is not None:

@@ -339,17 +339,14 @@ def spearman(x: Sequence[float], y: Sequence[float], exact: bool = False) -> Spe
 
     rank_x = average_ranks(x)
     rank_y = average_ranks(y)
-    mean_rx = mean(rank_x)
-    mean_ry = mean(rank_y)
-    dev_x = [r - mean_rx for r in rank_x]
-    dev_y = [r - mean_ry for r in rank_y]
-    ss_x = math.fsum(d * d for d in dev_x)
-    ss_y = math.fsum(d * d for d in dev_y)
-    denom = math.sqrt(ss_x * ss_y)
-    rho = math.fsum(dx * dy for dx, dy in zip(dev_x, dev_y)) / denom
-    rho = min(max(rho, -1.0), 1.0)
+    rho = pearson(rank_x, rank_y)
 
     if exact:
+        mean_rx = mean(rank_x)
+        mean_ry = mean(rank_y)
+        dev_x = [r - mean_rx for r in rank_x]
+        dev_y = [r - mean_ry for r in rank_y]
+        denom = math.sqrt(math.fsum(d * d for d in dev_x) * math.fsum(d * d for d in dev_y))
         threshold = abs(rho) - _EXACT_RHO_SLACK
         hits = 0
         total = 0

@@ -91,6 +91,12 @@ def _rows(path):
     return rows
 
 
+def _malformed_drops(out):
+    report = json.loads((out / "filter_report.json").read_text(encoding="utf-8"))
+    (stage,) = [stage for stage in report["stages"] if stage["stage"] == "semver"]
+    return stage["reasons"]["MalformedVersion"]
+
+
 def _header(path):
     with open(path, encoding="utf-8") as handle:
         return json.loads(handle.readline())
@@ -208,7 +214,7 @@ class TestMetricsStage:
         records = cli.cmd_metrics(config)
         assert records
         for record in records:
-            assert cli._ReleaseRecords()(json.loads(next(cli._record_lines([record])))) == record
+            assert cli._release_record(json.loads(next(cli._record_lines([record])))) == record
 
 
 class TestReleaseRecordRows:
@@ -238,14 +244,14 @@ class TestReleaseRecordRows:
     )
     def test_key_refused(self, row, key):
         with pytest.raises(ValueError, match=f"metrics key {re.escape(repr(key))} is not <metric>@<days>"):
-            cli._ReleaseRecords()(self._with(row, key, 7))
+            cli._release_record(self._with(row, key, 7))
 
     def test_offset_zero_accepted(self, row):
-        record = cli._ReleaseRecords()(self._with(row, "dependents@0", 7))
+        record = cli._release_record(self._with(row, "dependents@0", 7))
         assert record.metric_values["dependents", 0] == 7
 
     def test_key_and_value_checked_after_the_cell_was_read(self, row):
-        parse = cli._ReleaseRecords()
+        parse = cli._release_record
         assert parse(self._with(row, "dependents@90", 7)).metric_values["dependents", 90] == 7
         # another spelling of the cell, then a bad value under the same key
         with pytest.raises(ValueError, match="metrics key 'dependents@090' is not"):
@@ -948,25 +954,45 @@ class TestExitCodes:
         report = json.loads((out / "filter_report.json").read_text(encoding="utf-8"))
         assert report["schema_violations"]["releases"] == 1
 
-    def test_a_version_component_too_long_to_convert_is_a_malformed_drop(self, corpus_dir, out_dir, tmp_path):
-        # 5,000 digits: more than int() converts under the default limit
+    @staticmethod
+    def _malformed_drops_with_version(corpus_dir, tmp_path, version_text):
+        """The semver stage's MalformedVersion drops of a filter run whose
+        second release line has ``version_text``."""
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_dir, corpus)
         releases = corpus / "releases.jsonl"
         lines = releases.read_text(encoding="utf-8").splitlines(keepends=True)
         row = json.loads(lines[1])
-        row["version_text"] = "1" * 5000 + ".0.0"
+        row["version_text"] = version_text
         lines[1] = json.dumps(row) + "\n"
         releases.write_text("".join(lines), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["filter", *_pipeline_args(corpus, out)]) == 0
+        return _malformed_drops(out)
 
-        def malformed(path):
-            report = json.loads((path / "filter_report.json").read_text(encoding="utf-8"))
-            (stage,) = [stage for stage in report["stages"] if stage["stage"] == "semver"]
-            return stage["reasons"]["MalformedVersion"]
+    def test_a_version_component_too_long_to_convert_is_a_malformed_drop(self, corpus_dir, out_dir, tmp_path):
+        # 5,000 digits: more than int() converts under the default limit
+        version_text = "1" * 5000 + ".0.0"
+        assert self._malformed_drops_with_version(corpus_dir, tmp_path, version_text) == _malformed_drops(out_dir) + 1
 
-        assert malformed(out) == malformed(out_dir) + 1
+    def test_a_version_with_a_trailing_newline_is_a_malformed_drop(self, corpus_dir, out_dir, tmp_path):
+        # the grammar matches the whole text: "$" alone would let the newline by
+        assert self._malformed_drops_with_version(corpus_dir, tmp_path, "1.2.3\n") == _malformed_drops(out_dir) + 1
+
+    def test_a_non_ascii_metrics_offset_is_data_error(self, corpus_dir, out_dir, tmp_path, capsys):
+        # int() reads "9\u0660" (ARABIC-INDIC DIGIT ZERO) as 90; an offset
+        # follows the version components' integer rule, which is ASCII
+        work = tmp_path / "work"
+        work.mkdir()
+        records = work / "release_records.jsonl"
+        lines = (out_dir / "release_records.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["metrics"]["dependents@9\u0660"] = 7
+        lines[1] = json.dumps(row) + "\n"
+        records.write_text("".join(lines), encoding="utf-8")
+        assert cli.main(["analyze", *_pipeline_args(corpus_dir, work)]) == 3
+        err = capsys.readouterr().err
+        assert f"{records} line 2: metrics key 'dependents@9\u0660' is not <metric>@<days>" in err
 
     @pytest.mark.parametrize("stage", ["complexity", "all"])
     @pytest.mark.parametrize("token", ["abc\ndef", "abc\rdef", "abc€def"], ids=["newline", "return", "euro"])

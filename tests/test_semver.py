@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depgrowth.semver import (
@@ -13,6 +13,7 @@ from depgrowth.semver import (
     parse_version,
     version_series,
 )
+from oracles.naive_pipeline import parse_semver
 from oracles.semver_oracle import expected_series, expected_type
 
 
@@ -63,11 +64,30 @@ class TestParse:
             "1..3",
             "-1.2.3",
             "1.-2.3",
+            # the whole text must match, so no final newline, and digits
+            # are ASCII
+            "1.2.3\n",
+            "v1.2.3+b\n",
+            "1.2.3-rc.1\n",
+            "1.2.3-1\u0661",  # ARABIC-INDIC DIGIT ONE
+            "1\u0661.0.0",
         ],
     )
     def test_malformed(self, text):
         with pytest.raises(MalformedVersion):
             parse_version(text)
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("1.2", MalformedVersion, "not a MAJOR.MINOR.PATCH version: '1.2'"),
+            ("1.2.3-rc1", PreReleaseExcluded, "pre-release versions are excluded: '1.2.3-rc1'"),
+        ],
+    )
+    def test_messages(self, text, error, message):
+        with pytest.raises(error) as caught:
+            parse_version(text)
+        assert str(caught.value) == message
 
     def test_a_component_of_640_digits_parses(self):
         big = "9" * 640
@@ -116,6 +136,54 @@ class TestParse:
 
     def test_ordering_on_components(self):
         assert parse_version("1.2.3") < parse_version("1.10.0") < parse_version("2.0.0")
+
+
+def _outcome(text):
+    """``parse_version``'s outcome in the oracle's terms."""
+    try:
+        return ("ok", tuple(parse_version(text)))
+    except PreReleaseExcluded:
+        return ("pre", None)
+    except MalformedVersion:
+        return ("bad", None)
+
+
+_ASCII_PIECES = "0123456789.+-vVaZ \n\r"
+_IDENT = st.text("0123456789aZ-", max_size=3)
+_COMPONENT = st.one_of(
+    st.integers(0, 999).map(str), st.text("0123456789", max_size=4), st.sampled_from(["x", "-1", "1 "])
+)
+
+
+@st.composite
+def _version_texts(draw):
+    """Version-shaped ASCII text, near and on both sides of the grammar."""
+    prefix = draw(st.sampled_from(["", "v", "V", "vv", " "]))
+    count = draw(st.sampled_from([3, 3, 3, 1, 2, 4]))
+    core = ".".join(draw(st.lists(_COMPONENT, min_size=count, max_size=count)))
+    pre = draw(st.sampled_from(["", "-"]))
+    if pre:
+        pre += ".".join(draw(st.lists(_IDENT, min_size=1, max_size=3)))
+    build = draw(st.sampled_from(["", "+"]))
+    if build:
+        build += ".".join(draw(st.lists(_IDENT, min_size=1, max_size=3)))
+    suffix = draw(st.sampled_from(["", "", "\n", "\r", " "]))
+    return prefix + core + pre + build + suffix
+
+
+class TestGrammarAgainstOracle:
+    """``parse_version`` against the naive oracle's re-derived grammar.
+
+    The oracle differs on purpose in two places, and the drawn text keeps
+    clear of both: it has no 640-digit bound on a component (components here
+    have at most 4 digits), and its ``str.isdigit`` also admits non-ASCII
+    digits (the text here is ASCII).
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(_version_texts(), st.text(_ASCII_PIECES, max_size=12)))
+    def test_same_outcome(self, text):
+        assert _outcome(text) == parse_semver(text)
 
 
 class TestClassify:
