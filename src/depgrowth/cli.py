@@ -36,6 +36,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequen
 
 from . import __version__
 from .complexity import (
+    RATINGS,
     MockModelClient,
     ModelClient,
     RequestRejected,
@@ -238,7 +239,7 @@ def _rating_row(row: dict) -> dict:
     """A ``ratings.jsonl`` row, checked on the fields later stages read."""
     _req_str(row, "key")
     if row.get("rating") is not None:  # null: the model declined to rate
-        _req_int(row, "rating", 1, 7)
+        _req_int(row, "rating", RATINGS[0], RATINGS[-1])
     _opt_str(row, "language")
     if row.get("release_type") is not None:
         ReleaseType(row["release_type"])
@@ -246,7 +247,7 @@ def _rating_row(row: dict) -> dict:
 
 
 def _human_rating(row: dict) -> tuple[str, int]:
-    return _req_str(row, "key"), _req_int(row, "rating", 1, 7)
+    return _req_str(row, "key"), _req_int(row, "rating", RATINGS[0], RATINGS[-1])
 
 
 class _Artifact(NamedTuple):
@@ -599,7 +600,7 @@ def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None 
     ratings = list(_read_record_lines(ratings_path)) if ratings_path.exists() else None
     provenance = _provenance(config, "analyze", Corpus(config))
     dependents = [s for o in grid.offsets for s in log_diff_samples(records, "dependents", o)[0]]
-    demographics = [(record.ecosystem, record.release_type.value) for record in records]
+    demographics = [(record.ecosystem, record.release_type) for record in records]
 
     for strat_by, stem in (("bin", "table_bins"), ("series", "table_series")):
         summaries = summary_table(
@@ -611,21 +612,14 @@ def cmd_analyze(config: PipelineConfig, records: Sequence[ReleaseRecord] | None 
         bundle = heatmap_matrix(summaries)
         cell_rows: list[dict] = []
         for eco in sorted(bundle.matrices):
-            matrix = bundle.matrices[eco]
-            svg = render_heatmap_svg(
-                [list(row) for row in matrix],
-                list(bundle.row_labels),
-                list(bundle.col_labels),
-                (bundle.vmin, bundle.vmax),
-                title=eco,
-            )
+            svg = render_heatmap_svg(bundle, eco)
             svg_path = out / f"heatmap_{stem[len('table_'):]}_{eco}.svg"
             with _replacing(svg_path) as handle:
                 handle.write(f"<!-- provenance: {json.dumps(provenance, sort_keys=True)} -->\n")
                 handle.write(svg)
             cell_rows += (
                 {"ecosystem": eco, "stratum": stratum, "release_type": rtype, "value": value}
-                for stratum, row in zip(bundle.row_labels, matrix)
+                for stratum, row in zip(bundle.row_labels, bundle.matrices[eco])
                 for rtype, value in zip(bundle.col_labels, row)
             )
         _write_artifact(out, f"heatmap_{stem[len('table_'):]}.jsonl", provenance, map(compact_json, cell_rows))
@@ -760,7 +754,7 @@ def cmd_complexity(
     if ratings_path.exists():
         existing_rows = {row["key"]: row for row in _read_record_lines(ratings_path)}
     if config.human_ratings:
-        remedy = "each row needs a key and an integer rating from 1 to 7"
+        remedy = f"each row needs a key and an integer rating from {RATINGS[0]} to {RATINGS[-1]}"
         human_rows = dict(_checked_rows(Path(config.human_ratings), "human-ratings", _human_rating, remedy))
     if survivors is None:
         survivors = _load_survivors(out / "filtered_releases.jsonl", config)

@@ -29,6 +29,7 @@ from .stats import DegenerateInput, pearson, spearman
 
 __all__ = [
     "MIN_NOTE_CHARS",
+    "RATINGS",
     "SYSTEM_PROMPT",
     "USER_PROMPT_TEMPLATE",
     "NotEligible",
@@ -67,6 +68,9 @@ def _xml_unescape(text: str) -> str:
 # stripping leading/trailing whitespace. Shorter notes carry too little
 # signal to rate and are skipped rather than rated "null".
 MIN_NOTE_CHARS = 512
+
+# the rating scale, 1 (very low complexity) to 7 (very high)
+RATINGS = range(1, 8)
 
 
 class NotEligible(ValueError):
@@ -288,8 +292,8 @@ def parse_rating_response(text: str) -> ComplexityRating:
             rating = int(raw_rating)
         except ValueError:
             raise MalformedResponse(f"rating {raw_rating!r} is not an integer or null") from None
-        if not 1 <= rating <= 7:
-            raise MalformedResponse(f"rating {rating} outside the 1..7 scale")
+        if rating not in RATINGS:
+            raise MalformedResponse(f"rating {rating} outside the {RATINGS[0]}..{RATINGS[-1]} scale")
 
     return ComplexityRating(
         required_skills=_split_notes(values["required-skills"]),

@@ -14,10 +14,12 @@ Stages (in canonical pipeline order):
 5. ecosystem allow-list.
 6. minimum dependents on the day before the release.
 
-Each stage is a rule run by one screening loop: the rule returns the item to
-keep (the semver rule, the :class:`ClassifiedRelease` it builds) or a ``str``
-reason code to drop it. Every stage returns a :class:`FilterReport` whose
-counts satisfy ``records_in == records_out + sum(reasons.values())``.
+Stage 1 takes and returns :class:`PackageRelease`; the semver stage builds a
+:class:`ClassifiedRelease` for each survivor, and every later stage takes and
+returns those. Each stage is a rule run by one screening loop: the rule
+returns the item to keep or a ``str`` reason code to drop it. Every stage
+returns a :class:`FilterReport` whose counts satisfy
+``records_in == records_out + sum(reasons.values())``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from datetime import date, timedelta
-from typing import Callable, Iterable, NamedTuple, TypeVar, Union
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .ingest import PackageRelease, RepoIndex
 from .semver import (
@@ -77,17 +79,12 @@ class ClassifiedRelease(NamedTuple):
     release_type: ReleaseType
 
 
-Releaselike = Union[PackageRelease, ClassifiedRelease]
 _In = TypeVar("_In")
 _Out = TypeVar("_Out")
 
 # (package_name, ecosystem, date) -> dependent count, or None when the edge
 # data has no coverage within the join window of the date
 CountProvider = Callable[[str, str, date], "int | None"]
-
-
-def _pkg(item: Releaselike) -> PackageRelease:
-    return item.release if isinstance(item, ClassifiedRelease) else item
 
 
 class FilterReport(NamedTuple):
@@ -186,26 +183,26 @@ def filter_semver(
 
 
 def filter_name_match(
-    items: Iterable[Releaselike],
-) -> tuple[list[Releaselike], FilterReport]:
+    items: Iterable[ClassifiedRelease],
+) -> tuple[list[ClassifiedRelease], FilterReport]:
     """Keep releases whose package name matches the repository name."""
 
-    def rule(item: Releaselike) -> Releaselike | str:
-        release = _pkg(item)
+    def rule(item: ClassifiedRelease) -> ClassifiedRelease | str:
+        release = item.release
         same = normalize_name(release.package_name) == normalize_name(release.repo_name)
         return item if same else REASON_NAME_MISMATCH
 
     return _screen("name_match", items, rule)
 
 
-def _package_day(item: Releaselike) -> tuple[str, str, date]:
-    release = _pkg(item)
+def _package_day(item: ClassifiedRelease) -> tuple[str, str, date]:
+    release = item.release
     return release.ecosystem, release.package_name, release.release_date
 
 
 def dedup_same_day(
-    items: Iterable[Releaselike],
-) -> tuple[list[Releaselike], FilterReport]:
+    items: Iterable[ClassifiedRelease],
+) -> tuple[list[ClassifiedRelease], FilterReport]:
     """Remove every release of a package-day that released more than once."""
     buffered = list(items)
     counts = Counter(map(_package_day, buffered))
@@ -213,18 +210,18 @@ def dedup_same_day(
 
 
 def filter_ecosystems(
-    items: Iterable[Releaselike], allowed: Iterable[str] = DEFAULT_ECOSYSTEMS
-) -> tuple[list[Releaselike], FilterReport]:
+    items: Iterable[ClassifiedRelease], allowed: Iterable[str] = DEFAULT_ECOSYSTEMS
+) -> tuple[list[ClassifiedRelease], FilterReport]:
     """Keep releases from the allowed ecosystems only."""
     allowed_set = frozenset(allowed)
-    return _screen("ecosystems", items, lambda item: item if _pkg(item).ecosystem in allowed_set else REASON_ECOSYSTEM)
+    return _screen("ecosystems", items, lambda item: item if item.release.ecosystem in allowed_set else REASON_ECOSYSTEM)
 
 
 def filter_min_dependents(
-    items: Iterable[Releaselike],
+    items: Iterable[ClassifiedRelease],
     dependent_count: CountProvider,
     threshold: int = DEFAULT_MIN_DEPENDENTS,
-) -> tuple[list[Releaselike], FilterReport]:
+) -> tuple[list[ClassifiedRelease], FilterReport]:
     """Keep releases with at least ``threshold`` dependents the day before.
 
     ``dependent_count`` is asked for each release's package on
@@ -238,11 +235,11 @@ def filter_min_dependents(
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
 
-    def rule(item: Releaselike) -> Releaselike | str:
+    def rule(item: ClassifiedRelease) -> ClassifiedRelease | str:
         if threshold == 0:
             return item
-        release = _pkg(item)
-        count = dependent_count(release.package_name, release.ecosystem, pre_release_date(item))
+        release = item.release
+        count = dependent_count(release.package_name, release.ecosystem, pre_release_date(release))
         if count is None:
             return REASON_NO_DEPENDENT_DATA
         return item if count >= threshold else REASON_FEW_DEPENDENTS
@@ -250,9 +247,9 @@ def filter_min_dependents(
     return _screen("min_dependents", items, rule)
 
 
-def pre_release_date(item: Releaselike) -> date:
+def pre_release_date(release: PackageRelease) -> date:
     """The day before the release, on which the dependents threshold is read."""
-    return _pkg(item).release_date - timedelta(days=1)
+    return release.release_date - timedelta(days=1)
 
 
 def run_filter_cascade(
@@ -270,4 +267,4 @@ def run_filter_cascade(
     deduped, r4 = dedup_same_day(named)
     in_scope, r5 = filter_ecosystems(deduped, allowed)
     final, r6 = filter_min_dependents(in_scope, dependent_count, threshold)
-    return final, [r1, r2, r3, r4, r5, r6]  # type: ignore[return-value]
+    return final, [r1, r2, r3, r4, r5, r6]

@@ -573,14 +573,12 @@ class _Timeline:
             column.append(value)
 
 
-def _grouped(repos: array, dropped: int) -> tuple[array, list[int]]:
-    """A stable counting sort of run positions by repository id: those of the
-    ids below ``dropped``, and the bounds of each id's, its start and the next's."""
+def _grouped(repos: array, dropped: int) -> tuple[list[int], list[int]]:
+    """Run positions stably sorted by repository id, so each id's keep their
+    arrival order: those of the ids below ``dropped``, and the bounds of each
+    id's, its start and the next's."""
     bounds = list(accumulate(map(Counter(repos).__getitem__, range(dropped + 1)), initial=0))
-    order, fill = array("i", bytes(4 * len(repos))), bounds[:-1]
-    for pos, repo in enumerate(repos):
-        order[fill[repo]] = pos
-        fill[repo] += 1
+    order = sorted(range(len(repos)), key=repos.__getitem__)
     del order[bounds[dropped] :]
     return order, bounds[:-1]
 

@@ -169,9 +169,7 @@ def build_release_records(
     skipped: dict[str, int] = {}
     for item in classified:
         release = item.release
-        pre = dependent_count(
-            release.package_name, release.ecosystem, pre_release_date(item)
-        )
+        pre = dependent_count(release.package_name, release.ecosystem, pre_release_date(release))
         if pre is None:
             skipped["missing_pre_dependents"] = skipped.get("missing_pre_dependents", 0) + 1
             continue

@@ -51,26 +51,22 @@ __all__ = [
     "tukey_quartiles",
 ]
 
-FOLDED_TYPE_ORDER = ("major", "minor", "patch")
-RAW_TYPE_ORDER = ("major", "minor", "patch", "zero_major", "zero_minor")
+RAW_TYPE_ORDER = tuple(t.value for t in ReleaseType)
+FOLDED_TYPE_ORDER = RAW_TYPE_ORDER[:3]
 BIN_ORDER = tuple(b.value for b in SizeBin)
 SERIES_ORDER = tuple(s.value for s in VersionSeries)
 
 _STRATUM_ORDERS = {"bin": BIN_ORDER, "series": SERIES_ORDER}
 
 
-def fold_release_type(release_type: ReleaseType | str, fold_zero: bool = True) -> str:
-    """Column label for a release type; zero types fold into major/minor."""
-    value = release_type.value if isinstance(release_type, ReleaseType) else release_type
-    if value not in RAW_TYPE_ORDER:
-        raise ValueError(f"unknown release type {value!r}")
-    if not fold_zero:
-        return value
-    if value == ReleaseType.ZERO_MAJOR.value:
-        return "major"
-    if value == ReleaseType.ZERO_MINOR.value:
-        return "minor"
-    return value
+# the column each release type folds into: zero_major into major, zero_minor into minor
+_FOLDED = {t: t.value.removeprefix("zero_") for t in ReleaseType}
+
+
+def fold_release_type(release_type: ReleaseType, fold_zero: bool = True) -> str:
+    """Column label for a release type: its value, or with ``fold_zero``
+    the major or minor label for a zero-major or zero-minor type."""
+    return _FOLDED[release_type] if fold_zero else release_type.value
 
 
 class StratumSummary(NamedTuple):
@@ -344,17 +340,15 @@ def timepoint_distributions(
     return out
 
 
-def release_demographics(records: Iterable[tuple[str, str]]) -> dict[str, dict[str, int]]:
+def release_demographics(records: Iterable[tuple[str, ReleaseType]]) -> dict[str, dict[str, int]]:
     """Release counts per ecosystem with all five raw types as columns.
 
-    Takes ``(ecosystem, release_type value)`` pairs. Ecosystems sort
-    ascending; zero counts are kept explicit.
+    Takes ``(ecosystem, release type)`` pairs and counts each under its
+    type's value. Ecosystems sort ascending; zero counts are kept explicit.
     """
     counts: dict[str, dict[str, int]] = {}
-    for eco, label in records:
-        if label not in RAW_TYPE_ORDER:
-            raise ValueError(f"unknown release type {label!r}")
-        counts.setdefault(eco, dict.fromkeys(RAW_TYPE_ORDER, 0))[label] += 1
+    for eco, release_type in records:
+        counts.setdefault(eco, dict.fromkeys(RAW_TYPE_ORDER, 0))[release_type.value] += 1
     return {eco: counts[eco] for eco in sorted(counts)}
 
 
@@ -459,32 +453,22 @@ def _ramp_color(value: float, vmin: float, vmax: float) -> tuple[str, float]:
     return "#{:02x}{:02x}{:02x}".format(*channels), t
 
 
-def render_heatmap_svg(
-    matrix: Sequence[Sequence[Optional[float]]],
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    bounds: tuple[float, float],
-    title: str = "",
-) -> str:
-    """Deterministic standalone SVG for one mean matrix.
+def render_heatmap_svg(bundle: HeatmapBundle, ecosystem: str) -> str:
+    """Deterministic standalone SVG of one ecosystem's matrix in ``bundle``,
+    titled with the ecosystem.
 
-    Cells map linearly onto the low->high ramp over ``bounds`` (values
-    outside clamp); labels print with three decimals and flip to white on
-    dark cells; None cells render hatched with no label.
+    Cells map linearly onto the low->high ramp over the bundle's shared
+    bounds (values outside clamp); labels print with three decimals and
+    flip to white on dark cells; None cells render hatched with no label.
 
     Raises:
-        ValueError: ragged matrix, label/shape mismatch, or empty bounds.
+        ValueError: empty bounds.
     """
-    vmin, vmax = bounds
+    vmin, vmax = bundle.vmin, bundle.vmax
     if not vmax > vmin:
         raise ValueError(f"bounds must satisfy vmin < vmax, got ({vmin}, {vmax})")
-    n_rows = len(matrix)
-    if n_rows != len(row_labels):
-        raise ValueError(f"{n_rows} rows but {len(row_labels)} row labels")
-    n_cols = len(col_labels)
-    for row in matrix:
-        if len(row) != n_cols:
-            raise ValueError("ragged matrix or column label mismatch")
+    matrix, row_labels, col_labels = bundle.matrices[ecosystem], bundle.row_labels, bundle.col_labels
+    n_rows, n_cols = len(row_labels), len(col_labels)
 
     width = _MARGIN_LEFT + n_cols * _CELL_W + _MARGIN
     height = _MARGIN_TOP + n_rows * _CELL_H + _MARGIN
@@ -498,9 +482,8 @@ def render_heatmap_svg(
         "</pattern>",
         "</defs>",
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<text x="8" y="24" font-size="14">{_svg_escape(ecosystem)}</text>',
     ]
-    if title:
-        parts.append(f'<text x="8" y="24" font-size="14">{_svg_escape(title)}</text>')
     for j, label in enumerate(col_labels):
         cx = _MARGIN_LEFT + j * _CELL_W + _CELL_W // 2
         parts.append(

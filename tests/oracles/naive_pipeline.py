@@ -41,7 +41,7 @@ def iter_rows(path):
 
 
 def _numeric_component(text):
-    if not text or not text.isdigit():
+    if not text or not all("0" <= c <= "9" for c in text):
         return False
     return text == "0" or text[0] != "0"
 

@@ -17,7 +17,7 @@ from depgrowth.filters import (
     run_filter_cascade,
 )
 from depgrowth.ingest import PackageRelease, RepoIndex, RepoSnapshot
-from depgrowth.semver import ReleaseType
+from depgrowth.semver import ReleaseType, Version
 
 D = date.fromisoformat
 
@@ -32,6 +32,11 @@ def rel(pkg="libfoo", repo=None, eco="npm", day="2023-03-05", version="1.2.3", *
         version_text=version,
         **kw,
     )
+
+
+def item(**kw):
+    """A release as the stages after semver take it; they read only its release."""
+    return ClassifiedRelease(rel(**kw), Version(1, 2, 3), ReleaseType.PATCH)
 
 
 def snap(owner="acme", name="libfoo", day="2023-03-05", stars=5, is_fork=False):
@@ -130,7 +135,7 @@ class TestSemverStage:
 class TestNameMatch:
     def test_folded_separators_match(self):
         kept, report = filter_name_match(
-            [rel(pkg="My_Pkg", repo="my-pkg"), rel(pkg="foo", repo="foolib")]
+            [item(pkg="My_Pkg", repo="my-pkg"), item(pkg="foo", repo="foolib")]
         )
         assert len(kept) == 1
         assert report.reasons == {"NameMismatch": 1}
@@ -145,26 +150,26 @@ class TestNameMatch:
 class TestDedupSameDay:
     def test_removes_all_same_day_releases(self):
         items = [
-            rel(version="1.0.0", day="2023-03-05"),
-            rel(version="1.0.1", day="2023-03-05"),
-            rel(version="1.0.2", day="2023-03-06"),
+            item(version="1.0.0", day="2023-03-05"),
+            item(version="1.0.1", day="2023-03-05"),
+            item(version="1.0.2", day="2023-03-06"),
         ]
         kept, report = dedup_same_day(items)
-        assert [i.version_text for i in kept] == ["1.0.2"]
+        assert [i.release.version_text for i in kept] == ["1.0.2"]
         assert report.reasons == {"SameDayMultiple": 2}
 
     def test_same_day_different_packages_kept(self):
-        items = [rel(pkg="a", day="2023-03-05"), rel(pkg="b", day="2023-03-05")]
+        items = [item(pkg="a", day="2023-03-05"), item(pkg="b", day="2023-03-05")]
         kept, _ = dedup_same_day(items)
         assert len(kept) == 2
 
     def test_same_name_different_ecosystems_kept(self):
-        items = [rel(eco="npm"), rel(eco="pypi")]
+        items = [item(eco="npm"), item(eco="pypi")]
         kept, _ = dedup_same_day(items)
         assert len(kept) == 2
 
     def test_triple_release_removes_three(self):
-        items = [rel(version=f"1.0.{i}") for i in range(3)]
+        items = [item(version=f"1.0.{i}") for i in range(3)]
         kept, report = dedup_same_day(items)
         assert kept == []
         assert report.reasons == {"SameDayMultiple": 3}
@@ -172,35 +177,35 @@ class TestDedupSameDay:
 
 class TestEcosystems:
     def test_default_allow_list(self):
-        items = [rel(eco="npm"), rel(eco="pypi"), rel(eco="rubygems"), rel(eco="cargo")]
+        items = [item(eco="npm"), item(eco="pypi"), item(eco="rubygems"), item(eco="cargo")]
         kept, report = filter_ecosystems(items)
-        assert [i.ecosystem for i in kept] == ["npm", "pypi", "rubygems"]
+        assert [i.release.ecosystem for i in kept] == ["npm", "pypi", "rubygems"]
         assert report.reasons == {"EcosystemExcluded": 1}
 
     def test_custom_allow_list(self):
-        items = [rel(eco="npm"), rel(eco="cargo")]
+        items = [item(eco="npm"), item(eco="cargo")]
         kept, _ = filter_ecosystems(items, allowed={"cargo"})
-        assert [i.ecosystem for i in kept] == ["cargo"]
+        assert [i.release.ecosystem for i in kept] == ["cargo"]
 
 
 class TestMinDependents:
     def test_threshold_boundary(self):
         counts = {"five": 5, "four": 4}
-        items = [rel(pkg="five"), rel(pkg="four")]
+        items = [item(pkg="five"), item(pkg="four")]
         kept, report = filter_min_dependents(
             items, lambda pkg, eco, when: counts[pkg], threshold=5
         )
-        assert [i.package_name for i in kept] == ["five"]
+        assert [i.release.package_name for i in kept] == ["five"]
         assert report.reasons == {"FewDependents": 1}
 
     def test_zero_threshold_keeps_everything(self):
-        items = [rel(pkg="a"), rel(pkg="b")]
+        items = [item(pkg="a"), item(pkg="b")]
         kept, report = filter_min_dependents(items, lambda pkg, eco, when: None, threshold=0)
         assert len(kept) == 2
         assert report.reasons == {}
 
     def test_missing_coverage_reported(self):
-        kept, report = filter_min_dependents([rel()], lambda pkg, eco, when: None, threshold=5)
+        kept, report = filter_min_dependents([item()], lambda pkg, eco, when: None, threshold=5)
         assert kept == []
         assert report.reasons == {"NoDependentData": 1}
 
@@ -224,7 +229,7 @@ class TestMinDependents:
         assert kept == classified
         assert asked == [("a", "npm", D("2023-02-28")), ("b", "pypi", D("2023-12-31"))]
         # a threshold of 0 asks for no count
-        filter_min_dependents(items, dependent_count, threshold=0)
+        filter_min_dependents(classified, dependent_count, threshold=0)
         assert len(asked) == 2
 
 
@@ -237,7 +242,7 @@ class TestReport:
 
 def _random_release(rng):
     pkg = rng.choice(["alpha", "Beta_x", "gamma", "delta-y"])
-    return rel(
+    return item(
         pkg=pkg,
         repo=rng.choice([pkg, pkg.lower(), "other"]),
         eco=rng.choice(["npm", "pypi", "rubygems", "cargo"]),

@@ -71,6 +71,7 @@ class TestParse:
             "1.2.3-rc.1\n",
             "1.2.3-1\u0661",  # ARABIC-INDIC DIGIT ONE
             "1\u0661.0.0",
+            "1.2.\u00b2",  # SUPERSCRIPT TWO
         ],
     )
     def test_malformed(self, text):
@@ -148,16 +149,22 @@ def _outcome(text):
         return ("bad", None)
 
 
-_ASCII_PIECES = "0123456789.+-vVaZ \n\r"
+# ARABIC-INDIC DIGITS ONE and THREE and SUPERSCRIPT TWO: str.isdigit admits
+# them, and int() reads the first two
+_NON_ASCII_DIGITS = "\u0661\u0663\u00b2"
+_PIECES = "0123456789.+-vVaZ \n\r" + _NON_ASCII_DIGITS
 _IDENT = st.text("0123456789aZ-", max_size=3)
 _COMPONENT = st.one_of(
-    st.integers(0, 999).map(str), st.text("0123456789", max_size=4), st.sampled_from(["x", "-1", "1 "])
+    st.integers(0, 999).map(str),
+    st.text("0123456789", max_size=4),
+    st.text("0123456789" + _NON_ASCII_DIGITS, max_size=4),
+    st.sampled_from(["x", "-1", "1 ", "1\u0661", "\u00b2"]),
 )
 
 
 @st.composite
 def _version_texts(draw):
-    """Version-shaped ASCII text, near and on both sides of the grammar."""
+    """Version-shaped text, near and on both sides of the grammar."""
     prefix = draw(st.sampled_from(["", "v", "V", "vv", " "]))
     count = draw(st.sampled_from([3, 3, 3, 1, 2, 4]))
     core = ".".join(draw(st.lists(_COMPONENT, min_size=count, max_size=count)))
@@ -174,16 +181,20 @@ def _version_texts(draw):
 class TestGrammarAgainstOracle:
     """``parse_version`` against the naive oracle's re-derived grammar.
 
-    The oracle differs on purpose in two places, and the drawn text keeps
-    clear of both: it has no 640-digit bound on a component (components here
-    have at most 4 digits), and its ``str.isdigit`` also admits non-ASCII
-    digits (the text here is ASCII).
+    The oracle differs on purpose in one place only, and the drawn text keeps
+    clear of it: it has no 640-digit bound on a component (components here
+    have at most 4 digits). The drawn text holds non-ASCII digits too, which
+    neither admits.
     """
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(_version_texts(), st.text(_ASCII_PIECES, max_size=12)))
+    @given(st.one_of(_version_texts(), st.text(_PIECES, max_size=12)))
     def test_same_outcome(self, text):
         assert _outcome(text) == parse_semver(text)
+
+    @pytest.mark.parametrize("text", ["1\u0661.0.0", "1.2.\u00b2", "v\u0663.0.0"])
+    def test_non_ascii_digits_are_malformed(self, text):
+        assert _outcome(text) == parse_semver(text) == ("bad", None)
 
 
 class TestClassify:
