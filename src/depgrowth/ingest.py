@@ -11,6 +11,10 @@ multi-gigabyte ingest. Field-level details live in docs/DATA_FORMAT.md.
 Join rule: a lookup at date D uses the same-day snapshot when one exists,
 otherwise the latest snapshot strictly before D but at most 7 days older.
 The same staleness bound applies to dependent-edge coverage dates.
+:class:`RepoIndex` and :class:`StreamingDependentCounter` compute that join,
+and each takes its rows one way only: a reader's
+:meth:`RecordReader.compiled` stream, read directly or through a proxy that
+forwards that method.
 """
 
 from __future__ import annotations
@@ -367,7 +371,9 @@ class RecordReader:
 
     def compiled(self, compile: Callable[[tuple], object]) -> Iterator[tuple[int, object]]:
         """Yield ``(ordinal of the row's date, compile(row))`` for each row
-        of a dated reader.
+        of a dated reader: the one stream :meth:`RepoIndex.extend` and
+        :meth:`StreamingDependentCounter.feed` read, directly or through a
+        proxy that forwards this method.
 
         A row whose body is memoized gets the value ``compile`` built from
         that body's first row, so a consumer that does its per-body work in
@@ -465,22 +471,6 @@ class RecordReader:
                 bodies[rest] = value
 
 
-def _compiled(
-    rows: Iterable[tuple], compile: Callable[[tuple], object]
-) -> Iterator[tuple[int, object]]:
-    """``(ordinal date, compile(row))`` for each dated row.
-
-    A reader compiles each memoized body once (see
-    :meth:`RecordReader.compiled`); any other iterable of rows is compiled
-    row by row. A reader is known by its ``compiled`` method, so one behind
-    a proxy that forwards attributes takes the same path.
-    """
-    compiled = getattr(rows, "compiled", None)
-    if compiled is not None:
-        return compiled(compile)
-    return ((row.snapshot_date.toordinal(), compile(row)) for row in rows)
-
-
 def read_repo_snapshots(source: Source) -> RecordReader:
     """Reader for repository snapshot records (schema ``repo-snapshots``)."""
     return RecordReader(source, "repo-snapshots", _repo_snapshot, 2)
@@ -536,10 +526,11 @@ _MAX_RUN = 0xFFFF
 class _Timeline:
     """One repository's open run as its rows stream in, which a row of its
     state one step after its last row extends (the second row sets the step;
-    ``next`` is None until it does, and once the run is full). An exact
-    repeat of the last row is dropped; any other row closes the run onto the
-    shared ``runs`` columns and opens one, and a row on or before the last
-    row's day leaves the timeline ``unsorted``."""
+    ``next`` is None until it does, and once the run is full). A repeat of
+    the run's state on one of its days, as a late re-crawl brings, is
+    dropped; any other row closes the run onto the shared ``runs`` columns
+    and opens one, and a row on or before the last row's day leaves the
+    timeline ``unsorted``."""
 
     __slots__ = ("runs", "repo", "first", "step", "count", "state", "next", "unsorted")
 
@@ -558,7 +549,7 @@ class _Timeline:
         if self.count:
             gap = ordinal - self.first - (self.count - 1) * self.step  # days after the last row
             if state == self.state:
-                if gap == 0:
+                if -(self.count - 1) * self.step <= gap <= 0 and gap % self.step == 0:
                     return
                 if self.count == 1 and 0 < gap <= _MAX_RUN:
                     self.step, self.count, self.next = gap, 2, ordinal + gap
@@ -600,13 +591,14 @@ class RepoIndex:
     most of it its key and id, 4 B its bound. Each distinct metadata tuple
     is held once. Every count up to ``MAX_COUNT`` is held as itself.
 
-    Every row is added before the first lookup, which closes the index, so a
-    counter over an empty index may be fed first and the snapshots read
-    after, as the CLI does; adding a row after it raises RuntimeError. A
-    row extends its repository's open run (see ``_Timeline``), and a closed
-    run goes to the columns with its repository's id, 16 B a run, until the
-    first lookup rebuilds the timelines of rows that arrived out of order,
-    keeping each day's last row, and groups the runs by repository.
+    Rows come from snapshot readers through :meth:`extend`, all before the
+    first lookup, which closes the index, so a counter over an empty index
+    may be fed first and the snapshots read after, as the CLI does; a row
+    after it raises RuntimeError. A row extends its repository's open run
+    (see ``_Timeline``), and a closed run goes to the columns with its
+    repository's id, 16 B a run, until the first lookup rebuilds the
+    timelines of rows that arrived out of order, keeping each day's last
+    row, and groups the runs by repository.
     """
 
     def __init__(self) -> None:
@@ -621,20 +613,12 @@ class RepoIndex:
         self._metas: list[tuple] = []
         self._meta_ids: dict[tuple, int] = {}
 
-    @classmethod
-    def build(cls, snapshots: Iterable[RepoSnapshot]) -> "RepoIndex":
-        index = cls()
-        index.extend(snapshots)
-        return index
-
-    def add(self, snap: RepoSnapshot) -> None:
-        self.extend((snap,))
-
-    def extend(self, snapshots: Iterable[RepoSnapshot]) -> None:
-        """Add rows; a snapshot reader hands over each distinct body once."""
+    def extend(self, snapshots: RecordReader) -> None:
+        """Add the rows of a snapshot reader, or of a proxy that forwards its
+        ``compiled``, which hands over each distinct body once."""
         if self._closed:
             raise RuntimeError("RepoIndex takes no rows after its first lookup")
-        for ordinal, (timeline, state) in _compiled(snapshots, self._compile):
+        for ordinal, (timeline, state) in snapshots.compiled(self._compile):
             timeline.add(ordinal, state)
 
     def _compile(self, snap: RepoSnapshot) -> tuple:
@@ -753,7 +737,7 @@ class StreamingDependentCounter:
     of the dependents that pass the quality join on one :class:`RepoIndex`.
 
     Register every (ecosystem, package, date) cell of interest up front, then
-    feed the edge stream once, then count. A request after the feed, a
+    feed one edge reader once, then count. A request after the feed, a
     second feed or a count before it raises RuntimeError. A row serves a
     requested date when it lies 0 to 7 days before it, so the feed holds
     each requested package's requested dates as one sorted list, and the
@@ -790,7 +774,9 @@ class StreamingDependentCounter:
             raise RuntimeError("StreamingDependentCounter takes no requests after its feed")
         self._requests.setdefault((ecosystem, package_name), set()).add(when.toordinal())
 
-    def feed(self, edges: Iterable[DependentEdge]) -> None:
+    def feed(self, edges: RecordReader) -> None:
+        """Take the rows of an edge reader, or of a proxy that forwards its
+        ``compiled``, which hands over each distinct body once."""
         if self._coverage is not None:
             raise RuntimeError("StreamingDependentCounter is fed once")
         buckets = self._buckets
@@ -807,7 +793,7 @@ class StreamingDependentCounter:
             return dates, buckets.setdefault(key, {}), dep
 
         coverage = set()
-        for ordinal, (dates, cells, dep) in _compiled(edges, compile):
+        for ordinal, (dates, cells, dep) in edges.compiled(compile):
             coverage.add(ordinal)
             if dates is None:
                 continue

@@ -15,7 +15,7 @@ Layout invariants the generators maintain:
   each release, the release day, and each in-range look-ahead day), which
   keeps the corpus small while giving exact-date coverage for every count
   the pipeline will request.
-* For release days listed in ``fallback_days`` the whole cohort emits its
+* For release days listed in ``_FALLBACK_DAYS`` the whole cohort emits its
   day-before rows four days early instead, leaving the day before release
   globally uncovered. That forces the seven-day join-window fallback path
   through both the pipeline and any oracle.
@@ -59,6 +59,15 @@ __all__ = [
 BASE_DATE = date(2023, 1, 1)
 OPEN_END = 10**9  # exclusive end-day for spans that never deactivate
 
+# world geometry that no config varies
+_LATTICE_STEP = 15
+_FALLBACK_DAYS = frozenset({105, 225, 345})
+_HUGE_RELEASES = 3
+_HUGE_PRE = 10050
+_HUGE_LATE = 150
+_POOL_START_DAY = 84
+_POOL_CADENCE_DAYS = 7
+
 _PRERELEASE_TEXTS = ("1.2.0-rc.1", "2.0.0-alpha", "1.0.0-beta.2", "0.3.0-dev.5")
 _MALFORMED_TEXTS = ("1.2", "v1.2.3.4", "01.2.3", "1.-2.3", "banana")
 _LANGS = ("JavaScript", "TypeScript", "Python", "Ruby", "Go", "Rust", "C")
@@ -87,9 +96,7 @@ class SynthConfig:
     offsets: tuple[int, ...] = (90, 180, 270, 360)
     lattice_start: int = 90
     lattice_end: int = 480
-    lattice_step: int = 15
     anchor_last_day: int = 330
-    fallback_days: frozenset[int] = frozenset({105, 225, 345})
     # normal population per ecosystem
     smalls: int = 600
     mediums: int = 9
@@ -98,17 +105,12 @@ class SynthConfig:
     small_release_range: tuple[int, int] = (10, 12)
     medium_releases: int = 6
     large_releases: int = 3
-    huge_releases: int = 3
     zero_walk_smalls: int = 80
     anchors_per_walk: int = 30
-    huge_pre: int = 10050
-    huge_late: int = 150
     # shared dependent repo pool
     pool_quality: int = 10500
     pool_zero_star: int = 200
     pool_forked: int = 200
-    pool_start_day: int = 84
-    pool_cadence_days: int = 7
     # spice, per ecosystem unless noted
     n_ghost: int = 6
     n_forked: int = 5
@@ -126,7 +128,7 @@ class SynthConfig:
 
     @property
     def lattice(self) -> tuple[int, ...]:
-        return tuple(range(self.lattice_start, self.lattice_end + 1, self.lattice_step))
+        return tuple(range(self.lattice_start, self.lattice_end + 1, _LATTICE_STEP))
 
     @property
     def pool_size(self) -> int:
@@ -394,17 +396,17 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
             )
 
         for i in range(cfg.huges):
-            days = _release_days(rng, cfg, cfg.huge_releases, anchored=True)
+            days = _release_days(rng, cfg, _HUGE_RELEASES, anchored=True)
             versions = _walk_versions("one", len(days), rng)
             releases = tuple(
                 SynthRelease(d, v, _make_notes(v, j, long=True))
                 for j, (d, v) in enumerate(zip(days, versions))
             )
-            deps = _dep_spans(rng, cfg, cfg.huge_pre, cfg.huge_late, days[0], deact_allowed=False)
+            deps = _dep_spans(rng, cfg, _HUGE_PRE, _HUGE_LATE, days[0], deact_allowed=False)
             deps = deps + _extra_spans(rng, cfg, 35, 25)
             name = f"mega-{eco}-core"
             packages.append(
-                SynthPackage(eco, name, f"platform-{eco}", name, "huge", None, releases, deps, cfg.huge_pre)
+                SynthPackage(eco, name, f"platform-{eco}", name, "huge", None, releases, deps, _HUGE_PRE)
             )
 
         # --- filter bait ---
@@ -435,7 +437,7 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
         for i in range(cfg.n_few_dependents):
             # these emit few or no rows themselves, so keep them off the
             # shifted fallback slots where they cannot rely on self-coverage
-            day = rng.choice([s for s in slots if s not in cfg.fallback_days])
+            day = rng.choice([s for s in slots if s not in _FALLBACK_DAYS])
             pre = i % 5  # 0..4, always under the threshold of five
             deps = _dep_spans(rng, cfg, pre, 0, day, deact_allowed=False) if pre else ()
             name = f"thin-{eco}-{i:02d}"
@@ -488,7 +490,7 @@ def _emission_days(pkg: SynthPackage, cfg: SynthConfig) -> list[int]:
     days: set[int] = set()
     for rel in pkg.releases:
         r = rel.day
-        before = r - 4 if r in cfg.fallback_days else r - 1
+        before = r - 4 if r in _FALLBACK_DAYS else r - 1
         if before >= 0:
             days.add(before)
         days.add(r)
@@ -517,14 +519,14 @@ def _validate_world(world: SynthWorld) -> None:
                 coverage.add(d)
     cov = sorted(coverage)
 
-    live_fallback = [f for f in cfg.fallback_days if f in set(cfg.lattice)]
+    live_fallback = [f for f in _FALLBACK_DAYS if f in set(cfg.lattice)]
     if live_fallback:
         exercised = 0
         for pkg in world.packages:
             if pkg.quirk is not None:
                 continue
             for rel in pkg.releases:
-                if rel.day in cfg.fallback_days:
+                if rel.day in _FALLBACK_DAYS:
                     effective = _resolve_coverage(cov, rel.day - 1)
                     if effective != rel.day - 4:
                         raise ValueError(
@@ -629,7 +631,7 @@ def repo_snapshot_rows(world: SynthWorld) -> Iterator[str]:
         # a pool repository's stars change at most once a year: one body a year
         stars = [base + (year if (base and dep < q) else 0) for year in range(cfg.days // 365 + 1)]
         bodies = [f'{head},"stars":{count},{tail}' for count in stars]
-        for d in range(cfg.pool_start_day, cfg.days, cfg.pool_cadence_days):
+        for d in range(_POOL_START_DAY, cfg.days, _POOL_CADENCE_DAYS):
             yield dated[d] + bodies[d // 365]
 
 

@@ -57,6 +57,7 @@ from depgrowth.stats import (
 )
 from depgrowth.synth import SynthConfig, build_world, synth_edge_stream, write_corpus
 
+from compact_rows import compact_reader
 from oracles import naive_pipeline
 from oracles.semver_oracle import expected_series, expected_type
 
@@ -85,7 +86,8 @@ def engine_run(corpus_dir):
     """Timed production pipeline over the full corpus, all stages in memory."""
     started = time.monotonic()
     releases = list(read_releases(corpus_dir / "releases.jsonl"))
-    repos = RepoIndex.build(read_repo_snapshots(corpus_dir / "repo_snapshots.jsonl"))
+    repos = RepoIndex()
+    repos.extend(read_repo_snapshots(corpus_dir / "repo_snapshots.jsonl"))
     counter = StreamingDependentCounter(repos)
     for release in releases:
         counter.request(release.package_name, release.ecosystem, pre_release_date(release))
@@ -588,8 +590,8 @@ def test_j_streaming_million_edges_bounded():
             expected[p].add(dep)
 
     # dependents only count when their own repo passes the quality join
-    for dep in range(500):
-        repos.add(
+    repos.extend(
+        compact_reader(
             RepoSnapshot(
                 snapshot_date=query_day,
                 owner=f"dep-{dep:05d}",
@@ -598,7 +600,9 @@ def test_j_streaming_million_edges_bounded():
                 forks=0,
                 is_fork=False,
             )
+            for dep in range(500)
         )
+    )
     rng = random.Random(7)
     for p in rng.sample(range(n_packages), 50):
         got = counter.count(f"pkg-npm-{p:04d}", "npm", query_day)

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import urllib.error
@@ -71,6 +72,17 @@ def _pipeline_args(corpus_dir, out_dir, *extra):
         "180,45",
         *extra,
     ]
+
+
+@pytest.fixture(scope="module")
+def seed3_run(tmp_path_factory):
+    """The corpus flags of the small seed 3 world, and the bytes of each file
+    an uninterrupted all writes over it under the default config."""
+    corpus, out = tmp_path_factory.mktemp("seed3"), tmp_path_factory.mktemp("seed3_out")
+    write_corpus(build_world(small_config(seed=3)), corpus)
+    inputs = [f"--{name.replace('_', '-')}={corpus / name}.jsonl" for name in cli.CORPUS_INPUTS]
+    assert cli.main(["all", *inputs, "--out-dir", str(out)]) == 0
+    return inputs, {path.name: path.read_bytes() for path in out.iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -1217,6 +1229,34 @@ class TestAtomicWrites:
         left[1].unlink()
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in clean.iterdir()}
 
+    # all's 17 renames on small seed 3 under the default config: filter's 2,
+    # metrics' 3, complexity's 2 and analyze's 10. Killed before the first of
+    # each stage, before the one after ratings.jsonl (the rating resume
+    # point) and before the last.
+    @pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX only")
+    @pytest.mark.parametrize("k", [1, 3, 6, 7, 8, 17])
+    def test_a_rerun_after_a_kill_before_the_kth_rename_writes_an_uninterrupted_run(self, seed3_run, tmp_path, k):
+        inputs, uninterrupted = seed3_run
+        code = (
+            "import os, signal, sys\n"
+            "from depgrowth import cli\n"
+            "replace, renames = os.replace, []\n"
+            "def replace_or_die(src, dst):\n"
+            "    renames.append(dst)\n"
+            "    if len(renames) == int(sys.argv[1]):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    replace(src, dst)\n"
+            "os.replace = replace_or_die\n"
+            "cli.main(sys.argv[2:])\n"
+        )
+        args = ["all", *inputs, "--out-dir", str(tmp_path)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        killed = subprocess.run([sys.executable, "-c", code, str(k), *args], env=env, capture_output=True)
+        assert killed.returncode == -signal.SIGKILL
+        assert len(list(tmp_path.glob(".*.tmp"))) == 1
+        assert cli.main(args) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == uninterrupted
+
 
 class TestIngestOrder:
     @pytest.mark.parametrize("command", ["filter", "all"])
@@ -1240,7 +1280,9 @@ class TestIngestOrder:
         cells = sorted(cells)
         counts = []
         for fed_first in (True, False):
-            index = RepoIndex() if fed_first else RepoIndex.build(read_repo_snapshots(snapshots))
+            index = RepoIndex()
+            if not fed_first:
+                index.extend(read_repo_snapshots(snapshots))
             counter = StreamingDependentCounter(index)
             for cell in cells:
                 counter.request(*cell)

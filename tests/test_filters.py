@@ -16,8 +16,10 @@ from depgrowth.filters import (
     pre_release_date,
     run_filter_cascade,
 )
-from depgrowth.ingest import PackageRelease, RepoIndex, RepoSnapshot
+from depgrowth.ingest import PackageRelease, RepoSnapshot
 from depgrowth.semver import ReleaseType, Version
+
+from compact_rows import repo_index
 
 D = date.fromisoformat
 
@@ -70,7 +72,7 @@ class TestNormalizeName:
 
 class TestRepoQuality:
     def test_reasons(self):
-        repos = RepoIndex.build(
+        repos = repo_index(
             [
                 snap(name="good", stars=5),
                 snap(name="starless", stars=0),
@@ -97,7 +99,7 @@ class TestRepoQuality:
         report.check()
 
     def test_join_uses_fallback_window(self):
-        repos = RepoIndex.build([snap(day="2023-03-01")])
+        repos = repo_index([snap(day="2023-03-01")])
         kept, _ = filter_repo_quality([rel(day="2023-03-05")], repos)
         assert len(kept) == 1
         kept, report = filter_repo_quality([rel(day="2023-03-12")], repos)
@@ -284,7 +286,7 @@ class TestStageProperties:
 
 class TestCascade:
     def test_full_cascade_order_and_conservation(self):
-        repos = RepoIndex.build(
+        repos = repo_index(
             [
                 snap(name="good", stars=5),
                 snap(name="dup", stars=5),

@@ -25,6 +25,7 @@ from depgrowth.ingest import (
     read_repo_snapshots,
     write_records,
 )
+from compact_rows import compact_reader, repo_index
 from oracles.brute_force import naive_dependent_count
 
 D = date.fromisoformat
@@ -722,12 +723,12 @@ def _assert_lookups_match_a_scan(index, snaps, start, offsets=range(-2, 50)):
 
 class TestRepoIndex:
     def test_exact_day_match(self):
-        index = RepoIndex.build([make_snap("a", "r", "2023-03-10", stars=7)])
+        index = repo_index([make_snap("a", "r", "2023-03-10", stars=7)])
         snap = index.nearest("a", "r", D("2023-03-10"))
         assert snap is not None and snap.stars == 7
 
     def test_fallback_to_latest_within_window(self):
-        index = RepoIndex.build(
+        index = repo_index(
             [
                 make_snap("a", "r", "2023-03-01", stars=1),
                 make_snap("a", "r", "2023-03-08", stars=9),
@@ -739,20 +740,20 @@ class TestRepoIndex:
         assert snap.stars == 9
 
     def test_window_boundary_is_seven_days(self):
-        index = RepoIndex.build([make_snap("a", "r", "2023-03-01")])
+        index = repo_index([make_snap("a", "r", "2023-03-01")])
         assert index.nearest("a", "r", D("2023-03-08")) is not None
         assert index.nearest("a", "r", D("2023-03-09")) is None
 
     def test_future_snapshots_never_used(self):
-        index = RepoIndex.build([make_snap("a", "r", "2023-03-10")])
+        index = repo_index([make_snap("a", "r", "2023-03-10")])
         assert index.nearest("a", "r", D("2023-03-09")) is None
 
     def test_unknown_repo(self):
-        index = RepoIndex.build([])
+        index = RepoIndex()
         assert index.nearest("a", "r", D("2023-03-10")) is None
 
     def test_same_day_duplicate_last_wins(self):
-        index = RepoIndex.build(
+        index = repo_index(
             [
                 make_snap("a", "r", "2023-03-10", stars=1),
                 make_snap("a", "r", "2023-03-10", stars=8),
@@ -762,7 +763,7 @@ class TestRepoIndex:
         assert snap is not None and snap.stars == 8
 
     def test_quality_rules(self):
-        index = RepoIndex.build(
+        index = repo_index(
             [
                 make_snap("ok", "r", "2023-03-10", stars=1, is_fork=False),
                 make_snap("starless", "r", "2023-03-10", stars=0, is_fork=False),
@@ -776,7 +777,7 @@ class TestRepoIndex:
         assert not index.quality_ok("absent", "r", when)
 
     def test_out_of_order_input(self):
-        index = RepoIndex.build(
+        index = repo_index(
             [
                 make_snap("a", "r", "2023-03-10", stars=3),
                 make_snap("a", "r", "2023-03-02", stars=1),
@@ -787,7 +788,7 @@ class TestRepoIndex:
         assert snap is not None and snap.stars == 2
 
     def test_metadata_comes_from_the_joined_row(self):
-        index = RepoIndex.build(
+        index = repo_index(
             [
                 make_snap("a", "r", "2023-03-01", description="old", topics=("x",), language="Go"),
                 make_snap("a", "r", "2023-03-05", description="new", language="Rust"),
@@ -844,17 +845,36 @@ class TestRepoIndex:
                 for i, offset in enumerate(offsets)
             ]
             runs = len(set(offsets))  # each row has a state of its own
-        index = RepoIndex.build(snaps)
+        index = repo_index(snaps)
         _assert_lookups_match_a_scan(index, snaps, start, range(-2, 72))
         assert len(_runs(index, ("a", "r"))[0]) == runs
 
     def test_an_equal_same_day_repeat_leaves_the_timeline_in_order(self):
         start = D("2023-03-01")
         snaps = [make_snap("a", "r", start + timedelta(days=d)) for d in (0, 1, 1, 2)]
-        index = RepoIndex.build(snaps)
+        index = repo_index(snaps)
         assert not index._timelines[("a", "r")].unsorted  # so the first lookup sorts nothing
         _assert_lookups_match_a_scan(index, snaps, start)
         assert _runs(index, ("a", "r")) == [[start.toordinal()], [1], [3], [0]]
+
+    @pytest.mark.parametrize(
+        "offsets, unsorted, runs",
+        [
+            # unchanged rows re-crawled 1 to 5 days late, as a daily dump has them
+            ([0, 1, 2, 3, 4, 5, 6, 2, 7, 1, 8, 3], False, 1),
+            ([0, 7, 14, 21, 7, 28, 14], False, 1),
+            # a day between two of the run's days: a row of its own
+            ([0, 7, 14, 21, 10, 28], True, 3),
+        ],
+        ids=["daily", "weekly", "weekly-off-step"],
+    )
+    def test_a_late_repeat_inside_the_open_run_is_dropped(self, offsets, unsorted, runs):
+        start = D("2023-03-01")
+        snaps = [make_snap("a", "r", start + timedelta(days=d)) for d in offsets]
+        index = repo_index(snaps)
+        assert index._timelines[("a", "r")].unsorted == unsorted
+        _assert_lookups_match_a_scan(index, snaps, start)
+        assert len(_runs(index, ("a", "r"))[0]) == runs
 
     @pytest.mark.parametrize(
         "offsets, runs",
@@ -870,7 +890,7 @@ class TestRepoIndex:
     def test_a_run_splits_before_its_step_or_count_overflows(self, offsets, runs):
         start = D("2023-03-01")
         snaps = [make_snap("a", "r", start + timedelta(days=offset)) for offset in offsets]
-        index = RepoIndex.build(snaps)
+        index = repo_index(snaps)
         around = {offset + k for offset in (offsets[0], offsets[-1], 0xFFFE, 0xFFFF, 0x10000) for k in range(-2, 10)}
         _assert_lookups_match_a_scan(index, snaps, start, sorted(around))
         assert len(_runs(index, ("a", "r"))[0]) == runs
@@ -888,14 +908,12 @@ class TestRepoIndex:
     )
     def test_no_row_is_taken_after_a_lookup(self, lookup):
         start = D("2023-03-01")
-        index = RepoIndex.build([make_snap("a", "r", start)])
-        index.add(make_snap("b", "r", start))  # before any lookup
+        index = repo_index([make_snap("a", "r", start)])
+        index.extend(compact_reader([make_snap("b", "r", start)]))  # before any lookup
         lookup(index, start)
         for snap in (make_snap("a", "r", start, stars=0), make_snap("absent", "r", start)):
             with pytest.raises(RuntimeError, match="after its first lookup"):
-                index.add(snap)
-            with pytest.raises(RuntimeError, match="after its first lookup"):
-                index.extend([snap])
+                index.extend(compact_reader([snap]))
         # the refused rows left every answer as it was
         assert index.quality_ok("a", "r", start) and index.nearest("a", "r", start).stars == 5
         assert index.nearest("absent", "r", start) is None
@@ -916,7 +934,7 @@ class TestRepoIndex:
                 make_snap("a", "r", start + timedelta(days=offset), stars=stars, forks=forks)
                 for offset, stars, forks in late
             ]
-        _assert_lookups_match_a_scan(RepoIndex.build(snaps), snaps, start)
+        _assert_lookups_match_a_scan(repo_index(snaps), snaps, start)
 
     def test_a_row_shares_only_its_repositorys_last_state(self):
         start = D("2023-03-01")
@@ -930,9 +948,9 @@ class TestRepoIndex:
             # equal to the last state: shares it
             make_snap("a", "r", start + timedelta(days=9), stars=3),
         ]
-        index = RepoIndex.build(snaps)
+        index = repo_index(snaps)
         # equal to another repository's last state: a state of its own
-        index.add(make_snap("b", "r", start + timedelta(days=9), stars=3))
+        index.extend(compact_reader([make_snap("b", "r", start + timedelta(days=9), stars=3)]))
         _assert_lookups_match_a_scan(index, snaps, start)  # the first lookup takes the sort path
         firsts, steps, counts, states = _runs(index, ("a", "r"))
         assert states == [0, 1, 2]
@@ -969,7 +987,7 @@ class TestRepoIndex:
         ]
         if order == "shuffled":
             rng.shuffle(snaps)
-        index = RepoIndex.build(snaps)
+        index = repo_index(snaps)
         unsorted = [timeline.unsorted for timeline in index._timelines.values()]
         assert any(unsorted) and (order == "shuffled" or not all(unsorted))
         for i in range(60):
@@ -984,7 +1002,7 @@ class TestRepoIndex:
     def test_a_wide_count_round_trips_through_a_shared_state(self, stars):
         start = D("2023-03-01")
         snaps = [make_snap("a", "r", start + timedelta(days=d), stars=stars) for d in range(3)]
-        index = RepoIndex.build(snaps)
+        index = repo_index(snaps)
         _assert_lookups_match_a_scan(index, snaps, start)
         assert index.nearest("a", "r", start + timedelta(days=9)).stars == stars
         # one run of three rows over one state
@@ -1013,7 +1031,8 @@ def _traced_index_bytes(path):
     gc.collect()
     tracemalloc.start()
     try:
-        index = RepoIndex.build(read_repo_snapshots(path))
+        index = RepoIndex()
+        index.extend(read_repo_snapshots(path))
         index.nearest("o0", "r", date(2023, 1, 1))  # the first lookup closes it
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
@@ -1064,7 +1083,7 @@ def quality_repo_index(dep_names, day="2023-03-01", days=None):
         for dep in dep_names:
             owner, _, repo = dep.partition("/")
             snaps.append(make_snap(owner, repo, day_, stars=3))
-    return RepoIndex.build(snaps)
+    return repo_index(snaps)
 
 
 def count_one(pkg, eco, when, edges, repos):
@@ -1072,7 +1091,7 @@ def count_one(pkg, eco, when, edges, repos):
     and was fed ``edges``."""
     counter = StreamingDependentCounter(repos)
     counter.request(pkg, eco, when)
-    counter.feed(edges)
+    counter.feed(compact_reader(edges))
     return counter.count(pkg, eco, when)
 
 
@@ -1099,7 +1118,7 @@ class TestCountDependents:
             make_edge("libfoo", "forky/c", "2023-03-01"),
             make_edge("libfoo", "ghost/d", "2023-03-01"),  # no snapshot at all
         ]
-        repos = RepoIndex.build(
+        repos = repo_index(
             [
                 make_snap("good", "a", "2023-03-01", stars=1),
                 make_snap("starless", "b", "2023-03-01", stars=0),
@@ -1147,7 +1166,7 @@ class TestCountDependents:
         # 8 and 7 days before the requested date, on it, and a day after it;
         # each dropped cell is remembered, its rows held by no bucket
         days = (-8, -7, 0, 1, -8, 1)
-        counter.feed([make_edge("lib", "u1/a", when + timedelta(days=d)) for d in days])
+        counter.feed(compact_reader([make_edge("lib", "u1/a", when + timedelta(days=d)) for d in days]))
         rows = {day - when.toordinal(): len(cell) for day, cell in counter._buckets[("npm", "lib")].items()}
         assert rows == {-8: 0, -7: 1, 0: 1, 1: 0}
         assert counter.count("lib", "npm", when) == 1
@@ -1184,10 +1203,10 @@ class TestCountDependents:
 def _assert_counts_match_the_oracle(edges, repo_rows, queries):
     """Each ``(pkg, eco, when)`` query counts as the naive oracle does, None
     where it finds no coverage."""
-    counter = StreamingDependentCounter(RepoIndex.build(repo_rows))
+    counter = StreamingDependentCounter(repo_index(repo_rows))
     for pkg, eco, when in queries:
         counter.request(pkg, eco, when)
-    counter.feed(edges)
+    counter.feed(compact_reader(edges))
     _assert_counts_match(counter, edges, repo_rows, queries)
 
 
@@ -1254,14 +1273,14 @@ class TestStreamingCounter:
 
     def test_unrequested_cell_rejected(self):
         counter = StreamingDependentCounter(RepoIndex())
-        counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
+        counter.feed(compact_reader([make_edge("lib", "u1/a", "2023-03-01")]))
         with pytest.raises(KeyError):
             counter.count("lib", "npm", D("2023-03-01"))
 
     def test_a_request_after_the_feed_raises(self):
         counter = StreamingDependentCounter(quality_repo_index(["u1/a"]))
         counter.request("lib", "npm", D("2023-03-01"))
-        counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
+        counter.feed(compact_reader([make_edge("lib", "u1/a", "2023-03-01")]))
         with pytest.raises(RuntimeError, match="no requests after its feed"):
             counter.request("lib", "npm", D("2023-03-02"))
         with pytest.raises(KeyError):
@@ -1270,9 +1289,9 @@ class TestStreamingCounter:
     def test_a_second_feed_raises(self):
         counter = StreamingDependentCounter(quality_repo_index(["u1/a", "u2/b"]))
         counter.request("lib", "npm", D("2023-03-01"))
-        counter.feed([make_edge("lib", "u1/a", "2023-03-01")])
+        counter.feed(compact_reader([make_edge("lib", "u1/a", "2023-03-01")]))
         with pytest.raises(RuntimeError, match="fed once"):
-            counter.feed([make_edge("lib", "u2/b", "2023-03-01")])
+            counter.feed(compact_reader([make_edge("lib", "u2/b", "2023-03-01")]))
         # the refused rows were not counted
         assert counter.count("lib", "npm", D("2023-03-01")) == 1
 
@@ -1310,9 +1329,10 @@ class TestStreamingCounter:
             for pkg, eco, when in queries
             for _ in range(4)
         ]
+        reader = compact_reader(edges)
         tracemalloc.start()
         try:
-            counter.feed(edges)
+            counter.feed(reader)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1323,7 +1343,7 @@ class TestStreamingCounter:
             for day in edge_days
             for dep in deps
         ]
-        repos.extend(repo_rows)
+        repos.extend(compact_reader(repo_rows))
         _assert_counts_match(counter, edges, repo_rows, queries)
 
 
@@ -1351,15 +1371,24 @@ class _Wrapped:
         raise AssertionError("the consumer built rows instead of taking compiled bodies")
 
 
+def _unmemoized(lines):
+    """The lines, each behind a leading space: no body memo takes one, so a
+    reader decodes every line into its row, the same row as without it."""
+    return [" " + line for line in lines]
+
+
 class TestFusedIngest:
     @settings(max_examples=200, deadline=None)
     @given(_dump_lines(snap_line, _SNAPSHOT_MUTATIONS))
     def test_a_reader_fed_index_answers_as_one_built_from_rows(self, lines):
         rows, violations = _read(read_repo_snapshots(lines))
         reader = read_repo_snapshots(lines)
-        index = RepoIndex.build(_Wrapped(reader))
+        index = RepoIndex()
+        index.extend(_Wrapped(reader))
         assert [(v.line_no, v.message) for v in reader.violations] == violations
-        expected = RepoIndex.build(list(rows))
+        assert list(read_repo_snapshots(_unmemoized(lines))) == rows
+        expected = RepoIndex()
+        expected.extend(read_repo_snapshots(_unmemoized(lines)))
         assert set(index._timelines) == set(expected._timelines)
         for owner, name in {(row.owner, row.name) for row in rows} | {("acme", "libfoo")}:
             for when in _LOOKUP_DAYS:
@@ -1378,7 +1407,7 @@ class TestFusedIngest:
             for i, (owner, repo) in enumerate(deps)
             for when in _LOOKUP_DAYS[::3]
         ]
-        repos = RepoIndex.build(repo_rows)
+        repos = repo_index(repo_rows)
         fed, expected = StreamingDependentCounter(repos), StreamingDependentCounter(repos)
         for counter in (fed, expected):
             for package, ecosystem in cells:
@@ -1386,7 +1415,8 @@ class TestFusedIngest:
                     counter.request(package, ecosystem, when)
         reader = read_dependent_edges(lines)
         fed.feed(_Wrapped(reader))
-        expected.feed(rows)
+        assert list(read_dependent_edges(_unmemoized(lines))) == rows
+        expected.feed(read_dependent_edges(_unmemoized(lines)))
         assert [(v.line_no, v.message) for v in reader.violations] == violations
         assert fed._buckets == expected._buckets
         assert fed._coverage == expected._coverage
@@ -1411,9 +1441,9 @@ class TestFusedIngest:
         ]
         _rows, sizes = _read_with_memo_sizes(read_repo_snapshots(lines))
         assert sizes[-1] is None
-        rows = list(read_repo_snapshots(lines))
-        index = RepoIndex.build(read_repo_snapshots(lines))
-        expected = RepoIndex.build(rows)
+        index, expected = RepoIndex(), RepoIndex()
+        index.extend(read_repo_snapshots(lines))
+        expected.extend(read_repo_snapshots(_unmemoized(lines)))
         for i in range(10):
             for when in _LOOKUP_DAYS:
                 assert index.nearest(f"o{i}", "libfoo", when) == expected.nearest(f"o{i}", "libfoo", when)
@@ -1454,7 +1484,8 @@ class TestOversizedIntegers:
         rows, violations = _read(read_repo_snapshots(lines))
         assert len(rows) == 3 and [n for n, _ in violations] == [2]
         reader = read_repo_snapshots(lines)
-        index = RepoIndex.build(reader)
+        index = RepoIndex()
+        index.extend(reader)
         assert [(v.line_no, v.message) for v in reader.violations] == violations
         assert index.nearest("acme", "libfoo", D("2023-03-02")) == rows[1]
 
@@ -1490,7 +1521,8 @@ class TestCountBound:
         else:
             line = snap_line(**{field: 2**63})
         reader = read_repo_snapshots([line, snap_line(**{field: 2**63 - 1})])
-        index = RepoIndex.build(reader)
+        index = RepoIndex()
+        index.extend(reader)
         [(line_no, message)] = [(v.line_no, v.message) for v in reader.violations]
         assert line_no == 1 and message.startswith(field)
         snap = index.nearest("acme", "libfoo", D("2023-03-01"))
@@ -1562,7 +1594,8 @@ class TestUnreadableLines:
             return path
 
         reader = read_repo_snapshots(spoiled("snapshots.jsonl", _BODY))
-        index = RepoIndex.build(reader)
+        index = RepoIndex()
+        index.extend(reader)
         assert [(v.line_no, v.message) for v in reader.violations] == [(2, "invalid UTF-8")]
         assert index.nearest("acme", "libfoo", D("2023-03-02")).snapshot_date == D("2023-03-01")
         counter = StreamingDependentCounter(quality_repo_index(["user1/app1"], days=days))
@@ -1587,6 +1620,7 @@ class TestUnreadableLines:
     def test_the_index_reads_past_a_deeply_nested_line(self):
         lines = [_dated("2023-03-01", _BODY), _dated("2023-03-02", '"x":' + _DEEP), _dated("2023-03-03", _BODY)]
         reader = read_repo_snapshots(lines)
-        index = RepoIndex.build(reader)
+        index = RepoIndex()
+        index.extend(reader)
         assert [v.line_no for v in reader.violations] == [2]
         assert index.nearest("acme", "libfoo", D("2023-03-03")).snapshot_date == D("2023-03-03")

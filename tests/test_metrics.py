@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import pytest
 
 from depgrowth.filters import ClassifiedRelease
-from depgrowth.ingest import DependentEdge, PackageRelease, RepoIndex, RepoSnapshot
+from depgrowth.ingest import DependentEdge, PackageRelease, RepoSnapshot
 from depgrowth.metrics import (
     LookaheadGrid,
     NonPositiveInput,
@@ -16,6 +16,7 @@ from depgrowth.metrics import (
     size_bin,
 )
 from depgrowth.semver import ReleaseType, Version, VersionSeries, classify_release, parse_version
+from compact_rows import repo_index
 from oracles.brute_force import naive_dependent_count
 
 D = date.fromisoformat
@@ -153,7 +154,7 @@ class TestBuildRecords:
         repo_rows = [snap("acme", "libfoo", day, stars=10 + i, forks=i) for i, day in enumerate(days)]
         dep_rows = [snap(f"u{d}", f"r{d}", day) for day in days for d in range(30)]
         rows = repo_rows + dep_rows
-        repos = RepoIndex.build(rows)
+        repos = repo_index(rows)
 
         def provider(pkg, eco, when):
             return naive_dependent_count(edges, rows, pkg, eco, when)

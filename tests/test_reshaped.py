@@ -6,8 +6,8 @@ bodies repeating an earlier one, and no malformed line. This module builds
 the seed 3 world and rewrites its snapshot and edge files into other shapes:
 shuffled rows, repository-major order by name, dropped days with gaps past
 the 7-day join window, late same-day re-crawls that change a repository's
-counts or fork flag, duplicated and dropped edges, bodies that never repeat,
-and malformed lines. For each shape it runs the
+counts or fork flag, exact re-crawls days late, duplicated and dropped edges,
+bodies that never repeat, and malformed lines. For each shape it runs the
 CLI's ``all`` and ``naive_pipeline.run_pipeline`` over the valid rows, and
 compares every filter stage report, the survivors, each record and every
 log-difference sample.
@@ -112,6 +112,27 @@ def recrawls(snapshots, edges, rng):
     return out + late, edges
 
 
+def _repeated_late(rows, rng):
+    """``rows`` date-major, with an exact copy of one row in twenty after
+    the rows of the date 1 to 5 dates on, as a daily dump re-crawls them."""
+    by_day = {}
+    for row in rows:
+        by_day.setdefault(row["snapshot_date"], []).append(row)
+    days = sorted(by_day)
+    out, late = [], {}
+    for i, day in enumerate(days):
+        for row in by_day[day]:
+            out.append(row)
+            if rng.random() < 0.05:
+                late.setdefault(min(i + rng.randint(1, 5), len(days)), []).append(row)
+        out.extend(late.pop(i, ()))
+    return out + late.pop(len(days), [])
+
+
+def late_repeats(snapshots, edges, rng):
+    return _repeated_late(snapshots, rng), _repeated_late(edges, rng)
+
+
 def edges_duplicated_and_dropped(snapshots, edges, rng):
     """One edge in ten dropped and one in seven copied: half the copies right
     after their edge, half at the end of the file."""
@@ -144,6 +165,7 @@ SHAPES = {
         repository_major,
         dropped_days,
         recrawls,
+        late_repeats,
         edges_duplicated_and_dropped,
         bodies_never_repeat,
         malformed_lines,

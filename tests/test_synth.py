@@ -15,6 +15,7 @@ from depgrowth.ingest import (
 from depgrowth.semver import ReleaseType, classify_release, parse_version
 from depgrowth.synth import (
     OPEN_END,
+    _FALLBACK_DAYS,
     build_world,
     dependent_edge_rows,
     release_rows,
@@ -244,7 +245,7 @@ class TestSpice:
 class TestCoverage:
     def test_fallback_day_before_is_uncovered(self, world):
         cfg = world.config
-        live = sorted(f for f in cfg.fallback_days if f in set(cfg.lattice))
+        live = sorted(f for f in _FALLBACK_DAYS if f in set(cfg.lattice))
         assert live, "small config should keep at least one live fallback day"
         from depgrowth.synth import BASE_DATE
         from datetime import timedelta
