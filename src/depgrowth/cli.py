@@ -36,16 +36,19 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequen
 
 from . import __version__
 from .complexity import (
+    MODEL_TOKEN_ENV,
     RATINGS,
+    HttpModelClient,
     MockModelClient,
     ModelClient,
-    RequestRejected,
     RetryPolicy,
     agreement_stats,
     build_prompt,
     eligible_for_rating,
+    human_rating_row,
     rate_many,
     rating_record,
+    rating_row,
 )
 from .config import ConfigError, PipelineConfig, file_sha256, resolve_config
 from .filters import ClassifiedRelease, filter_semver, pre_release_date, run_filter_cascade
@@ -57,16 +60,16 @@ from .ingest import (
     SchemaHeaderError,
     SourceUnavailable,
     StreamingDependentCounter,
-    _opt_str,
-    _package_release,
-    _parse_date,
-    _req_ecosystem,
-    _req_int,
-    _req_str,
     compact_json,
+    package_release,
+    parse_date,
     read_dependent_edges,
     read_releases,
     read_repo_snapshots,
+    release_line,
+    req_ecosystem,
+    req_int,
+    req_str,
     write_records,
 )
 from .metrics import (
@@ -90,7 +93,7 @@ from .report import (
     summary_table_rows,
     timepoint_distributions,
 )
-from .semver import NUMBER, ReleaseType, VersionSeries, format_version, parse_version
+from .semver import NUMBER, ZERO_SPLITS, ReleaseType, VersionSeries, format_version, parse_version
 from .stats import DegenerateInput
 
 __all__ = ["main"]
@@ -98,8 +101,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-MODEL_TOKEN_ENV = "DEPGROWTH_MODEL_TOKEN"
 
 
 class DataError(RuntimeError):
@@ -217,37 +218,22 @@ def _release_record(row: dict) -> ReleaseRecord:
     for key, value in metrics.items():
         cell = _metric_cell(key)
         if value is not None and (type(value) is not int or not 0 <= value <= MAX_COUNT):
-            value = _req_int(metrics, key)  # refuses it, with the field's message
+            value = req_int(metrics, key)  # refuses it, with the field's message
         values[cell] = value
     # the fields are checked in their order, the first bad one named
     return ReleaseRecord(
-        release_date=_parse_date(row.get("release_date"), "release_date"),
-        ecosystem=_req_ecosystem(row),
-        package_name=_req_str(row, "package_name"),
-        owner=_req_str(row, "owner"),
-        repo_name=_req_str(row, "repo_name"),
-        version_text=format_version(parse_version(_req_str(row, "version"))),
+        release_date=parse_date(row.get("release_date"), "release_date"),
+        ecosystem=req_ecosystem(row),
+        package_name=req_str(row, "package_name"),
+        owner=req_str(row, "owner"),
+        repo_name=req_str(row, "repo_name"),
+        version_text=format_version(parse_version(req_str(row, "version"))),
         release_type=ReleaseType(row.get("release_type")),
         series=VersionSeries(row.get("series")),
-        pre_dependents=_req_int(row, "pre_dependents"),
+        pre_dependents=req_int(row, "pre_dependents"),
         bin=SizeBin(row.get("bin")),
         metric_values=values,
     )
-
-
-def _rating_row(row: dict) -> dict:
-    """A ``ratings.jsonl`` row, checked on the fields later stages read."""
-    _req_str(row, "key")
-    if row.get("rating") is not None:  # null: the model declined to rate
-        _req_int(row, "rating", RATINGS[0], RATINGS[-1])
-    _opt_str(row, "language")
-    if row.get("release_type") is not None:
-        ReleaseType(row["release_type"])
-    return row
-
-
-def _human_rating(row: dict) -> tuple[str, int]:
-    return _req_str(row, "key"), _req_int(row, "rating", RATINGS[0], RATINGS[-1])
 
 
 class _Artifact(NamedTuple):
@@ -259,10 +245,10 @@ class _Artifact(NamedTuple):
 
 # the artifacts a stage writes under a schema header
 ARTIFACTS = {
-    "filtered_releases.jsonl": _Artifact("filter", "releases", _package_release),
+    "filtered_releases.jsonl": _Artifact("filter", "releases", package_release),
     "release_records.jsonl": _Artifact("metrics", "release-records", _release_record),
     "log_diff_samples.jsonl": _Artifact("metrics", "log-diff-samples"),
-    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", _rating_row),
+    "ratings.jsonl": _Artifact("complexity", "complexity-ratings", rating_row),
     "heatmap_bins.jsonl": _Artifact("analyze", "heatmap-cells"),
     "heatmap_series.jsonl": _Artifact("analyze", "heatmap-cells"),
     "timepoints.jsonl": _Artifact("analyze", "timepoint-distributions"),
@@ -471,14 +457,6 @@ class Corpus:
         return self._counter
 
 
-def _release_line(release: PackageRelease) -> str:
-    # the row's keys are the tuple's fields, in their order
-    row = dict(release._asdict(), release_date=release.release_date.isoformat())
-    if release.release_notes is None:
-        del row["release_notes"]
-    return compact_json(row)
-
-
 def _release_key(release: PackageRelease) -> str:
     return (
         f"{release.ecosystem}:{release.package_name}:"
@@ -508,7 +486,7 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
         zero_split=config.zero_split,
     )
     n = _write_artifact(
-        out, "filtered_releases.jsonl", provenance, (_release_line(item.release) for item in survivors)
+        out, "filtered_releases.jsonl", provenance, (release_line(item.release) for item in survivors)
     )
     _write_json(
         out / "filter_report.json",
@@ -675,57 +653,6 @@ def _write_complexity_reports(
     )
 
 
-class HttpModelClient:
-    """Minimal JSON-over-HTTP completion client.
-
-    POSTs ``{"model", "system", "user"}`` and expects ``{"text": ...}``
-    back. The auth token, when given, rides in an Authorization header; a
-    token no header can carry (a control character, or a character outside
-    Latin-1) is a ConfigError at construction that names the variable that
-    held it, never its value. Network and envelope failures surface as OSError
-    so the retry policy treats them as transient; a 4xx other than 408
-    (timeout) and 429 (throttled) surfaces as RequestRejected, never retried.
-    """
-
-    def __init__(self, endpoint: str, model_id: str, token: str | None = None, timeout: float = 60.0) -> None:
-        if token and any(not " " <= char <= "\xff" or char == "\x7f" for char in token):
-            raise ConfigError(f"{MODEL_TOKEN_ENV} holds a control character or a character outside Latin-1")
-        self.endpoint = endpoint
-        self.model_id = model_id
-        self._token = token
-        self._timeout = timeout
-
-    def complete(self, system_text: str, user_text: str) -> str:
-        payload = json.dumps(
-            {"model": self.model_id, "system": system_text, "user": user_text}
-        ).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self._token:
-            headers["Authorization"] = f"Bearer {self._token}"
-        import http.client  # on use, so other commands skip the HTTP stack
-        import urllib.error
-        import urllib.request
-
-        request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
-        try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                reply = response.read()
-        except urllib.error.HTTPError as exc:
-            if 400 <= exc.code < 500 and exc.code not in (408, 429):
-                raise RequestRejected(f"model endpoint refused the request: HTTP {exc.code}") from exc
-            raise
-        except http.client.HTTPException as exc:
-            # IncompleteRead, BadStatusLine: a broken exchange, not an OSError
-            raise OSError(f"model endpoint broke off the response: {exc!r}") from exc
-        try:
-            body = json.loads(reply)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge integer, deep nesting
-            raise OSError(f"model endpoint returned invalid JSON: {exc}") from exc
-        if not isinstance(body, dict) or not isinstance(body.get("text"), str):
-            raise OSError("model endpoint response lacks a text field")
-        return body["text"]
-
-
 def _model_client(config: PipelineConfig) -> ModelClient:
     """The client that rates; without an endpoint the mock rates, so a
     model_id other than the mock's is a ConfigError, not a false stamp."""
@@ -755,7 +682,7 @@ def cmd_complexity(
         existing_rows = {row["key"]: row for row in _read_record_lines(ratings_path)}
     if config.human_ratings:
         remedy = f"each row needs a key and an integer rating from {RATINGS[0]} to {RATINGS[-1]}"
-        human_rows = dict(_checked_rows(Path(config.human_ratings), "human-ratings", _human_rating, remedy))
+        human_rows = dict(_checked_rows(Path(config.human_ratings), "human-ratings", human_rating_row, remedy))
     if survivors is None:
         survivors = _load_survivors(out / "filtered_releases.jsonl", config)
     provenance = _provenance(config, "complexity", corpus)
@@ -764,7 +691,7 @@ def cmd_complexity(
     repos, _ = corpus.repos()
 
     items = []
-    meta: dict[str, dict] = {}
+    meta: dict[str, tuple] = {}  # key -> the prompt, repository language and release type it rates
     ineligible = 0
     missing_snapshot = 0
     for item in survivors:
@@ -779,7 +706,7 @@ def cmd_complexity(
         key = _release_key(release)
         bundle = build_prompt(release, snap)
         items.append((key, release, bundle))
-        meta[key] = {"language": snap.language, "release_type": item.release_type.value, "bundle": bundle}
+        meta[key] = bundle, snap.language, item.release_type
 
     ratings, failures = rate_many(
         items,
@@ -792,9 +719,7 @@ def cmd_complexity(
 
     merged = dict(existing_rows)
     for key, rating in ratings.items():
-        info = meta[key]
-        record = rating_record(key, rating, info["bundle"], client.model_id)
-        merged[key] = {**record, "language": info["language"], "release_type": info["release_type"]}
+        merged[key] = rating_record(key, rating, client.model_id, *meta[key])
     n = _write_artifact(out, "ratings.jsonl", provenance, (compact_json(merged[k]) for k in sorted(merged)))
     # totals, not per-run deltas, so a resumed run writes the same report
     _write_json(
@@ -879,7 +804,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-dependents", dest="min_dependents", type=int)
     parser.add_argument("--grid", type=_parse_grid, help="horizon,step e.g. 365,90")
     parser.add_argument("--alpha", type=float)
-    parser.add_argument("--zero-split", dest="zero_split", choices=("patch", "folded"))
+    parser.add_argument("--zero-split", dest="zero_split", choices=ZERO_SPLITS)
     parser.add_argument(
         "--no-fold-zero", dest="fold_zero", action="store_const", const=False, default=None
     )

@@ -8,15 +8,16 @@ mismatched closing tag in the documented response structure, which real
 responses are observed to use both sides of. The parser therefore accepts
 either closer.
 
-Endpoint access goes through the small ``ModelClient`` protocol so tests
-and offline runs can use the deterministic mock below instead of a live
-service.
+Endpoint access goes through the small ``ModelClient`` protocol: an HTTP
+client for a live service, a deterministic mock for tests and offline runs.
+The ``ratings.jsonl`` and human ratings rows are built and parsed here too.
 """
 
 from __future__ import annotations
 
 import collections
 import heapq
+import json
 import math
 import queue
 import re
@@ -24,11 +25,13 @@ import threading
 import time
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
-from .ingest import PackageRelease, RepoSnapshot
+from .ingest import PackageRelease, RepoSnapshot, opt_str, req_int, req_str
+from .semver import ReleaseType
 from .stats import DegenerateInput, pearson, spearman
 
 __all__ = [
     "MIN_NOTE_CHARS",
+    "MODEL_TOKEN_ENV",
     "RATINGS",
     "SYSTEM_PROMPT",
     "USER_PROMPT_TEMPLATE",
@@ -42,6 +45,7 @@ __all__ = [
     "RetryPolicy",
     "ModelClient",
     "MockModelClient",
+    "HttpModelClient",
     "eligible_for_rating",
     "build_prompt",
     "parse_rating_response",
@@ -50,13 +54,16 @@ __all__ = [
     "agreement_stats",
     "prompt_sha256",
     "rating_record",
+    "rating_row",
+    "human_rating_row",
+    "xml_escape",
 ]
 
 
 # xml.sax.saxutils' escape and unescape with no extra entities: "&" goes
 # first on the way in and last on the way out. (The xml.sax package imports
 # urllib.request, and with it http.client.)
-def _xml_escape(text: str) -> str:
+def xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
@@ -71,6 +78,7 @@ MIN_NOTE_CHARS = 512
 
 # the rating scale, 1 (very low complexity) to 7 (very high)
 RATINGS = range(1, 8)
+MODEL_TOKEN_ENV = "DEPGROWTH_MODEL_TOKEN"
 
 
 class NotEligible(ValueError):
@@ -233,14 +241,14 @@ def build_prompt(release: PackageRelease, repo: RepoSnapshot) -> PromptBundle:
             f"{release.ecosystem}:{release.package_name} {release.version_text}: "
             f"notes shorter than {MIN_NOTE_CHARS} characters"
         )
-    description = "null" if repo.description is None else _xml_escape(repo.description)
-    language = "null" if repo.language is None else _xml_escape(repo.language)
+    description = "null" if repo.description is None else xml_escape(repo.description)
+    language = "null" if repo.language is None else xml_escape(repo.language)
     user_text = USER_PROMPT_TEMPLATE.format(
-        repo_name=_xml_escape(f"{repo.owner}/{repo.name}"),
+        repo_name=xml_escape(f"{repo.owner}/{repo.name}"),
         repo_description=description,
-        repo_topics=_xml_escape(", ".join(repo.topics)),
+        repo_topics=xml_escape(", ".join(repo.topics)),
         repo_language=language,
-        release_notes=_xml_escape(release.release_notes or ""),
+        release_notes=xml_escape(release.release_notes or ""),
     )
     return PromptBundle(system_text=SYSTEM_PROMPT, user_text=user_text)
 
@@ -312,8 +320,8 @@ def render_rating(rating: ComplexityRating, closer: str = "rating-response") -> 
     if closer not in ("rating-response", "classification-response"):
         raise ValueError(f"unknown closer {closer!r}")
     rating_text = "null" if rating.rating is None else str(rating.rating)
-    skills = _xml_escape("; ".join(rating.required_skills))
-    reasons = _xml_escape("; ".join(rating.reasoning))
+    skills = xml_escape("; ".join(rating.required_skills))
+    reasons = xml_escape("; ".join(rating.reasoning))
     return (
         "<rating-response>\n"
         f"    <required-skills>{skills}</required-skills>\n"
@@ -364,7 +372,7 @@ class ModelClient(Protocol):
 class MockModelClient:
     """Offline stand-in that derives a canned valid response from its input.
 
-    The response is a pure function of the prompt bytes (sha256), so runs
+    The response is a pure function of the prompt's digest, so runs
     are reproducible without any network access. The digest also picks
     which of the two documented closing tags to emit, keeping both parser
     paths exercised.
@@ -392,11 +400,7 @@ class MockModelClient:
     )
 
     def complete(self, system_text: str, user_text: str) -> str:
-        import hashlib  # on use, as in prompt_sha256
-
-        digest = hashlib.sha256(
-            system_text.encode("utf-8") + b"\x1f" + user_text.encode("utf-8")
-        ).digest()
+        digest = bytes.fromhex(prompt_sha256(PromptBundle(system_text, user_text)))
         rating = 1 + digest[0] % 7
         skills = (
             self._SKILLS[digest[1] % len(self._SKILLS)],
@@ -408,6 +412,58 @@ class MockModelClient:
             ComplexityRating(required_skills=skills, reasoning=reasons, rating=rating),
             closer=closer,
         )
+
+
+class HttpModelClient:
+    """Minimal JSON-over-HTTP completion client.
+
+    POSTs ``{"model", "system", "user"}`` and expects ``{"text": ...}``
+    back. The auth token, when given, rides in an Authorization header; a
+    token no header can carry (a control character, or a character outside
+    Latin-1) is a ConfigError at construction that names the variable that
+    held it, never its value. Network and envelope failures surface as OSError
+    so the retry policy treats them as transient; a 4xx other than 408
+    (timeout) and 429 (throttled) surfaces as RequestRejected, never retried.
+    """
+
+    def __init__(self, endpoint: str, model_id: str, token: str | None = None, timeout: float = 60.0) -> None:
+        if token and any(not " " <= char <= "\xff" or char == "\x7f" for char in token):
+            from .config import ConfigError  # on use: config imports the filter and metrics layers
+            raise ConfigError(f"{MODEL_TOKEN_ENV} holds a control character or a character outside Latin-1")
+        self.endpoint = endpoint
+        self.model_id = model_id
+        self._token = token
+        self._timeout = timeout
+
+    def complete(self, system_text: str, user_text: str) -> str:
+        payload = json.dumps(
+            {"model": self.model_id, "system": system_text, "user": user_text}
+        ).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        if self._token:
+            headers["Authorization"] = f"Bearer {self._token}"
+        import http.client  # on use, so other commands skip the HTTP stack
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
+        try:
+            with urllib.request.urlopen(request, timeout=self._timeout) as response:
+                reply = response.read()
+        except urllib.error.HTTPError as exc:
+            if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise RequestRejected(f"model endpoint refused the request: HTTP {exc.code}") from exc
+            raise
+        except http.client.HTTPException as exc:
+            # IncompleteRead, BadStatusLine: a broken exchange, not an OSError
+            raise OSError(f"model endpoint broke off the response: {exc!r}") from exc
+        try:
+            body = json.loads(reply)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge integer, deep nesting
+            raise OSError(f"model endpoint returned invalid JSON: {exc}") from exc
+        if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+            raise OSError("model endpoint response lacks a text field")
+        return body["text"]
 
 
 class _TokenBucket:
@@ -603,7 +659,8 @@ def agreement_stats(
 
 
 def prompt_sha256(bundle: PromptBundle) -> str:
-    """Stable hex digest of both messages, for provenance records."""
+    """Stable hex digest of both messages, for provenance records and the
+    mock's replies."""
     import hashlib  # on use, so a command that hashes nothing skips its import
 
     payload = bundle.system_text.encode("utf-8") + b"\x1f" + bundle.user_text.encode("utf-8")
@@ -613,11 +670,13 @@ def prompt_sha256(bundle: PromptBundle) -> str:
 def rating_record(
     key: str,
     rating: ComplexityRating,
-    bundle: PromptBundle,
     model_id: str,
+    bundle: PromptBundle,
+    language: str | None,
+    release_type: ReleaseType,
 ) -> Mapping[str, object]:
-    """One line-delimited output record for a completed rating; its timestamp
-    is a constant, so reruns stay byte-identical."""
+    """The ``ratings.jsonl`` row of ``model_id``'s rating of ``bundle``; its
+    timestamp is a constant, so reruns stay byte-identical."""
     return {
         "key": key,
         "rating": rating.rating,
@@ -626,4 +685,22 @@ def rating_record(
         "prompt_sha256": prompt_sha256(bundle),
         "model_id": model_id,
         "timestamp": "1970-01-01T00:00:00Z",
+        "language": language,
+        "release_type": release_type.value,
     }
+
+
+def rating_row(row: dict) -> dict:
+    """A ``ratings.jsonl`` row, checked on the fields later stages read."""
+    req_str(row, "key")
+    if row.get("rating") is not None:  # null: the model declined to rate
+        req_int(row, "rating", RATINGS[0], RATINGS[-1])
+    opt_str(row, "language")
+    if row.get("release_type") is not None:
+        ReleaseType(row["release_type"])
+    return row
+
+
+def human_rating_row(row: dict) -> tuple[str, int]:
+    """A human ratings file's row: its key and its rating."""
+    return req_str(row, "key"), req_int(row, "rating", RATINGS[0], RATINGS[-1])

@@ -17,6 +17,7 @@ from typing import Mapping, NamedTuple
 
 from .filters import DEFAULT_ECOSYSTEMS, DEFAULT_MIN_DEPENDENTS
 from .metrics import SUPPORTED_GRIDS
+from .semver import ZERO_SPLITS
 
 __all__ = [
     "ConfigError",
@@ -72,8 +73,8 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"min_dependents must be >= 0, got {self.min_dependents}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.zero_split not in ("patch", "folded"):
-            raise ConfigError(f"zero_split must be 'patch' or 'folded', got {self.zero_split!r}")
+        if self.zero_split not in ZERO_SPLITS:
+            raise ConfigError(f"zero_split must be {' or '.join(map(repr, ZERO_SPLITS))}, got {self.zero_split!r}")
         if not self.ecosystems:
             raise ConfigError("ecosystems must not be empty")
         unknown = sorted(set(self.ecosystems) - DEFAULT_ECOSYSTEMS)

@@ -58,7 +58,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # the start of a compact snapshot or edge line with its date first, as synth
 # writes them; see RecordReader.compiled
-_DATED_PREFIX = '{"snapshot_date":"'
+DATED_PREFIX = '{"snapshot_date":"'
 
 Source = Union[str, Path, IO[str], Iterable[str]]
 
@@ -150,7 +150,7 @@ def _iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _parse_date(raw: object, field: str) -> date:
+def parse_date(raw: object, field: str) -> date:
     if not isinstance(raw, str):
         raise ValueError(f"{field} must be an ISO date string")
     try:
@@ -159,14 +159,14 @@ def _parse_date(raw: object, field: str) -> date:
         raise ValueError(f"{field} is not a valid ISO date: {raw!r}") from None
 
 
-def _req_str(obj: dict, field: str) -> str:
+def req_str(obj: dict, field: str) -> str:
     value = obj.get(field)
     if not isinstance(value, str) or not value:
         raise ValueError(f"{field} must be a non-empty string")
     return value
 
 
-def _opt_str(obj: dict, field: str) -> str | None:
+def opt_str(obj: dict, field: str) -> str | None:
     value = obj.get(field)
     if value is None:
         return None
@@ -175,7 +175,7 @@ def _opt_str(obj: dict, field: str) -> str | None:
     return value
 
 
-def _req_int(obj: dict, field: str, low: int = 0, high: int = MAX_COUNT) -> int:
+def req_int(obj: dict, field: str, low: int = 0, high: int = MAX_COUNT) -> int:
     value = obj.get(field)
     if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
         raise ValueError(f"{field} must be an integer from {low} to {high}")
@@ -189,8 +189,8 @@ def _req_bool(obj: dict, field: str) -> bool:
     return value
 
 
-def _req_ecosystem(obj: dict) -> str:
-    value = _req_str(obj, "ecosystem")
+def req_ecosystem(obj: dict) -> str:
+    value = req_str(obj, "ecosystem")
     if not _ECOSYSTEM_RE.fullmatch(value):
         raise ValueError(f"ecosystem must be a lowercase identifier, got {value!r}")
     return value
@@ -210,64 +210,73 @@ def _repo_snapshot(obj: dict) -> RepoSnapshot:
     # what its helper admits, so the helper raises that field's message; on
     # another dict it may return a value the test was stricter on.
     get = obj.get
-    snapshot_date = _parse_date(get("snapshot_date"), "snapshot_date")
+    snapshot_date = parse_date(get("snapshot_date"), "snapshot_date")
     owner = get("owner")
     if type(owner) is not str or not owner:
-        owner = _req_str(obj, "owner")
+        owner = req_str(obj, "owner")
     name = get("name")
     if type(name) is not str or not name:
-        name = _req_str(obj, "name")
+        name = req_str(obj, "name")
     stars = get("stars")
     if type(stars) is not int or not 0 <= stars <= MAX_COUNT:
-        stars = _req_int(obj, "stars")
+        stars = req_int(obj, "stars")
     forks = get("forks")
     if type(forks) is not int or not 0 <= forks <= MAX_COUNT:
-        forks = _req_int(obj, "forks")
+        forks = req_int(obj, "forks")
     is_fork = get("is_fork")
     if type(is_fork) is not bool:
         is_fork = _req_bool(obj, "is_fork")
     description = get("description")
     if description is not None and type(description) is not str:
-        description = _opt_str(obj, "description")
+        description = opt_str(obj, "description")
     topics = get("topics", [])
     if type(topics) is not list or (topics and not all(type(topic) is str for topic in topics)):
         topics = _topics(obj)
     language = get("language")
     if language is not None and type(language) is not str:
-        language = _opt_str(obj, "language")
+        language = opt_str(obj, "language")
     return RepoSnapshot(
         snapshot_date, owner, name, stars, forks, is_fork, description, tuple(topics), language
     )
 
 
-def _package_release(obj: dict) -> PackageRelease:
+def package_release(obj: dict) -> PackageRelease:
     return PackageRelease(
-        release_date=_parse_date(obj.get("release_date"), "release_date"),
-        ecosystem=_req_ecosystem(obj),
-        package_name=_req_str(obj, "package_name"),
-        owner=_req_str(obj, "owner"),
-        repo_name=_req_str(obj, "repo_name"),
-        version_text=_req_str(obj, "version_text"),
-        release_notes=_opt_str(obj, "release_notes"),
+        release_date=parse_date(obj.get("release_date"), "release_date"),
+        ecosystem=req_ecosystem(obj),
+        package_name=req_str(obj, "package_name"),
+        owner=req_str(obj, "owner"),
+        repo_name=req_str(obj, "repo_name"),
+        version_text=req_str(obj, "version_text"),
+        release_notes=opt_str(obj, "release_notes"),
     )
+
+
+def release_line(release: PackageRelease) -> str:
+    """The compact JSON line of a ``releases`` row, the inverse of
+    :func:`package_release`; the notes are left out when None."""
+    row = dict(release._asdict(), release_date=release.release_date.isoformat())
+    if release.release_notes is None:
+        del row["release_notes"]
+    return compact_json(row)
 
 
 def _dependent_edge(obj: dict) -> DependentEdge:
     # the same one pass as _repo_snapshot's
     get = obj.get
-    snapshot_date = _parse_date(get("snapshot_date"), "snapshot_date")
+    snapshot_date = parse_date(get("snapshot_date"), "snapshot_date")
     owner = get("dependent_owner")
     if type(owner) is not str or not owner:
-        owner = _req_str(obj, "dependent_owner")
+        owner = req_str(obj, "dependent_owner")
     repo = get("dependent_repo")
     if type(repo) is not str or not repo:
-        repo = _req_str(obj, "dependent_repo")
+        repo = req_str(obj, "dependent_repo")
     ecosystem = get("ecosystem")
     if type(ecosystem) is not str or not _ECOSYSTEM_RE.fullmatch(ecosystem):
-        ecosystem = _req_ecosystem(obj)
+        ecosystem = req_ecosystem(obj)
     package = get("package_name")
     if type(package) is not str or not package:
-        package = _req_str(obj, "package_name")
+        package = req_str(obj, "package_name")
     return DependentEdge(snapshot_date, owner, repo, ecosystem, package)
 
 
@@ -380,7 +389,7 @@ class RecordReader:
         ``compile`` (which must not return None) does it once per distinct
         body.
         """
-        # Body memo. A line that starts with _DATED_PREFIX and has '",' at
+        # Body memo. A line that starts with DATED_PREFIX and has '",' at
         # 28-29 splits into a date D = line[18:28] and a body B = line[30:].
         # - A D that _iso_date accepts holds no '"', '\' or control
         #   character, so the string literal ends at index 28.
@@ -395,7 +404,7 @@ class RecordReader:
         #   header is only ever line 1, which no known body precedes.)
         # The memo is keyed on the two slices themselves: days on the head
         # line[:28], bodies on the rest line[28:] = '",' + B. A head goes in
-        # only when it starts with _DATED_PREFIX and its D parses, and a rest
+        # only when it starts with DATED_PREFIX and its D parses, and a rest
         # only when it starts with '",', so both lookups hit exactly when
         # the line passes all four tests above; a line shorter than 28 has a
         # head no key equals. Any other line takes the full path, _row,
@@ -418,7 +427,7 @@ class RecordReader:
             for line_no, line in enumerate(lines, start=1):
                 if bodies is not None:
                     day = days.get(line[:28])
-                    if day is None and line.startswith(_DATED_PREFIX):
+                    if day is None and line.startswith(DATED_PREFIX):
                         try:
                             day = days[line[:28]] = _iso_date(line[18:28]).toordinal()
                         except ValueError:
@@ -434,7 +443,7 @@ class RecordReader:
                     continue
                 value = compile(row)
                 yield row[0].toordinal(), value
-                if bodies is None or line[28:30] != '",' or not line.startswith(_DATED_PREFIX):
+                if bodies is None or line[28:30] != '",' or not line.startswith(DATED_PREFIX):
                     continue
                 raw_day = line[18:28]
                 if first_day is None:
@@ -478,7 +487,7 @@ def read_repo_snapshots(source: Source) -> RecordReader:
 
 def read_releases(source: Source) -> RecordReader:
     """Reader for package release records (schema ``releases``)."""
-    return RecordReader(source, "releases", _package_release)
+    return RecordReader(source, "releases", package_release)
 
 
 def read_dependent_edges(source: Source) -> RecordReader:
@@ -711,7 +720,7 @@ class RepoIndex:
         return self._quality((owner, name), when.toordinal())
 
 
-def _resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
+def resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
     """Latest coverage ordinal at or before ``target`` within the join window."""
     pos = bisect_right(coverage, target) - 1
     if pos < 0 or target - coverage[pos] > JOIN_WINDOW_DAYS:
@@ -825,7 +834,7 @@ class StreamingDependentCounter:
         pos = bisect_left(dates, target)
         if pos == len(dates) or dates[pos] != target:
             raise KeyError(f"cell ({ecosystem}, {package_name}, {when}) was not requested")
-        effective = _resolve_coverage(self._coverage, target)
+        effective = resolve_coverage(self._coverage, target)
         if effective is None:
             return None
         # effective lies 0 to 7 days before the requested target, so the feed

@@ -17,6 +17,7 @@ import itertools
 import math
 from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from .complexity import xml_escape
 from .metrics import LogDiffSample, LookaheadGrid, SizeBin
 from .semver import ReleaseType, VersionSeries
 from .stats import (
@@ -482,17 +483,17 @@ def render_heatmap_svg(bundle: HeatmapBundle, ecosystem: str) -> str:
         "</pattern>",
         "</defs>",
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="8" y="24" font-size="14">{_svg_escape(ecosystem)}</text>',
+        f'<text x="8" y="24" font-size="14">{xml_escape(ecosystem)}</text>',
     ]
     for j, label in enumerate(col_labels):
         cx = _MARGIN_LEFT + j * _CELL_W + _CELL_W // 2
         parts.append(
-            f'<text x="{cx}" y="{_MARGIN_TOP - 10}" text-anchor="middle">{_svg_escape(label)}</text>'
+            f'<text x="{cx}" y="{_MARGIN_TOP - 10}" text-anchor="middle">{xml_escape(label)}</text>'
         )
     for i, label in enumerate(row_labels):
         cy = _MARGIN_TOP + i * _CELL_H + _CELL_H // 2 + 4
         parts.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{cy}" text-anchor="end">{_svg_escape(label)}</text>'
+            f'<text x="{_MARGIN_LEFT - 8}" y="{cy}" text-anchor="end">{xml_escape(label)}</text>'
         )
     for i in range(n_rows):
         for j in range(n_cols):
@@ -518,6 +519,3 @@ def render_heatmap_svg(bundle: HeatmapBundle, ecosystem: str) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def _svg_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -28,6 +28,7 @@ __all__ = [
     "Version",
     "VersionParseError",
     "VersionSeries",
+    "ZERO_SPLITS",
     "classify_release",
     "format_version",
     "parse_version",
@@ -93,6 +94,10 @@ class ReleaseType(enum.Enum):
     ZERO_MINOR = "zero_minor"
 
 
+# the ways classify_release can split 0.y.z releases
+ZERO_SPLITS = ("patch", "folded")
+
+
 class VersionSeries(enum.Enum):
     """Coarse project-maturity series keyed on the major component."""
 
@@ -154,7 +159,7 @@ def classify_release(version: Version, zero_split: str = "patch") -> ReleaseType
     Raises:
         ValueError: unknown ``zero_split`` mode.
     """
-    if zero_split not in ("patch", "folded"):
+    if zero_split not in ZERO_SPLITS:
         raise ValueError(f"unknown zero_split mode: {zero_split!r}")
     if version.major >= 1:
         if version.minor == 0 and version.patch == 0:

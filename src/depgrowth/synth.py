@@ -37,7 +37,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterator
 
-from .ingest import _DATED_PREFIX, _resolve_coverage, compact_json, write_records
+from .ingest import DATED_PREFIX, PackageRelease, compact_json, resolve_coverage, write_records
 
 __all__ = [
     "BASE_DATE",
@@ -60,7 +60,10 @@ BASE_DATE = date(2023, 1, 1)
 OPEN_END = 10**9  # exclusive end-day for spans that never deactivate
 
 # world geometry that no config varies
+_ECOSYSTEMS = ("npm", "pypi", "rubygems")
+_LATTICE_START = 90
 _LATTICE_STEP = 15
+_LARGE_RELEASES = 3
 _FALLBACK_DAYS = frozenset({105, 225, 345})
 _HUGE_RELEASES = 3
 _HUGE_PRE = 10050
@@ -92,9 +95,7 @@ class SynthConfig:
 
     seed: int = 7
     days: int = 730
-    ecosystems: tuple[str, ...] = ("npm", "pypi", "rubygems")
     offsets: tuple[int, ...] = (90, 180, 270, 360)
-    lattice_start: int = 90
     lattice_end: int = 480
     anchor_last_day: int = 330
     # normal population per ecosystem
@@ -104,7 +105,6 @@ class SynthConfig:
     huges: int = 1
     small_release_range: tuple[int, int] = (10, 12)
     medium_releases: int = 6
-    large_releases: int = 3
     zero_walk_smalls: int = 80
     anchors_per_walk: int = 30
     # shared dependent repo pool
@@ -128,7 +128,7 @@ class SynthConfig:
 
     @property
     def lattice(self) -> tuple[int, ...]:
-        return tuple(range(self.lattice_start, self.lattice_end + 1, _LATTICE_STEP))
+        return tuple(range(_LATTICE_START, self.lattice_end + 1, _LATTICE_STEP))
 
     @property
     def pool_size(self) -> int:
@@ -141,7 +141,6 @@ def small_config(seed: int = 7) -> SynthConfig:
         seed=seed,
         days=400,
         offsets=(90, 180),
-        lattice_start=90,
         lattice_end=240,
         anchor_last_day=150,
         smalls=24,
@@ -150,7 +149,6 @@ def small_config(seed: int = 7) -> SynthConfig:
         huges=0,
         small_release_range=(4, 6),
         medium_releases=4,
-        large_releases=3,
         zero_walk_smalls=6,
         anchors_per_walk=3,
         pool_quality=2500,
@@ -321,7 +319,7 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
     rng = random.Random(cfg.seed)
     packages: list[SynthPackage] = []
 
-    for eco in cfg.ecosystems:
+    for eco in _ECOSYSTEMS:
         anchored_one = anchored_two = 0
         for i in range(cfg.smalls):
             if i < cfg.zero_walk_smalls:
@@ -380,7 +378,7 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
             )
 
         for i in range(cfg.larges):
-            days = _release_days(rng, cfg, cfg.large_releases, anchored=True)
+            days = _release_days(rng, cfg, _LARGE_RELEASES, anchored=True)
             versions = _walk_versions("one", len(days), rng)
             releases = tuple(
                 SynthRelease(d, v, _make_notes(v, i + j, long=(i + j) % 2 == 0))
@@ -472,11 +470,10 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
 
 def _pick_cargo_clones(cfg: SynthConfig, packages: list[SynthPackage]) -> tuple[tuple[int, int], ...]:
     clones: list[tuple[int, int]] = []
-    first_eco = cfg.ecosystems[0]
     for idx, pkg in enumerate(packages):
         if len(clones) == cfg.n_cargo_clones:
             break
-        if pkg.ecosystem == first_eco and pkg.quirk is None and pkg.size_class == "small":
+        if pkg.ecosystem == _ECOSYSTEMS[0] and pkg.quirk is None and pkg.size_class == "small":
             clones.append((idx, 0))
     return tuple(clones)
 
@@ -527,7 +524,7 @@ def _validate_world(world: SynthWorld) -> None:
                 continue
             for rel in pkg.releases:
                 if rel.day in _FALLBACK_DAYS:
-                    effective = _resolve_coverage(cov, rel.day - 1)
+                    effective = resolve_coverage(cov, rel.day - 1)
                     if effective != rel.day - 4:
                         raise ValueError(
                             f"fallback day {rel.day}: day-before resolved to {effective}, "
@@ -542,12 +539,12 @@ def _validate_world(world: SynthWorld) -> None:
         if pkg.quirk in ("ghost", "forked_repo", "low_engagement", "name_mismatch", "junk_versions", "same_day_dup"):
             continue
         if pkg.quirk == "orphan":
-            if _resolve_coverage(cov, pkg.releases[0].day - 1) is not None:
+            if resolve_coverage(cov, pkg.releases[0].day - 1) is not None:
                 raise ValueError(f"orphan {pkg.package_name} unexpectedly has edge coverage")
             continue
         for rel in pkg.releases:
             before = rel.day - 1
-            effective = _resolve_coverage(cov, before)
+            effective = resolve_coverage(cov, before)
             if effective is None:
                 raise ValueError(
                     f"{pkg.package_name} release at day {rel.day} has no day-before coverage"
@@ -558,7 +555,7 @@ def _validate_world(world: SynthWorld) -> None:
                 )
         if pkg.quirk is None:
             first = pkg.releases[0].day
-            effective = _resolve_coverage(cov, first - 1)
+            effective = resolve_coverage(cov, first - 1)
             pre = _quality_pre_count(pkg, cfg, effective)
             if pre != pkg.engineered_pre:
                 raise ValueError(
@@ -591,7 +588,7 @@ def repo_snapshot_rows(world: SynthWorld) -> Iterator[str]:
     compact JSON lines: the text after a repository's date is encoded once
     per (stars, forks) state."""
     cfg = world.config
-    dated = [f'{_DATED_PREFIX}{text}",' for text in _iso_table(cfg.days)]
+    dated = [f'{DATED_PREFIX}{text}",' for text in _iso_table(cfg.days)]
     for pidx, pkg in enumerate(world.packages):
         if pkg.quirk == "ghost":
             continue
@@ -636,32 +633,19 @@ def repo_snapshot_rows(world: SynthWorld) -> Iterator[str]:
 
 
 def release_rows(world: SynthWorld) -> Iterator[dict]:
-    cfg = world.config
-    iso = _iso_table(cfg.days)
+    """Every package's releases, then each cargo clone's, without its notes."""
+    iso = _iso_table(world.config.days)
+
+    def row(pkg: SynthPackage, rel: SynthRelease, ecosystem: str, notes: str | None) -> dict:
+        fields = (iso[rel.day], ecosystem, pkg.package_name, pkg.owner, pkg.repo_name, rel.version_text, notes)
+        return {key: value for key, value in zip(PackageRelease._fields, fields) if value is not None}
+
     for pkg in world.packages:
         for rel in pkg.releases:
-            row: dict = {
-                "release_date": iso[rel.day],
-                "ecosystem": pkg.ecosystem,
-                "package_name": pkg.package_name,
-                "owner": pkg.owner,
-                "repo_name": pkg.repo_name,
-                "version_text": rel.version_text,
-            }
-            if rel.release_notes is not None:
-                row["release_notes"] = rel.release_notes
-            yield row
+            yield row(pkg, rel, pkg.ecosystem, rel.release_notes)
     for pidx, ridx in world.cargo_clones:
         pkg = world.packages[pidx]
-        rel = pkg.releases[ridx]
-        yield {
-            "release_date": iso[rel.day],
-            "ecosystem": "cargo",
-            "package_name": pkg.package_name,
-            "owner": pkg.owner,
-            "repo_name": pkg.repo_name,
-            "version_text": rel.version_text,
-        }
+        yield row(pkg, pkg.releases[ridx], "cargo", None)
 
 
 def dependent_edge_rows(world: SynthWorld) -> Iterator[str]:
@@ -669,7 +653,7 @@ def dependent_edge_rows(world: SynthWorld) -> Iterator[str]:
     compact JSON lines: an edge's dependent part is encoded once per
     dependent, and its package part once per package."""
     cfg = world.config
-    dated = [f'{_DATED_PREFIX}{text}",' for text in _iso_table(cfg.days)]
+    dated = [f'{DATED_PREFIX}{text}",' for text in _iso_table(cfg.days)]
     dependents = [
         compact_json({"dependent_owner": _dep_owner(dep), "dependent_repo": _dep_repo(dep)})[1:-1]
         for dep in range(cfg.pool_size)

@@ -55,7 +55,7 @@ from depgrowth.stats import (
     spearman,
     welch_t_test,
 )
-from depgrowth.synth import SynthConfig, build_world, synth_edge_stream, write_corpus
+from depgrowth.synth import _ECOSYSTEMS, SynthConfig, build_world, synth_edge_stream, write_corpus
 
 from compact_rows import compact_reader
 from oracles import naive_pipeline
@@ -298,7 +298,7 @@ def test_e_pipeline_matches_naive_oracle(full_world, engine_run, oracle_run):
 
     # per-stage drop counts equal the corpus construction arithmetic
     by_stage = {r.stage: r.as_dict() for r in engine_run["reports"]}
-    ecos = len(config.ecosystems)
+    ecos = len(_ECOSYSTEMS)
     assert by_stage["repo_quality"]["reasons"] == {
         "ForkedRepo": config.n_forked * 2 * ecos,
         "LowEngagement": config.n_low_engagement * 2 * ecos,

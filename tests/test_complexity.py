@@ -18,7 +18,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from depgrowth import complexity
-from depgrowth.cli import HttpModelClient
 from depgrowth.complexity import (
     MIN_NOTE_CHARS,
     SYSTEM_PROMPT,
@@ -26,6 +25,7 @@ from depgrowth.complexity import (
     AgreementStats,
     ComplexityRating,
     ExhaustedRetries,
+    HttpModelClient,
     MalformedResponse,
     MockModelClient,
     NotEligible,
@@ -33,7 +33,6 @@ from depgrowth.complexity import (
     RequestRejected,
     RetryPolicy,
     _TokenBucket,
-    _xml_escape,
     _xml_unescape,
     agreement_stats,
     build_prompt,
@@ -43,8 +42,10 @@ from depgrowth.complexity import (
     rate_many,
     rating_record,
     render_rating,
+    xml_escape,
 )
 from depgrowth.ingest import PackageRelease, RepoSnapshot
+from depgrowth.semver import ReleaseType
 from depgrowth.stats import DegenerateInput
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -143,7 +144,7 @@ def test_system_prompt_matches_golden_bytes():
 
 @given(st.text() | st.text(alphabet=st.sampled_from("&<>;amplgt#x ab")))
 def test_xml_escaping_matches_saxutils(text):
-    assert _xml_escape(text) == escape(text)
+    assert xml_escape(text) == escape(text)
     assert _xml_unescape(text) == unescape(text)
 
 
@@ -821,13 +822,16 @@ def test_prompt_sha256_distinguishes_messages():
 def test_rating_record_shape():
     bundle = build_prompt(golden_release(), _repo())
     rating = ComplexityRating(("a",), ("b", "c"), None)
-    record = rating_record("npm:turbo-widget:2.1.0", rating, bundle, "mock-rater-v1")
-    assert record == {
-        "key": "npm:turbo-widget:2.1.0",
-        "rating": None,
-        "required_skills": ["a"],
-        "reasoning": ["b", "c"],
-        "prompt_sha256": prompt_sha256(bundle),
-        "model_id": "mock-rater-v1",
-        "timestamp": "1970-01-01T00:00:00Z",
-    }
+    record = rating_record("npm:turbo-widget:2.1.0", rating, "mock-rater-v1", bundle, None, ReleaseType.ZERO_MINOR)
+    # the row's keys in the order ratings.jsonl writes them
+    assert list(record.items()) == [
+        ("key", "npm:turbo-widget:2.1.0"),
+        ("rating", None),
+        ("required_skills", ["a"]),
+        ("reasoning", ["b", "c"]),
+        ("prompt_sha256", prompt_sha256(bundle)),
+        ("model_id", "mock-rater-v1"),
+        ("timestamp", "1970-01-01T00:00:00Z"),
+        ("language", None),
+        ("release_type", "zero_minor"),
+    ]

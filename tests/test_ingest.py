@@ -189,6 +189,15 @@ class TestReaders:
         records = list(read_releases([with_notes, null_notes, release_line()]))
         assert [r.release_notes for r in records] == ["Fixed a bug", None, None]
 
+    @pytest.mark.parametrize("notes", ["Fixed a \"bug\" é\n", None])
+    def test_release_line_round_trips(self, notes):
+        release = PackageRelease(D("2023-03-05"), "npm", "libfoo", "acme", "libfoo", "1.2.3", notes)
+        line = ingest.release_line(release)
+        # the fields in their order, and no notes key when there are none
+        assert line == compact_json(json.loads(release_line() if notes is None else release_line(release_notes=notes)))
+        assert ingest.package_release(json.loads(line)) == release
+        assert list(read_releases([line])) == [release]
+
     def test_unknown_fields_ignored(self):
         records = list(read_releases([release_line(extra_field="whatever")]))
         assert len(records) == 1
@@ -232,25 +241,25 @@ def make_snap(owner, name, day, stars=5, forks=1, is_fork=False, **kw):
 # checks must agree with on every row.
 def _snapshot_by_helpers(obj):
     return RepoSnapshot(
-        snapshot_date=ingest._parse_date(obj.get("snapshot_date"), "snapshot_date"),
-        owner=ingest._req_str(obj, "owner"),
-        name=ingest._req_str(obj, "name"),
-        stars=ingest._req_int(obj, "stars"),
-        forks=ingest._req_int(obj, "forks"),
+        snapshot_date=ingest.parse_date(obj.get("snapshot_date"), "snapshot_date"),
+        owner=ingest.req_str(obj, "owner"),
+        name=ingest.req_str(obj, "name"),
+        stars=ingest.req_int(obj, "stars"),
+        forks=ingest.req_int(obj, "forks"),
         is_fork=ingest._req_bool(obj, "is_fork"),
-        description=ingest._opt_str(obj, "description"),
+        description=ingest.opt_str(obj, "description"),
         topics=ingest._topics(obj),
-        language=ingest._opt_str(obj, "language"),
+        language=ingest.opt_str(obj, "language"),
     )
 
 
 def _edge_by_helpers(obj):
     return DependentEdge(
-        snapshot_date=ingest._parse_date(obj.get("snapshot_date"), "snapshot_date"),
-        dependent_owner=ingest._req_str(obj, "dependent_owner"),
-        dependent_repo=ingest._req_str(obj, "dependent_repo"),
-        ecosystem=ingest._req_ecosystem(obj),
-        package_name=ingest._req_str(obj, "package_name"),
+        snapshot_date=ingest.parse_date(obj.get("snapshot_date"), "snapshot_date"),
+        dependent_owner=ingest.req_str(obj, "dependent_owner"),
+        dependent_repo=ingest.req_str(obj, "dependent_repo"),
+        ecosystem=ingest.req_ecosystem(obj),
+        package_name=ingest.req_str(obj, "package_name"),
     )
 
 

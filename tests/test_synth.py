@@ -15,6 +15,7 @@ from depgrowth.ingest import (
 from depgrowth.semver import ReleaseType, classify_release, parse_version
 from depgrowth.synth import (
     OPEN_END,
+    _ECOSYSTEMS,
     _FALLBACK_DAYS,
     build_world,
     dependent_edge_rows,
@@ -77,7 +78,7 @@ class TestPopulation:
         by_class = {}
         for pkg in world.packages:
             by_class[pkg.size_class] = by_class.get(pkg.size_class, 0) + 1
-        ecos = len(cfg.ecosystems)
+        ecos = len(_ECOSYSTEMS)
         assert by_class["small"] == cfg.smalls * ecos
         assert by_class["medium"] == cfg.mediums * ecos
         assert by_class["large"] == cfg.larges * ecos
@@ -137,13 +138,13 @@ class TestPopulation:
                 per_eco_seen[pkg.ecosystem] = per_eco_seen.get(pkg.ecosystem, 0) + 1
                 for rel in pkg.releases:
                     assert parse_version(rel.version_text).major == 0
-        for eco in cfg.ecosystems:
+        for eco in _ECOSYSTEMS:
             assert per_eco_seen[eco] == cfg.zero_walk_smalls
 
     def test_release_count_scale(self, world):
         total = sum(len(p.releases) for p in world.packages) + len(world.cargo_clones)
         cfg = world.config
-        floor = cfg.smalls * cfg.small_release_range[0] * len(cfg.ecosystems)
+        floor = cfg.smalls * cfg.small_release_range[0] * len(_ECOSYSTEMS)
         assert total >= floor
 
     def test_too_small_pool_rejected(self):
@@ -180,7 +181,7 @@ class TestSpice:
                         pre += 1
                     else:
                         mal += 1
-        ecos = len(cfg.ecosystems)
+        ecos = len(_ECOSYSTEMS)
         assert pre == cfg.n_prerelease_pkgs * cfg.prerelease_per_pkg * ecos
         assert mal == cfg.n_malformed_pkgs * cfg.malformed_per_pkg * ecos
 
@@ -201,7 +202,7 @@ class TestSpice:
                 seen += 1
             elif pkg.quirk is None:
                 assert normalize_name(pkg.package_name) == normalize_name(pkg.repo_name)
-        assert seen == world.config.n_name_mismatch * len(world.config.ecosystems)
+        assert seen == world.config.n_name_mismatch * len(_ECOSYSTEMS)
 
     def test_cargo_clones_emitted_under_foreign_ecosystem(self, world):
         rows = [r for r in release_rows(world) if r["ecosystem"] == "cargo"]
@@ -209,7 +210,7 @@ class TestSpice:
         native = {
             (p.package_name, p.releases[0].version_text)
             for p in world.packages
-            if p.ecosystem == world.config.ecosystems[0]
+            if p.ecosystem == _ECOSYSTEMS[0]
         }
         for row in rows:
             assert (row["package_name"], row["version_text"]) in native
