@@ -402,6 +402,8 @@ class Corpus:
     its own. :meth:`counter` feeds the edge file to a counter over an empty
     index before the snapshot file fills that index, so the edge reader's
     peak never sits on a finished index; ``complexity`` builds the index alone.
+    The index keeps only the repositories the command can look up (see
+    :meth:`repos`).
     """
 
     def __init__(self, config: PipelineConfig, offsets: Sequence[int] = ()) -> None:
@@ -422,11 +424,21 @@ class Corpus:
                 raise DataError(f"cannot read input {name} at {path}: {exc}") from exc
         return self._digests[name]
 
-    def repos(self) -> tuple[RepoIndex, int]:
-        """Repo index over every snapshot row, and the snapshot violation count."""
+    def repos(self, releases: Iterable[PackageRelease]) -> tuple[RepoIndex, int]:
+        """Repo index over the snapshot rows of the repositories the command
+        can look up, and the violation count of every snapshot row.
+
+        The first caller's releases decide them: each release's repository,
+        and each dependent the counter interned when it was fed first. Later
+        callers get the same index, so their releases must be among the
+        first caller's; a lookup of another repository raises KeyError.
+        """
         if self._repo_violations is None:
+            keep = {(release.owner, release.repo_name) for release in releases}
+            if self._counter is not None:
+                keep.update(self._counter[0].dependents())
             reader = read_repo_snapshots(self._config.repo_snapshots)
-            self._index.extend(reader)
+            self._index.extend(reader, keep)
             self._repo_violations = len(reader.violations)
         return self._index, self._repo_violations
 
@@ -453,7 +465,7 @@ class Corpus:
             reader = read_dependent_edges(self._config.dependent_edges)
             counter.feed(reader)
             self._counter = counter, len(reader.violations)
-            self.repos()
+            self.repos(releases)
         return self._counter
 
 
@@ -476,7 +488,7 @@ def cmd_filter(config: PipelineConfig, corpus: Corpus | None = None) -> Survivor
     reader = read_releases(config.releases)
     releases = list(reader)
     counter, edge_violations = corpus.counter(releases)
-    repos, repo_violations = corpus.repos()
+    repos, repo_violations = corpus.repos(releases)
     survivors, reports = run_filter_cascade(
         releases,
         repos,
@@ -533,8 +545,9 @@ def cmd_metrics(
     if survivors is None:
         survivors = _load_survivors(out / "filtered_releases.jsonl", config)
     provenance = _provenance(config, "metrics", corpus)
-    counter, edge_violations = corpus.counter([item.release for item in survivors])
-    repos, repo_violations = corpus.repos()
+    releases = [item.release for item in survivors]
+    counter, edge_violations = corpus.counter(releases)
+    repos, repo_violations = corpus.repos(releases)
     records, skipped = build_release_records(survivors, repos, counter.count, grid)
     n_records = _write_artifact(out, "release_records.jsonl", provenance, _record_lines(records))
     exclusions: dict[str, dict[str, int]] = {}
@@ -688,7 +701,7 @@ def cmd_complexity(
     provenance = _provenance(config, "complexity", corpus)
     if ratings_path.exists():
         _check_resume(ratings_path, provenance["keys"], provenance["inputs"])
-    repos, _ = corpus.repos()
+    repos, _ = corpus.repos(item.release for item in survivors if eligible_for_rating(item.release))
 
     items = []
     meta: dict[str, tuple] = {}  # key -> the prompt, repository language and release type it rates

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from datetime import date
 from itertools import accumulate, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import IO, Callable, Container, Iterable, Iterator, KeysView, NamedTuple, Sequence, Union
 
 __all__ = [
     "DependentEdge",
@@ -583,6 +583,10 @@ def _grouped(repos: array, dropped: int) -> tuple[list[int], list[int]]:
     return order, bounds[:-1]
 
 
+# the compiled value of a snapshot row of a repository the index does not keep
+_SKIPPED = (None, None)
+
+
 class RepoIndex:
     """Per-repository snapshot timeline with nearest-date lookup.
 
@@ -608,9 +612,16 @@ class RepoIndex:
     repository's id, 16 B a run, until the first lookup rebuilds the
     timelines of rows that arrived out of order, keeping each day's last
     row, and groups the runs by repository.
+
+    An index may keep only the repositories its caller can look up (the
+    ``keep`` of :meth:`extend`). Another repository's rows are still read,
+    validated and counted by the reader, but cost no timeline, state,
+    metadata id or run, and a lookup of it raises KeyError.
     """
 
     def __init__(self) -> None:
+        # the repositories kept, then those of them without rows; None keeps every one
+        self._keep: Container[tuple[str, str]] | None = None
         # key -> _Timeline, then its repository id from the first lookup on
         self._timelines: dict[tuple[str, str], _Timeline | int] = {}
         self._closed = False  # set by the first lookup
@@ -622,20 +633,31 @@ class RepoIndex:
         self._metas: list[tuple] = []
         self._meta_ids: dict[tuple, int] = {}
 
-    def extend(self, snapshots: RecordReader) -> None:
+    def extend(self, snapshots: RecordReader, keep: Container[tuple[str, str]] | None = None) -> None:
         """Add the rows of a snapshot reader, or of a proxy that forwards its
-        ``compiled``, which hands over each distinct body once."""
+        ``compiled``, which hands over each distinct body once.
+
+        ``keep``, when given, holds the ``(owner, name)`` keys of the
+        repositories the index keeps; every extend of one index takes the
+        same ``keep``. A row of any other repository compiles to one shared
+        skip value, so a repeat of its body costs one memo hit.
+        """
         if self._closed:
             raise RuntimeError("RepoIndex takes no rows after its first lookup")
+        self._keep = keep
         for ordinal, (timeline, state) in snapshots.compiled(self._compile):
-            timeline.add(ordinal, state)
+            if timeline is not None:
+                timeline.add(ordinal, state)
 
     def _compile(self, snap: RepoSnapshot) -> tuple:
         """The row's timeline and state id, its state appended unless it
-        equals the repository's last one."""
+        equals the repository's last one; ``_SKIPPED`` for a repository the
+        index does not keep."""
         key = (snap.owner, snap.name)
         timeline = self._timelines.get(key)
         if timeline is None:
+            if self._keep is not None and key not in self._keep:
+                return _SKIPPED
             timeline = self._timelines[key] = _Timeline(len(self._timelines), self._runs)
         meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
         state = (snap.stars, snap.forks, int(snap.is_fork), meta)
@@ -651,6 +673,8 @@ class RepoIndex:
         """Close every open run, rebuild the unsorted timelines, group the runs by repository."""
         self._closed = True
         timelines, runs = self._timelines, self._runs
+        if self._keep is not None:  # only the kept repositories without rows remain to be told apart
+            self._keep = frozenset(key for key in self._keep if key not in timelines)
         repos, firsts, steps, counts, states = runs
         unsorted = [timeline.repo for timeline in timelines.values() if timeline.unsorted]
         for key, timeline in timelines.items():
@@ -680,6 +704,8 @@ class RepoIndex:
             self._close()
         repo = self._timelines.get(key)
         if repo is None:
+            if self._keep is not None and key not in self._keep:
+                raise KeyError(f"repository {key[0]}/{key[1]} is not one this RepoIndex keeps")
             return None
         firsts, steps, counts, states = self._runs
         low = self._bounds[repo]
@@ -697,7 +723,8 @@ class RepoIndex:
         return joined is not None and not self._forked[joined[1]] and self._stars[joined[1]] != 0
 
     def nearest(self, owner: str, name: str, when: date) -> RepoSnapshot | None:
-        """Snapshot joined to ``when``: same day, else latest within 7 days back."""
+        """Snapshot joined to ``when``: same day, else latest within 7 days
+        back; KeyError for a repository the index does not keep."""
         joined = self._joined((owner, name), when.toordinal())
         if joined is None:
             return None
@@ -716,7 +743,8 @@ class RepoIndex:
         )
 
     def quality_ok(self, owner: str, name: str, when: date) -> bool:
-        """True when the joined snapshot exists, is not a fork, and has >= 1 star."""
+        """True when the joined snapshot exists, is not a fork, and has >= 1
+        star; KeyError for a repository the index does not keep."""
         return self._quality((owner, name), when.toordinal())
 
 
@@ -817,6 +845,11 @@ class StreamingDependentCounter:
                     cell = cells[ordinal] = _DROPPED
             cell.append(dep)
         self._coverage = sorted(coverage)
+
+    def dependents(self) -> KeysView[tuple[str, str]]:
+        """The ``(owner, repo)`` key of each dependent of a requested
+        package's edge fed: the repositories :meth:`count` may join."""
+        return self._ids.keys()
 
     def count(self, package_name: str, ecosystem: str, when: date) -> int | None:
         """Quality-dependent count for a previously requested cell, or None

@@ -204,8 +204,8 @@ class SynthPackage:
 class SynthWorld:
     config: SynthConfig
     packages: tuple[SynthPackage, ...]
-    # (package index, release index) pairs re-emitted under a foreign ecosystem
-    cargo_clones: tuple[tuple[int, int], ...]
+    # indices of the packages whose first release is re-emitted under a foreign ecosystem
+    cargo_clones: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +468,13 @@ def build_world(config: SynthConfig | None = None) -> SynthWorld:
     return world
 
 
-def _pick_cargo_clones(cfg: SynthConfig, packages: list[SynthPackage]) -> tuple[tuple[int, int], ...]:
-    clones: list[tuple[int, int]] = []
+def _pick_cargo_clones(cfg: SynthConfig, packages: list[SynthPackage]) -> tuple[int, ...]:
+    clones: list[int] = []
     for idx, pkg in enumerate(packages):
         if len(clones) == cfg.n_cargo_clones:
             break
         if pkg.ecosystem == _ECOSYSTEMS[0] and pkg.quirk is None and pkg.size_class == "small":
-            clones.append((idx, 0))
+            clones.append(idx)
     return tuple(clones)
 
 
@@ -633,7 +633,7 @@ def repo_snapshot_rows(world: SynthWorld) -> Iterator[str]:
 
 
 def release_rows(world: SynthWorld) -> Iterator[dict]:
-    """Every package's releases, then each cargo clone's, without its notes."""
+    """Every package's releases, then each cargo clone's first release, without its notes."""
     iso = _iso_table(world.config.days)
 
     def row(pkg: SynthPackage, rel: SynthRelease, ecosystem: str, notes: str | None) -> dict:
@@ -643,9 +643,9 @@ def release_rows(world: SynthWorld) -> Iterator[dict]:
     for pkg in world.packages:
         for rel in pkg.releases:
             yield row(pkg, rel, pkg.ecosystem, rel.release_notes)
-    for pidx, ridx in world.cargo_clones:
+    for pidx in world.cargo_clones:
         pkg = world.packages[pidx]
-        yield row(pkg, pkg.releases[ridx], "cargo", None)
+        yield row(pkg, pkg.releases[0], "cargo", None)
 
 
 def dependent_edge_rows(world: SynthWorld) -> Iterator[str]:

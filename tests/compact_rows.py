@@ -15,30 +15,34 @@ from depgrowth.ingest import (
 )
 
 
+def compact_line(row):
+    """A snapshot or edge row as ``compact_json`` of its fields in order, so
+    its date comes first, the date in ISO form and topics as a list."""
+    fields = row._asdict()
+    fields["snapshot_date"] = row.snapshot_date.isoformat()
+    if "topics" in fields:
+        fields["topics"] = list(row.topics)
+    return compact_json(fields)
+
+
 def compact_reader(rows):
     """A snapshot or edge reader over ``rows``, all of one type, each written
-    as ``compact_json`` of its fields in order, so its date comes first, the
-    date in ISO form and topics as a list.
+    as its :func:`compact_line`.
 
     Before it is returned, a first read of the lines is checked to give
     back ``rows`` and no violation.
     """
     rows = list(rows)
     read = read_dependent_edges if rows and isinstance(rows[0], DependentEdge) else read_repo_snapshots
-    lines = []
-    for row in rows:
-        fields = row._asdict()
-        fields["snapshot_date"] = row.snapshot_date.isoformat()
-        if "topics" in fields:
-            fields["topics"] = list(row.topics)
-        lines.append(compact_json(fields))
+    lines = list(map(compact_line, rows))
     check = read(lines)
     assert list(check) == rows and check.violations == []
     return read(lines)
 
 
-def repo_index(snapshots):
-    """A ``RepoIndex`` of ``snapshots``, read through :func:`compact_reader`."""
+def repo_index(snapshots, keep=None):
+    """A ``RepoIndex`` of ``snapshots``, read through :func:`compact_reader`,
+    that keeps the repositories of ``keep`` (every one when None)."""
     index = RepoIndex()
-    index.extend(compact_reader(snapshots))
+    index.extend(compact_reader(snapshots), keep)
     return index

@@ -25,7 +25,7 @@ from depgrowth.ingest import (
     read_repo_snapshots,
     write_records,
 )
-from compact_rows import compact_reader, repo_index
+from compact_rows import compact_line, compact_reader, repo_index
 from oracles.brute_force import naive_dependent_count
 
 D = date.fromisoformat
@@ -1073,6 +1073,124 @@ class TestRepoIndexMemory:
         few = _traced_index_bytes(_daily_snapshots(tmp_path / "few.jsonl", 1, lambda d: 5, repos=1_000))
         many = _traced_index_bytes(_daily_snapshots(tmp_path / "many.jsonl", 1, lambda d: 5, repos=11_000))
         assert (many - few) / 10_000 <= 320
+
+
+# the repositories a restricted index keeps: four of _kept_world's eight, and
+# one with no rows
+_KEEP = {("o0", "r"), ("o2", "r"), ("o5", "r"), ("o7", "r"), ("kept-absent", "r")}
+_KEPT_START = D("2023-03-01")
+
+
+def _kept_world(order):
+    """Rows of eight repositories over 30 days, in ``order``: states that hold
+    for some days and return, so bodies repeat, a gap a week in, and
+    same-day re-crawls and rows 1 to 5 days late that change the state."""
+    rng = random.Random(order)
+    snaps = []
+    for d in range(30):
+        for i in range(8):
+            if (d + i) % 7 == 6:
+                continue
+            state = d // (i + 2) % 3
+            snaps.append(
+                make_snap(f"o{i}", "r", _KEPT_START + timedelta(days=d), stars=state, is_fork=state == 2, description=f"s{state}")
+            )
+            if rng.random() < 0.1:
+                late = d - rng.randint(0, 5)
+                snaps.append(make_snap(f"o{i}", "r", _KEPT_START + timedelta(days=late), stars=7, description="late"))
+    if order == "repository-major":
+        snaps.sort(key=lambda snap: snap.owner)
+    elif order == "shuffled":
+        rng.shuffle(snaps)
+    return snaps
+
+
+def _compiles_by_owner(monkeypatch):
+    """Count every ``RepoIndex._compile`` call by the row's owner."""
+    calls = {}
+    compile = RepoIndex._compile
+
+    def counted(self, snap):
+        calls[snap.owner] = calls.get(snap.owner, 0) + 1
+        return compile(self, snap)
+
+    monkeypatch.setattr(RepoIndex, "_compile", counted)
+    return calls
+
+
+class TestKeptRepositories:
+    @pytest.mark.parametrize("order", ["date-major", "repository-major", "shuffled"])
+    def test_a_kept_lookup_answers_as_an_unrestricted_index(self, order):
+        snaps = _kept_world(order)
+        index, every = repo_index(snaps, _KEEP), repo_index(snaps)
+        for owner, name in _KEEP:
+            for offset in range(-2, 40):
+                when = _KEPT_START + timedelta(days=offset)
+                assert index.nearest(owner, name, when) == every.nearest(owner, name, when)
+                assert index.quality_ok(owner, name, when) == every.quality_ok(owner, name, when)
+        assert set(index._timelines) == _KEEP - {("kept-absent", "r")}
+
+    @pytest.mark.parametrize("order", ["date-major", "repository-major", "shuffled"])
+    def test_a_skipped_repository_holds_no_timeline_or_state(self, order, monkeypatch):
+        snaps = _kept_world(order)
+        calls = _compiles_by_owner(monkeypatch)
+        every = repo_index(snaps)
+        unrestricted = dict(calls)
+        calls.clear()
+        index = repo_index(snaps, _KEEP)
+        # the memo hands a skipped repository's repeated body over as it does a kept one's
+        assert calls == unrestricted
+        if order != "shuffled":
+            assert sum(calls.values()) < len(snaps)
+        alone = repo_index([snap for snap in snaps if (snap.owner, snap.name) in _KEEP])
+        for built in (index, alone, every):
+            built.nearest("o0", "r", _KEPT_START)  # the first lookup closes it
+        assert index._timelines == alone._timelines
+        assert list(map(list, index._runs)) == list(map(list, alone._runs))
+        assert list(index._bounds) == list(alone._bounds)
+        for column in ("_stars", "_forks", "_forked", "_state_metas"):
+            assert list(getattr(index, column)) == list(getattr(alone, column))
+        assert index._metas == alone._metas
+        assert len(index._runs[0]) < len(every._runs[0]) and len(index._stars) < len(every._stars)
+
+    def test_a_skipped_repositorys_malformed_rows_are_violations(self):
+        snaps = _kept_world("date-major")
+        lines = list(map(compact_line, snaps))
+        skipped = next(line for line, snap in zip(lines, snaps) if snap.owner == "o1")
+        body = skipped[skipped.index(",") :]
+        # a bad date before a known body, a field of the wrong type, and no JSON
+        bad = {
+            12: '{"snapshot_date":"2023-02-30"' + body,
+            40: skipped.replace('"is_fork":false', '"is_fork":null'),
+            95: "not json",
+        }
+        for pos in sorted(bad):
+            lines.insert(pos, bad[pos])
+        reader, expected = read_repo_snapshots(lines), read_repo_snapshots(lines)
+        RepoIndex().extend(reader, _KEEP)
+        list(expected)
+        assert [v.line_no for v in reader.violations] == [pos + 1 for pos in sorted(bad)]
+        assert [(v.line_no, v.message) for v in reader.violations] == [
+            (v.line_no, v.message) for v in expected.violations
+        ]
+
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda index, owner, when: index.nearest(owner, "r", when),
+            lambda index, owner, when: index.quality_ok(owner, "r", when),
+            lambda index, owner, when: count_one("lib", "npm", when, [make_edge("lib", f"{owner}/r", when)], index),
+        ],
+        ids=["nearest", "quality_ok", "count"],
+    )
+    @pytest.mark.parametrize("owner", ["o1", "nowhere"])
+    def test_a_lookup_outside_the_kept_set_raises(self, lookup, owner):
+        index = repo_index(_kept_world("date-major"), _KEEP)
+        with pytest.raises(KeyError, match=f"repository {owner}/r is not one"):
+            lookup(index, owner, _KEPT_START)
+        # a kept repository without rows has no snapshot
+        assert index.nearest("kept-absent", "r", _KEPT_START) is None
+        assert not index.quality_ok("kept-absent", "r", _KEPT_START)
 
 
 def make_edge(pkg, dep, day, eco="npm"):

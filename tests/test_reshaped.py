@@ -10,7 +10,9 @@ counts or fork flag, exact re-crawls days late, duplicated and dropped edges,
 bodies that never repeat, and malformed lines. For each shape it runs the
 CLI's ``all`` and ``naive_pipeline.run_pipeline`` over the valid rows, and
 compares every filter stage report, the survivors, each record and every
-log-difference sample.
+log-difference sample. For three of the shapes it also runs the four stages
+one by one, each of which indexes only the repositories it can look up, and
+compares every file with what ``all`` wrote.
 """
 
 import json
@@ -27,6 +29,8 @@ from oracles import naive_pipeline
 GRID = "180,45"
 OFFSETS = (45, 90, 135, 180)
 SNAPSHOTS, RELEASES, EDGES = "repo_snapshots", "releases", "dependent_edges"
+# the shapes whose stages are also run one by one
+STAGED = ("shuffled", "malformed_lines", "bodies_never_repeat")
 
 
 def _rows(path):
@@ -247,6 +251,13 @@ def test_reshaped_world_matches_oracle(world, tmp_path, name):
         str(out),
     ]
     assert cli.main(args) == 0
+    if name in STAGED:
+        staged = tmp_path / "staged"
+        for stage in ("filter", "metrics", "complexity", "analyze"):
+            assert cli.main([stage, *args[1:-1], str(staged)]) == 0
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert sorted(path.name for path in staged.iterdir()) == sorted(written)
+        assert [file for file, data in written.items() if (staged / file).read_bytes() != data] == []
     oracle = naive_pipeline.run_pipeline(snapshots, releases, edges, offsets=OFFSETS)
 
     report = json.loads((out / "filter_report.json").read_text(encoding="utf-8"))

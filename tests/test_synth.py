@@ -207,13 +207,13 @@ class TestSpice:
     def test_cargo_clones_emitted_under_foreign_ecosystem(self, world):
         rows = [r for r in release_rows(world) if r["ecosystem"] == "cargo"]
         assert len(rows) == world.config.n_cargo_clones
-        native = {
-            (p.package_name, p.releases[0].version_text)
-            for p in world.packages
-            if p.ecosystem == _ECOSYSTEMS[0]
-        }
-        for row in rows:
-            assert (row["package_name"], row["version_text"]) in native
+        # each clone is its package's first release, in package order
+        assert list(world.cargo_clones) == sorted(set(world.cargo_clones))
+        clones = [world.packages[idx] for idx in world.cargo_clones]
+        assert {pkg.ecosystem for pkg in clones} == {_ECOSYSTEMS[0]}
+        assert [(row["package_name"], row["version_text"]) for row in rows] == [
+            (pkg.package_name, pkg.releases[0].version_text) for pkg in clones
+        ]
 
     def test_orphans_predate_coverage(self, world):
         edge_days = {json.loads(line)["snapshot_date"] for line in dependent_edge_rows(world)}
