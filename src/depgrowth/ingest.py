@@ -12,9 +12,9 @@ Join rule: a lookup at date D uses the same-day snapshot when one exists,
 otherwise the latest snapshot strictly before D but at most 7 days older.
 The same staleness bound applies to dependent-edge coverage dates.
 :class:`RepoIndex` and :class:`StreamingDependentCounter` compute that join,
-and each takes its rows one way only: a reader's
-:meth:`RecordReader.compiled` stream, read directly or through a proxy that
-forwards that method.
+and each reads a snapshot or edge reader's lines (directly or through a
+proxy that forwards its attributes) in one loop of its own, which decodes
+only the lines whose body a :class:`_BodyMemo` does not know.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from contextlib import contextmanager
 from datetime import date
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import IO, Callable, Container, Iterable, Iterator, KeysView, NamedTuple, Sequence, Union
 
@@ -54,10 +54,13 @@ MAX_COUNT = 2**63 - 1
 
 _ECOSYSTEM_RE = re.compile(r"[a-z][a-z0-9_-]*")  # applied with fullmatch
 _raw_decode = json.JSONDecoder().raw_decode
+# raw_decode without its frame: (value, end) of the value at an index, or
+# StopIteration when none starts there
+_scan_once = json.JSONDecoder().scan_once
 # json.dumps(value, separators=(",", ":")), the text of each row write_records writes
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 # the start of a compact snapshot or edge line with its date first, as synth
-# writes them; see RecordReader.compiled
+# writes them; see _BodyMemo
 DATED_PREFIX = '{"snapshot_date":"'
 
 Source = Union[str, Path, IO[str], Iterable[str]]
@@ -121,9 +124,9 @@ class DependentEdge(NamedTuple):
 
 @contextmanager
 def _lines(source: Source) -> Iterator[Iterator[str]]:
-    """The source's lines, each without its line end. A file's bytes that
-    are not UTF-8 come through as lone surrogates, for the reader to refuse
-    line by line."""
+    """The source's lines, each with its line end when it has one (see
+    :func:`_text`). A file's bytes that are not UTF-8 come through as lone
+    surrogates, for the reader to refuse line by line."""
     if isinstance(source, (str, Path)):
         try:
             handle = open(source, "r", encoding="utf-8", errors="surrogateescape")
@@ -131,10 +134,15 @@ def _lines(source: Source) -> Iterator[Iterator[str]]:
             raise SourceUnavailable(f"cannot open {source}: {exc}") from exc
         with handle:
             # text mode reads "\r\n" and "\r" as "\n"
-            yield map(str.rstrip, handle, repeat("\n"))
+            yield handle
         return
     # an open handle or any other iterable of lines
-    yield map(str.rstrip, map(str.rstrip, source, repeat("\n")), repeat("\r"))
+    yield iter(source)
+
+
+def _text(line: str) -> str:
+    """A line of :func:`_lines` without its "\\n", then an iterable's "\\r"."""
+    return line.rstrip("\n").rstrip("\r")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +211,9 @@ def _topics(obj: dict) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _repo_snapshot(obj: dict) -> RepoSnapshot:
+def _snapshot_fields(obj: dict) -> tuple:
+    """The snapshot row's plain fields in :class:`RepoSnapshot`'s order: the
+    schema's one field rule, which raises ValueError naming the first bad one."""
     # One pass over the fields, in field order: each is read once and tested
     # inline, and one that fails its test takes its helper's return. For a
     # JSON-decoded row (no subclass of str or int but bool) each test admits
@@ -235,9 +245,7 @@ def _repo_snapshot(obj: dict) -> RepoSnapshot:
     language = get("language")
     if language is not None and type(language) is not str:
         language = opt_str(obj, "language")
-    return RepoSnapshot(
-        snapshot_date, owner, name, stars, forks, is_fork, description, tuple(topics), language
-    )
+    return snapshot_date, owner, name, stars, forks, is_fork, description, tuple(topics), language
 
 
 def package_release(obj: dict) -> PackageRelease:
@@ -261,8 +269,8 @@ def release_line(release: PackageRelease) -> str:
     return compact_json(row)
 
 
-def _dependent_edge(obj: dict) -> DependentEdge:
-    # the same one pass as _repo_snapshot's
+def _edge_fields(obj: dict) -> tuple:
+    """The edge row's plain fields in :class:`DependentEdge`'s order, as :func:`_snapshot_fields`."""
     get = obj.get
     snapshot_date = parse_date(get("snapshot_date"), "snapshot_date")
     owner = get("dependent_owner")
@@ -277,7 +285,7 @@ def _dependent_edge(obj: dict) -> DependentEdge:
     package = get("package_name")
     if type(package) is not str or not package:
         package = req_str(obj, "package_name")
-    return DependentEdge(snapshot_date, owner, repo, ecosystem, package)
+    return snapshot_date, owner, repo, ecosystem, package
 
 
 class RecordReader:
@@ -287,31 +295,21 @@ class RecordReader:
     ``violations`` (with their 1-based line numbers) and iteration
     continues. A schema header naming the wrong schema aborts with
     :class:`SchemaHeaderError` since nothing after it can be trusted.
-    Iteration decodes every line.
-
-    A dated reader, one whose ``parse`` builds a tuple with the
-    ``snapshot_date`` first, may be given the number of fields after the
-    date that name a row's subject (``key_fields``). Its :meth:`compiled`
-    decodes each distinct row body of a compact, date-first line once.
+    Iteration decodes every line; :meth:`RepoIndex.extend` and
+    :meth:`StreamingDependentCounter.feed` read a snapshot or edge reader's
+    lines themselves and send each line they do not accept to :meth:`_row`.
     """
 
-    def __init__(
-        self,
-        source: Source,
-        schema: str,
-        parse: Callable[[dict], object],
-        key_fields: int = 0,
-    ) -> None:
+    def __init__(self, source: Source, schema: str, parse: Callable[[dict], object]) -> None:
         self._source = source
         self._schema = schema
         self._parse = parse
-        self._key_fields = key_fields
         self.violations: list[SchemaViolation] = []
 
     def __iter__(self) -> Iterator[object]:
         with _lines(self._source) as lines:
             for line_no, line in enumerate(lines, start=1):
-                row = self._row(line_no, line)
+                row = self._row(line_no, _text(line))
                 if row is not None:
                     yield row
 
@@ -378,111 +376,123 @@ class RecordReader:
             self.violations.append(SchemaViolation(line_no, str(exc)))
             return None
 
-    def compiled(self, compile: Callable[[tuple], object]) -> Iterator[tuple[int, object]]:
-        """Yield ``(ordinal of the row's date, compile(row))`` for each row
-        of a dated reader: the one stream :meth:`RepoIndex.extend` and
-        :meth:`StreamingDependentCounter.feed` read, directly or through a
-        proxy that forwards this method.
 
-        A row whose body is memoized gets the value ``compile`` built from
-        that body's first row, so a consumer that does its per-body work in
-        ``compile`` (which must not return None) does it once per distinct
-        body.
-        """
-        # Body memo. A line that starts with DATED_PREFIX and has '",' at
-        # 28-29 splits into a date D = line[18:28] and a body B = line[30:].
-        # - A D that _iso_date accepts holds no '"', '\' or control
-        #   character, so the string literal ends at index 28.
-        # - After the ',' the scanner is where it is after the '{' of
-        #   "{" + B, except that a '}' there is a trailing comma. So the line
-        #   is one valid object exactly when "{" + B is a non-empty one, and
-        #   json(line) == {"snapshot_date": D} | json("{" + B).
-        # - When that object has no "snapshot_date" of its own, the row is
-        #   date(D) followed by fields of B alone, validated when B first
-        #   yielded a row. A later line with a known B and a D that parses
-        #   yields the value compiled from that row without a decode. (A
-        #   header is only ever line 1, which no known body precedes.)
-        # The memo is keyed on the two slices themselves: days on the head
-        # line[:28], bodies on the rest line[28:] = '",' + B. A head goes in
-        # only when it starts with DATED_PREFIX and its D parses, and a rest
-        # only when it starts with '",', so both lookups hit exactly when
-        # the line passes all four tests above; a line shorter than 28 has a
-        # head no key equals. Any other line takes the full path, _row,
-        # which writes every violation.
-        # The memo keeps one rest per subject, its last, when key_fields
-        # names one (a snapshot's repository), and otherwise one per distinct
-        # body text (an edge's body is all of its edge). The rows of the
-        # first date have little before them to repeat, so they are allowed
-        # for: once the later rows that missed the memo outnumber its hits
-        # plus those first rows, bodies do not repeat here, and the memo is
-        # dropped for the rest of the read.
-        key_fields = self._key_fields
-        days: dict[str, int] = {}  # head -> ordinal of date(D), for each D that parsed
-        # rest -> compile(its first row); None once the memo is dropped
-        bodies: dict[str, object] | None = {}
-        subjects: dict[tuple, str] = {}  # a row's key fields -> its rest
-        first_day = None
-        first_rows = missed = hits = 0
-        with _lines(self._source) as lines:
-            for line_no, line in enumerate(lines, start=1):
-                if bodies is not None:
-                    day = days.get(line[:28])
-                    if day is None and line.startswith(DATED_PREFIX):
-                        try:
-                            day = days[line[:28]] = _iso_date(line[18:28]).toordinal()
-                        except ValueError:
-                            pass  # the full path reports the date
-                    if day is not None:
-                        value = bodies.get(line[28:])
-                        if value is not None:
-                            hits += 1
-                            yield day, value
-                            continue
-                row = self._row(line_no, line)
-                if row is None:
-                    continue
-                value = compile(row)
-                yield row[0].toordinal(), value
-                if bodies is None or line[28:30] != '",' or not line.startswith(DATED_PREFIX):
-                    continue
-                raw_day = line[18:28]
-                if first_day is None:
-                    first_day = raw_day
-                if raw_day == first_day:
-                    first_rows += 1
-                else:
-                    missed += 1
-                    if missed > hits + first_rows:
-                        bodies = None
-                        subjects.clear()
-                        continue
-                if line[:28] not in days:
-                    continue  # D did not parse: it may end in '\', and B is then no body
-                # D parsed and the line decoded, so "{" + B is an object (see
-                # above). Without a '\' in B, a "snapshot_date" key of its own
-                # would show as that text.
-                body = line[30:]
-                if '"snapshot_date"' in body:
-                    continue
-                if "\\" in body:
-                    try:
-                        if "snapshot_date" in _raw_decode("{" + body)[0]:
-                            continue
-                    except ValueError:
-                        continue
-                rest = line[28:]
-                if key_fields:
-                    key = row[1 : 1 + key_fields]
-                    old = subjects.get(key)
-                    if old is not None:
-                        del bodies[old]
-                    subjects[key] = rest
-                bodies[rest] = value
+class _BodyMemo:
+    """One read's memo of the value its consumer built from the first row of
+    each distinct body of a compact, date-first line, for the later lines
+    that repeat it; and the read of each line that misses it."""
+
+    # A line that starts with DATED_PREFIX and has '",' at 28-29 splits into
+    # a date D = line[18:28] and a body B = line[30:].
+    # - A D that _iso_date accepts holds no '"', '\' or control character, so
+    #   the string literal ends at index 28.
+    # - After the ',' the scanner is where it is after the '{' of "{" + B,
+    #   except that a '}' there is a trailing comma. So the line is one valid
+    #   object exactly when "{" + B is a non-empty one, and
+    #   json(line) == {"snapshot_date": D} | json("{" + B).
+    # - When that object has no "snapshot_date" of its own, the row is
+    #   date(D) followed by fields of B alone, validated when B first gave a
+    #   row. A later line with a known B and a D that parses takes the value
+    #   built from that row without a decode. (A header is only ever line 1,
+    #   which no known body precedes.)
+    # The memo is keyed on the two slices of the line as read, line end and
+    # all: days on the head line[:28], bodies on the rest line[28:] = '",' +
+    # B and the line end, which leaves B as it is. A head goes in only when
+    # it starts with DATED_PREFIX and its D parses (head), and a rest only
+    # when it starts with '",' (learn), so both probes hit exactly when the
+    # line passes all four tests above; a line shorter than 28 has a head no
+    # key equals. Every other line misses, and its consumer decodes it.
+    # The memo keeps one rest per subject, its last, when the consumer names
+    # one (a snapshot's repository), and otherwise one per distinct rest (an
+    # edge's body is all of its edge). The rows of the first date have little
+    # before them to repeat, so they are allowed for: once the later rows
+    # that missed the memo outnumber its hits plus those first rows, bodies
+    # do not repeat here, and the memo is dropped for the rest of the read.
+
+    def __init__(self, reader: RecordReader, rule: Callable[[dict], tuple]) -> None:
+        self.reader, self.rule = reader, rule  # the schema's field rule
+        self.days = {}  # head -> ordinal of date(D), for each D that parsed
+        self.bodies = {}  # rest -> the value its first row gave
+        self.subjects = {}  # a subject -> its rest
+        self.first_day = None
+        self.first_rows = self.missed = 0  # rows of the first date, and later rows, that missed
+        self.misses = 0  # lines that missed
+        self.dropped = False
+
+    def head(self, line: str) -> int | None:
+        """The ordinal of D of a line whose head ``days`` lacks, learned if
+        it parses; otherwise None, and the consumer's decode reports it."""
+        if self.dropped or not line.startswith(DATED_PREFIX):
+            return None
+        try:
+            day = self.days[line[:28]] = _iso_date(line[18:28]).toordinal()
+        except ValueError:
+            return None
+        return day
+
+    def miss(self, line_no: int, line: str) -> tuple | None:
+        """The fields of a line that missed, or None for a line the reader's
+        ``_row`` refuses; ``_row`` decides every line but one it would read with
+        no check of its own (ASCII, no JSON escape, one object, not the header)."""
+        self.misses += 1
+        if line.isascii() and "\\u" not in line:
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                obj = None
+            if type(obj) is dict and (end == len(line) or line[end:] == "\n") and (line_no > 1 or "schema" not in obj):
+                try:
+                    return self.rule(obj)
+                except ValueError:
+                    pass
+        return self.reader._row(line_no, _text(line))
+
+    def learn(self, line_no: int, line: str, value: object, subject: object = None) -> None:
+        """After a miss that gave a row: count it for the drop rule, and keep
+        ``value`` for its rest when that is a body; ``subject`` is the row's,
+        if it has one."""
+        if self.dropped or line[28:30] != '",' or not line.startswith(DATED_PREFIX):
+            return
+        raw_day = line[18:28]
+        if self.first_day is None:
+            self.first_day = raw_day
+        if raw_day == self.first_day:
+            self.first_rows += 1
+        else:
+            self.missed += 1
+            # the lines before this one that did not miss hit
+            if self.missed > line_no - self.misses + self.first_rows:
+                self.dropped = True
+                self.days.clear()
+                self.bodies.clear()
+                self.subjects.clear()
+                return
+        if line[:28] not in self.days:
+            return  # D did not parse: it may end in '\', and B is then no body
+        # D parsed and the line decoded, so "{" + B is an object (see above).
+        # Without a '\' in B, a "snapshot_date" key of its own would show as
+        # that text.
+        body = line[30:]
+        if '"snapshot_date"' in body:
+            return
+        if "\\" in body:
+            try:
+                if "snapshot_date" in _raw_decode("{" + body)[0]:
+                    return
+            except ValueError:
+                return
+        rest = line[28:]
+        if subject is not None:
+            old = self.subjects.get(subject)
+            if old is not None:
+                del self.bodies[old]
+            self.subjects[subject] = rest
+        self.bodies[rest] = value
 
 
 def read_repo_snapshots(source: Source) -> RecordReader:
     """Reader for repository snapshot records (schema ``repo-snapshots``)."""
-    return RecordReader(source, "repo-snapshots", _repo_snapshot, 2)
+    return RecordReader(source, "repo-snapshots", lambda obj: RepoSnapshot._make(_snapshot_fields(obj)))
 
 
 def read_releases(source: Source) -> RecordReader:
@@ -492,7 +502,7 @@ def read_releases(source: Source) -> RecordReader:
 
 def read_dependent_edges(source: Source) -> RecordReader:
     """Reader for dependent edge records (schema ``dependent-edges``)."""
-    return RecordReader(source, "dependent-edges", _dependent_edge)
+    return RecordReader(source, "dependent-edges", lambda obj: DependentEdge._make(_edge_fields(obj)))
 
 
 def write_records(handle: IO[str], schema: str, lines: Iterable[str], provenance: dict | None = None) -> int:
@@ -583,7 +593,7 @@ def _grouped(repos: array, dropped: int) -> tuple[list[int], list[int]]:
     return order, bounds[:-1]
 
 
-# the compiled value of a snapshot row of a repository the index does not keep
+# the memo value of a snapshot row of a repository the index does not keep
 _SKIPPED = (None, None)
 
 
@@ -611,7 +621,9 @@ class RepoIndex:
     (see ``_Timeline``), and a closed run goes to the columns with its
     repository's id, 16 B a run, until the first lookup rebuilds the
     timelines of rows that arrived out of order, keeping each day's last
-    row, and groups the runs by repository.
+    row, and groups the runs by repository. A repeated body's line costs
+    two memo probes and the open run's extension in place; any other line's
+    plain fields go straight to the state columns.
 
     An index may keep only the repositories its caller can look up (the
     ``keep`` of :meth:`extend`). Another repository's rows are still read,
@@ -635,39 +647,55 @@ class RepoIndex:
 
     def extend(self, snapshots: RecordReader, keep: Container[tuple[str, str]] | None = None) -> None:
         """Add the rows of a snapshot reader, or of a proxy that forwards its
-        ``compiled``, which hands over each distinct body once.
+        attributes, in one pass over its lines.
 
         ``keep``, when given, holds the ``(owner, name)`` keys of the
         repositories the index keeps; every extend of one index takes the
-        same ``keep``. A row of any other repository compiles to one shared
-        skip value, so a repeat of its body costs one memo hit.
+        same ``keep``. A row of any other repository gives one shared skip
+        value, so a repeat of its body costs one memo hit.
         """
         if self._closed:
             raise RuntimeError("RepoIndex takes no rows after its first lookup")
         self._keep = keep
-        for ordinal, (timeline, state) in snapshots.compiled(self._compile):
-            if timeline is not None:
-                timeline.add(ordinal, state)
-
-    def _compile(self, snap: RepoSnapshot) -> tuple:
-        """The row's timeline and state id, its state appended unless it
-        equals the repository's last one; ``_SKIPPED`` for a repository the
-        index does not keep."""
-        key = (snap.owner, snap.name)
-        timeline = self._timelines.get(key)
-        if timeline is None:
-            if self._keep is not None and key not in self._keep:
-                return _SKIPPED
-            timeline = self._timelines[key] = _Timeline(len(self._timelines), self._runs)
-        meta = _intern(self._meta_ids, self._metas, (snap.description, snap.topics, snap.language))
-        state = (snap.stars, snap.forks, int(snap.is_fork), meta)
-        columns = stars, forks, forked, metas = self._stars, self._forks, self._forked, self._state_metas
-        last = timeline.state
-        if last is not None and (stars[last], forks[last], forked[last], metas[last]) == state:
-            return timeline, last
-        for column, value in zip(columns, state):
-            column.append(value)
-        return timeline, len(stars) - 1
+        timelines, runs = self._timelines, self._runs
+        columns = stars, forks, forked, state_metas = self._stars, self._forks, self._forked, self._state_metas
+        memo = _BodyMemo(snapshots, _snapshot_fields)
+        days, bodies, head, miss, learn = memo.days, memo.bodies, memo.head, memo.miss, memo.learn
+        with _lines(snapshots._source) as lines:
+            for line_no, line in enumerate(lines, start=1):
+                day = days.get(line[:28])
+                if day is None:
+                    day = head(line)
+                if day is None or (value := bodies.get(line[28:])) is None:
+                    fields = miss(line_no, line)
+                    if fields is None:
+                        continue
+                    # the row's timeline and state id, its state appended
+                    # unless it equals the repository's last one
+                    when, owner, name, star_count, fork_count, is_fork, description, topics, language = fields
+                    day, key = when.toordinal(), (owner, name)
+                    timeline = timelines.get(key)
+                    if timeline is None and (keep is None or key in keep):
+                        timeline = timelines[key] = _Timeline(len(timelines), runs)
+                    if timeline is None:
+                        value = _SKIPPED
+                    else:
+                        meta = _intern(self._meta_ids, self._metas, (description, topics, language))
+                        state, new = timeline.state, (star_count, fork_count, is_fork, meta)
+                        if state is None or (stars[state], forks[state], forked[state], state_metas[state]) != new:
+                            state = len(stars)
+                            for column, field in zip(columns, new):
+                                column.append(field)
+                        value = timeline, state
+                    learn(line_no, line, value, key)
+                timeline, state = value
+                if timeline is None:
+                    continue
+                if day == timeline.next and state == timeline.state:
+                    count = timeline.count = timeline.count + 1
+                    timeline.next = day + timeline.step if count < _MAX_RUN else None
+                else:
+                    timeline.add(day, state)
 
     def _close(self) -> None:
         """Close every open run, rebuild the unsorted timelines, group the runs by repository."""
@@ -756,7 +784,7 @@ def resolve_coverage(coverage: Sequence[int], target: int) -> int | None:
     return coverage[pos]
 
 
-# the compiled value of an edge whose package has no requested dates
+# the memo value of an edge whose package has no requested dates
 _UNREQUESTED = (None, None, None)
 # the typecode of a counted bucket, whose ids are distinct: as wide as the
 # "i" of a bucket not yet counted, so the typecode alone tells count whether
@@ -786,7 +814,8 @@ class StreamingDependentCounter:
     package's edge has its ``(owner, repo)`` key held once. Working memory
     is proportional to the requested cells, one entry per (requested
     package, date) in the stream, the kept rows and their dependents; never
-    to the total edge row count.
+    to the total edge row count. A repeated body's line costs two memo
+    probes, its day added to the coverage and its dependent's id appended.
     """
 
     def __init__(self, repos: RepoIndex) -> None:
@@ -813,37 +842,48 @@ class StreamingDependentCounter:
 
     def feed(self, edges: RecordReader) -> None:
         """Take the rows of an edge reader, or of a proxy that forwards its
-        ``compiled``, which hands over each distinct body once."""
+        attributes, in one pass over its lines."""
         if self._coverage is not None:
             raise RuntimeError("StreamingDependentCounter is fed once")
         buckets = self._buckets
         requested = self._requests = {key: sorted(ordinals) for key, ordinals in self._requests.items()}
         ids, names = self._ids, self._names
-
-        def compile(edge: DependentEdge) -> tuple:
-            # the package's requested dates and buckets, and the dependent's id
-            key = (edge.ecosystem, edge.package_name)
-            dates = requested.get(key)
-            if dates is None:
-                return _UNREQUESTED
-            dep = _intern(ids, names, (edge.dependent_owner, edge.dependent_repo))
-            return dates, buckets.setdefault(key, {}), dep
-
         coverage = set()
-        for ordinal, (dates, cells, dep) in edges.compiled(compile):
-            coverage.add(ordinal)
-            if dates is None:
-                continue
-            cell = cells.get(ordinal)
-            if cell is None:
-                # the first row of its cell: keep the cell only when the first
-                # requested date on or after it lies at most 7 days after it
-                pos = bisect_left(dates, ordinal)
-                if pos < len(dates) and dates[pos] - ordinal <= JOIN_WINDOW_DAYS:
-                    cell = cells[ordinal] = array("i")
-                else:
-                    cell = cells[ordinal] = _DROPPED
-            cell.append(dep)
+        cover = coverage.add
+        memo = _BodyMemo(edges, _edge_fields)
+        days, bodies, head, miss, learn = memo.days, memo.bodies, memo.head, memo.miss, memo.learn
+        with _lines(edges._source) as lines:
+            for line_no, line in enumerate(lines, start=1):
+                day = days.get(line[:28])
+                if day is None:
+                    day = head(line)
+                if day is None or (value := bodies.get(line[28:])) is None:
+                    fields = miss(line_no, line)
+                    if fields is None:
+                        continue
+                    # the package's requested dates and buckets, and the dependent's id
+                    when, owner, repo, ecosystem, package = fields
+                    day, key = when.toordinal(), (ecosystem, package)
+                    dates = requested.get(key)
+                    if dates is None:
+                        value = _UNREQUESTED
+                    else:
+                        value = dates, buckets.setdefault(key, {}), _intern(ids, names, (owner, repo))
+                    learn(line_no, line, value)
+                cover(day)
+                dates, cells, dep = value
+                if dates is None:
+                    continue
+                cell = cells.get(day)
+                if cell is None:
+                    # the first row of its cell: keep the cell only when the first
+                    # requested date on or after it lies at most 7 days after it
+                    pos = bisect_left(dates, day)
+                    if pos < len(dates) and dates[pos] - day <= JOIN_WINDOW_DAYS:
+                        cell = cells[day] = array("i")
+                    else:
+                        cell = cells[day] = _DROPPED
+                cell.append(dep)
         self._coverage = sorted(coverage)
 
     def dependents(self) -> KeysView[tuple[str, str]]:

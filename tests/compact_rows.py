@@ -1,9 +1,10 @@
 """Test rows as synth writes them, read back through the package's readers.
 
-``RepoIndex`` and ``StreamingDependentCounter`` take rows from a reader's
-compiled stream only, so a test that builds one from ``RepoSnapshot`` or
-``DependentEdge`` rows writes them as compact, date-first lines and reads
-those: the lines take the reader's body memo, as the corpus files do.
+``RepoIndex`` and ``StreamingDependentCounter`` take rows only by reading a
+reader's lines in a loop of their own, so a test that builds one from
+``RepoSnapshot`` or ``DependentEdge`` rows writes them as compact, date-first
+lines and reads those: the lines take the read's body memo, as the corpus
+files do.
 """
 
 from depgrowth.ingest import (

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -313,16 +314,71 @@ def _read(reader):
     return rows, [(v.line_no, v.message) for v in reader.violations]
 
 
-def _same(row):
-    return row
+def _violations(reader):
+    return [(v.line_no, v.message) for v in reader.violations]
 
 
-def _read_compiled(reader):
-    """``_read`` through a dated reader's memoized ``compiled``: each value
-    is the row its body first compiled to, rebuilt with the date it came
-    with."""
-    rows = [row._replace(snapshot_date=date.fromordinal(day)) for day, row in reader.compiled(_same)]
-    return rows, [(v.line_no, v.message) for v in reader.violations]
+def _grid(rows):
+    """Every day from the day before the rows' first date to 8 days past their last."""
+    ordinals = [row.snapshot_date.toordinal() for row in rows] or [D("2023-03-01").toordinal()]
+    return [date.fromordinal(day) for day in range(min(ordinals) - 1, max(ordinals) + 9)]
+
+
+def _check_index(lines, source=None):
+    """Assert that an index extended through ``_Wrapped`` with ``source``
+    (by default ``lines``) answers ``nearest`` and ``quality_ok`` as one
+    extended with the ``_unmemoized`` copies of ``lines``, and as the
+    memo-free rows of ``lines`` do, over a grid of days; and that both
+    readers record the memo-free reader's violations. Returns those rows
+    and violations."""
+    rows, violations = _read(RecordReader(lines, "repo-snapshots", _snapshot_by_helpers))
+    reader, plain = read_repo_snapshots(lines if source is None else source), read_repo_snapshots(_unmemoized(lines))
+    index, expected = RepoIndex(), RepoIndex()
+    index.extend(_Wrapped(reader))
+    expected.extend(plain)
+    assert _violations(reader) == _violations(plain) == violations
+    assert set(index._timelines) == set(expected._timelines)
+    for owner, name in {(row.owner, row.name) for row in rows} | {("acme", "libfoo")}:
+        snaps = [row for row in rows if (row.owner, row.name) == (owner, name)]
+        for when in _grid(rows):
+            assert index.nearest(owner, name, when) == expected.nearest(owner, name, when) == _brute_nearest(snaps, when)
+            assert index.quality_ok(owner, name, when) == expected.quality_ok(owner, name, when)
+    return rows, violations
+
+
+def _check_counter(lines, source=None):
+    """Assert that a counter fed through ``_Wrapped`` with ``source`` (by
+    default ``lines``) holds the buckets and coverage of one fed the
+    ``_unmemoized`` copies of ``lines``, and that both count every cell of
+    the rows over a grid of days as the naive count of the memo-free rows
+    of ``lines`` does; and that both readers record the memo-free reader's
+    violations. Returns those rows and violations."""
+    rows, violations = _read(RecordReader(lines, "dependent-edges", _edge_by_helpers))
+    cells = {("libfoo", "npm")} | {(row.package_name, row.ecosystem) for row in rows}
+    days = _grid(rows)
+    deps = sorted({(row.dependent_owner, row.dependent_repo) for row in rows})
+    repo_rows = [
+        make_snap(owner, repo, when, stars=i % 3, is_fork=i % 4 == 3)
+        for i, (owner, repo) in enumerate(deps)
+        for when in days[::3]
+    ]
+    repos = repo_index(repo_rows)
+    fed, expected = StreamingDependentCounter(repos), StreamingDependentCounter(repos)
+    for counter in (fed, expected):
+        for package, ecosystem in cells:
+            for when in days:
+                counter.request(package, ecosystem, when)
+    reader, plain = read_dependent_edges(lines if source is None else source), read_dependent_edges(_unmemoized(lines))
+    fed.feed(_Wrapped(reader))
+    expected.feed(plain)
+    assert _violations(reader) == _violations(plain) == violations
+    assert fed._buckets == expected._buckets
+    assert fed._coverage == expected._coverage
+    for package, ecosystem in cells:
+        for when in days:
+            want = naive_dependent_count(rows, repo_rows, package, ecosystem, when)
+            assert fed.count(package, ecosystem, when) == expected.count(package, ecosystem, when) == want
+    return rows, violations
 
 
 class TestLeanValidation:
@@ -460,29 +516,25 @@ class TestIsoDates:
         assert _read(read([line])) == ([], [(1, f"{field} is not a valid ISO date: {day!r}")])
 
     @pytest.mark.parametrize("day", _NOT_YYYY_MM_DD)
-    @pytest.mark.parametrize("read, line_fn, field", _DATED_READERS[:2])
-    def test_a_known_body_on_such_a_date_is_a_violation(self, read, line_fn, field, day):
+    @pytest.mark.parametrize("check, line_fn", [(_check_index, snap_line), (_check_counter, edge_line)])
+    def test_a_known_body_on_such_a_date_is_a_violation(self, check, line_fn, day):
         body = _body(line_fn(), [])
         lines = [_dated("2023-01-01", body), _dated(day, body), _dated("2023-01-03", body)]
-        for rows, violations in (_read(read(lines)), _read_compiled(read(lines))):
-            assert [row.snapshot_date for row in rows] == [D("2023-01-01"), D("2023-01-03")]
-            assert violations == [(2, f"{field} is not a valid ISO date: {day!r}")]
+        rows, violations = check(lines)
+        assert [row.snapshot_date for row in rows] == [D("2023-01-01"), D("2023-01-03")]
+        assert violations == [(2, f"snapshot_date is not a valid ISO date: {day!r}")]
 
 
 class TestBodyMemo:
     @settings(max_examples=300, deadline=None)
     @given(_dated_lines(snap_line, _SNAPSHOT_MUTATIONS))
-    def test_snapshot_rows_match_the_memo_free_reader(self, lines):
-        assert _read_compiled(read_repo_snapshots(lines)) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
+    def test_an_index_answers_as_the_memo_free_reader(self, lines):
+        _check_index(lines)
 
     @settings(max_examples=300, deadline=None)
     @given(_dated_lines(edge_line, _EDGE_MUTATIONS))
-    def test_edge_rows_match_the_memo_free_reader(self, lines):
-        assert _read_compiled(read_dependent_edges(lines)) == _read(
-            RecordReader(lines, "dependent-edges", _edge_by_helpers)
-        )
+    def test_a_counter_counts_as_the_memo_free_reader(self, lines):
+        _check_counter(lines)
 
     @pytest.mark.parametrize(
         "lines",
@@ -507,6 +559,9 @@ class TestBodyMemo:
             # whitespace after the value: read by json.loads, memoized with it
             [_dated("2023-03-01", _BODY), _dated("2023-03-01", _BODY + " ")],
             [_dated("2023-03-01", _BODY + " \t")] * 2,
+            # anything else after the value: invalid JSON
+            [_dated("2023-03-01", _BODY), _dated("2023-03-02", _BODY + " x")],
+            [_dated("2023-03-01", _BODY), _dated("2023-03-02", _BODY + "}")],
             # a date ending in a backslash escapes the quote after it
             [_dated("2023-03-01", _BODY), '{"snapshot_date":"2023-03-0\\",' + _BODY],
             [
@@ -527,10 +582,7 @@ class TestBodyMemo:
     def test_adversarial_lines_match_the_memo_free_reader(self, lines):
         # repeats of another repository's row first, so the memo is still
         # in use when the adversarial lines arrive
-        lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
-        assert _read_compiled(read_repo_snapshots(lines)) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
+        _check_index([_dated("2023-03-01", _OTHER_BODY)] * 4 + lines)
 
     @pytest.mark.parametrize(
         "lines",
@@ -555,10 +607,7 @@ class TestBodyMemo:
         ],
     )
     def test_lines_near_the_slice_keys_match_the_memo_free_reader(self, lines):
-        lines = [_dated("2023-03-01", _OTHER_BODY)] * 4 + lines
-        assert _read_compiled(read_repo_snapshots(lines)) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
+        _check_index([_dated("2023-03-01", _OTHER_BODY)] * 4 + lines)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -569,24 +618,32 @@ class TestBodyMemo:
         )
     )
     def test_spliced_heads_and_rests_match_the_memo_free_reader(self, parts):
-        lines = [head + separator + rest for head, separator, rest in parts]
-        assert _read_compiled(read_repo_snapshots(lines)) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
+        _check_index([head + separator + rest for head, separator, rest in parts])
 
     def test_a_header_on_line_1_is_skipped_and_the_same_text_later_is_a_row(self):
-        lines = [_dated("2023-03-01", '"schema":"repo-snapshots","version":1,' + _BODY)] * 2
-        assert _read_compiled(read_repo_snapshots(lines)) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
+        body = '"schema":"repo-snapshots","version":1,' + _BODY
+        lines = [_dated("2023-03-01", body), _dated("2023-03-02", body)]
+        rows, _ = _check_index(lines)
+        assert [row.snapshot_date for row in rows] == [D("2023-03-02")]
+
+    @pytest.mark.parametrize("kind", ["snapshots", "edges"])
+    def test_a_header_of_another_schema_on_line_1_aborts(self, kind):
+        read, line_fn = (read_repo_snapshots, snap_line) if kind == "snapshots" else (read_dependent_edges, edge_line)
+        lines = [_dated("2023-03-01", '"schema":"releases","version":1,' + _body(line_fn(), []))]
+        with pytest.raises(SchemaHeaderError, match="expected schema"):
+            if kind == "snapshots":
+                RepoIndex().extend(read(lines))
+            else:
+                StreamingDependentCounter(RepoIndex()).feed(read(lines))
 
     def test_a_known_body_is_not_decoded_again(self, monkeypatch):
         decoded = _count_decodes(monkeypatch)
         days = ("2023-03-01", "2023-03-02", "2023-03-02", "2023-03-01")
         lines = [_dated(day, _BODY) for day in days]
-        rows, _ = _read_compiled(read_repo_snapshots(lines))
-        assert rows == [make_snap("acme", "libfoo", day, stars=10, forks=2) for day in days]
+        RepoIndex().extend(read_repo_snapshots(lines))
         assert decoded == [lines[0]]
+        monkeypatch.undo()
+        _check_index(lines)
 
     def test_the_memo_keeps_one_body_per_repository(self, monkeypatch):
         # three repositories over 30 days, date-major; each one's stars
@@ -599,19 +656,17 @@ class TestBodyMemo:
             for d in range(30)
             for owner in ("a", "b", "c")
         ]
-        reader = read_repo_snapshots(lines)
-        rows, sizes = _read_with_memo_sizes(reader)
-        assert (rows, reader.violations) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
+        sizes = _memo_sizes(monkeypatch)
+        RepoIndex().extend(read_repo_snapshots(lines))
         assert max(sizes) == 3 and None not in sizes
+        _check_index(lines)
         # a body that was replaced is decoded again when it comes back
         decoded = _count_decodes(monkeypatch)
-        _read_compiled(read_repo_snapshots(lines[:3] + lines[9:12] + lines[:3]))
+        RepoIndex().extend(read_repo_snapshots(lines[:3] + lines[9:12] + lines[:3]))
         assert decoded.count(lines[0]) == 2
 
     @pytest.mark.parametrize("reorder, bodies", [(False, 4), (True, 5)], ids=["four-texts", "one-reordered"])
-    def test_the_edge_memo_keeps_one_body_per_edge(self, reorder, bodies):
+    def test_the_edge_memo_keeps_one_body_per_edge(self, reorder, bodies, monkeypatch):
         edges = [_body(edge_line(), [("package_name", f"lib{i}")]) for i in range(4)]
         # key order differs, the edge is the same: a text of its own, kept
         # beside the first one
@@ -620,15 +675,24 @@ class TestBodyMemo:
         )[1:]
         days = [(date(2023, 3, 1) + timedelta(days=d)).isoformat() for d in range(5)]
         lines = [_dated(day, b) for day in days for b in edges + [reordered] * reorder]
-        rows, sizes = _read_with_memo_sizes(read_dependent_edges(lines))
-        assert rows == list(RecordReader(lines, "dependent-edges", _edge_by_helpers))
+        sizes = _memo_sizes(monkeypatch)
+        StreamingDependentCounter(RepoIndex()).feed(read_dependent_edges(lines))
+        monkeypatch.undo()
         assert max(sizes) == bodies and None not in sizes
+        _check_counter(lines)
 
-    def test_a_memoized_edge_is_the_value_its_body_first_compiled_to(self):
+    def test_a_memoized_edge_appends_the_dependent_its_body_first_gave(self, monkeypatch):
         bodies = [_body(edge_line(), []), _body(edge_line(), [("package_name", "libbar")])]
         lines = [_dated("2023-03-01", body) for body in bodies * 2]
-        first, second, third, fourth = (row for _, row in read_dependent_edges(lines).compiled(_same))
-        assert third is first and fourth is second
+        calls = _field_rule_calls(monkeypatch, "_edge_fields")
+        counter = StreamingDependentCounter(quality_repo_index(["user1/app1"]))
+        for package in ("libfoo", "libbar"):
+            counter.request(package, "npm", D("2023-03-01"))
+        counter.feed(read_dependent_edges(lines))
+        assert len(calls) == 2
+        day = D("2023-03-01").toordinal()
+        assert [list(counter._buckets["npm", package][day]) for package in ("libfoo", "libbar")] == [[0, 0], [0, 0]]
+        assert counter.count("libfoo", "npm", D("2023-03-01")) == 1
 
     @pytest.mark.parametrize("order", ["date-major", "repository-major"])
     def test_the_memo_is_dropped_when_bodies_do_not_repeat(self, order, monkeypatch):
@@ -645,14 +709,14 @@ class TestBodyMemo:
             for d, o in pairs
         ]
         decoded = _count_decodes(monkeypatch)
-        reader = read_repo_snapshots(lines)
-        rows, sizes = _read_with_memo_sizes(reader)
+        sizes = _memo_sizes(monkeypatch)
+        RepoIndex().extend(read_repo_snapshots(lines))
         monkeypatch.undo()
-        assert (rows, reader.violations) == _read(
-            RecordReader(lines, "repo-snapshots", _snapshot_by_helpers)
-        )
-        # dropped once the first row of the third date is read, at the
-        # latest, having held no more bodies than there are repositories
+        _check_index(lines)
+        # every line misses, so each has a size: dropped once the first row
+        # of the third date is read, at the latest, having held no more
+        # bodies than there are repositories
+        assert len(sizes) == len(lines)
         assert sizes[2 * len(owners) + 1] is None
         assert max(size for size in sizes if size is not None) <= len(owners)
         # memoized bodies were never decoded again to check them
@@ -674,34 +738,53 @@ class TestBodyMemo:
             ]
             with monkeypatch.context() as patch:
                 decoded = _count_decodes(patch)
-                rows, sizes = _read_with_memo_sizes(read_repo_snapshots(lines))
-            assert rows == list(RecordReader(lines, "repo-snapshots", _snapshot_by_helpers))
+                sizes = _memo_sizes(patch)
+                RepoIndex().extend(read_repo_snapshots(lines))
+            _check_index(lines)
             assert None not in sizes
             # one line of each stable repository is decoded
             assert len([text for text in decoded if '"owner":"o9"' not in text]) == 9
 
 
 def _count_decodes(monkeypatch):
-    """Record every text ``ingest._raw_decode`` is given."""
+    """Record every line ``ingest._raw_decode`` or ``ingest._scan_once`` is
+    given, without its line end."""
     decoded = []
-    decode = ingest._raw_decode
+    decode, scan = ingest._raw_decode, ingest._scan_once
     monkeypatch.setattr(ingest, "_raw_decode", lambda text: decoded.append(text) or decode(text))
+    monkeypatch.setattr(ingest, "_scan_once", lambda text, idx: decoded.append(text.rstrip("\n")) or scan(text, idx))
     return decoded
 
 
-def _read_with_memo_sizes(reader):
-    """The rows as ``_read_compiled`` rebuilds them, and after each one the
-    number of bodies in the reader's memo.
+def _memo_sizes(monkeypatch):
+    """After each line that misses the body memo and gives a row, the number
+    of bodies in the memo of the read that line belongs to; None once that
+    memo is dropped."""
+    sizes = []
 
-    The size is None once the reader has dropped its memo.
-    """
-    rows, sizes = [], []
-    scan = reader.compiled(_same)
-    for day, row in scan:
-        rows.append(row._replace(snapshot_date=date.fromordinal(day)))
-        bodies = scan.gi_frame.f_locals["bodies"]  # a local of the scan
-        sizes.append(None if bodies is None else len(bodies))
-    return rows, sizes
+    class Recorded(ingest._BodyMemo):
+        __slots__ = ()
+
+        def learn(self, *args):
+            super().learn(*args)
+            sizes.append(None if self.dropped else len(self.bodies))
+
+    monkeypatch.setattr(ingest, "_BodyMemo", Recorded)
+    return sizes
+
+
+def _field_rule_calls(monkeypatch, name):
+    """Record the owner, or the dependent's owner, of every row the field
+    rule ``ingest.<name>`` is given."""
+    calls = []
+    rule = getattr(ingest, name)
+
+    def recorded(obj):
+        calls.append(obj.get("owner", obj.get("dependent_owner")))
+        return rule(obj)
+
+    monkeypatch.setattr(ingest, name, recorded)
+    return calls
 
 
 def _brute_nearest(snaps, when):
@@ -1105,19 +1188,6 @@ def _kept_world(order):
     return snaps
 
 
-def _compiles_by_owner(monkeypatch):
-    """Count every ``RepoIndex._compile`` call by the row's owner."""
-    calls = {}
-    compile = RepoIndex._compile
-
-    def counted(self, snap):
-        calls[snap.owner] = calls.get(snap.owner, 0) + 1
-        return compile(self, snap)
-
-    monkeypatch.setattr(RepoIndex, "_compile", counted)
-    return calls
-
-
 class TestKeptRepositories:
     @pytest.mark.parametrize("order", ["date-major", "repository-major", "shuffled"])
     def test_a_kept_lookup_answers_as_an_unrestricted_index(self, order):
@@ -1133,15 +1203,17 @@ class TestKeptRepositories:
     @pytest.mark.parametrize("order", ["date-major", "repository-major", "shuffled"])
     def test_a_skipped_repository_holds_no_timeline_or_state(self, order, monkeypatch):
         snaps = _kept_world(order)
-        calls = _compiles_by_owner(monkeypatch)
-        every = repo_index(snaps)
-        unrestricted = dict(calls)
+        readers = compact_reader(snaps), compact_reader(snaps)
+        calls = _field_rule_calls(monkeypatch, "_snapshot_fields")
+        every, index = RepoIndex(), RepoIndex()
+        every.extend(readers[0])
+        unrestricted = Counter(calls)
         calls.clear()
-        index = repo_index(snaps, _KEEP)
+        index.extend(readers[1], _KEEP)
         # the memo hands a skipped repository's repeated body over as it does a kept one's
-        assert calls == unrestricted
+        assert Counter(calls) == unrestricted
         if order != "shuffled":
-            assert sum(calls.values()) < len(snaps)
+            assert len(calls) < len(snaps)
         alone = repo_index([snap for snap in snaps if (snap.owner, snap.name) in _KEEP])
         for built in (index, alone, every):
             built.nearest("o0", "r", _KEPT_START)  # the first lookup closes it
@@ -1553,7 +1625,7 @@ class TestFusedIngest:
                 assert fed.count(package, ecosystem, when) == expected.count(package, ecosystem, when) == want
 
     @pytest.mark.parametrize("order", ["date-major", "repository-major"])
-    def test_an_index_fed_past_a_dropped_memo_matches_rows(self, order):
+    def test_an_index_fed_past_a_dropped_memo_matches_rows(self, order, monkeypatch):
         # ten repositories, of which the last seven change every day: the
         # memo is dropped partway, and the rest is read row by row
         pairs = [(d, i) for d in range(12) for i in range(10)]
@@ -1566,24 +1638,130 @@ class TestFusedIngest:
             )
             for d, i in pairs
         ]
-        _rows, sizes = _read_with_memo_sizes(read_repo_snapshots(lines))
+        sizes = _memo_sizes(monkeypatch)
+        RepoIndex().extend(read_repo_snapshots(lines))
+        monkeypatch.undo()
         assert sizes[-1] is None
-        index, expected = RepoIndex(), RepoIndex()
-        index.extend(read_repo_snapshots(lines))
-        expected.extend(read_repo_snapshots(_unmemoized(lines)))
-        for i in range(10):
-            for when in _LOOKUP_DAYS:
-                assert index.nearest(f"o{i}", "libfoo", when) == expected.nearest(f"o{i}", "libfoo", when)
+        _check_index(lines)
 
-    def test_a_known_body_is_compiled_once(self, monkeypatch):
-        decoded = _count_decodes(monkeypatch)
-        days = ("2023-03-01", "2023-03-02", "2023-03-03")
-        lines = [_dated(day, body) for day in days for body in (_BODY, _OTHER_BODY)]
-        compiled = []
-        pairs = list(read_repo_snapshots(lines).compiled(lambda row: compiled.append(row) or row.owner))
-        assert pairs == [(D(day).toordinal(), owner) for day in days for owner in ("acme", "other")]
-        assert [row.owner for row in compiled] == ["acme", "other"]
-        assert decoded == lines[:2]
+
+def _stable_and_changing(line_fn, owners=("a", "b", "c")):
+    """Compact lines, date-major: 10 days of one body per owner, 15 days
+    on which each owner's body is new, then the first 10 days' bodies
+    again for 10 days."""
+    lines = []
+    for d in range(35):
+        for owner in owners:
+            edits = [("owner" if line_fn is snap_line else "dependent_owner", owner)]
+            if 10 <= d < 25:
+                edits.append(("updated_at", d))
+            lines.append(_dated((date(2023, 3, 1) + timedelta(days=d)).isoformat(), _body(line_fn(), edits)))
+    return lines
+
+
+# each kind's memo test, line maker and field rule
+_KINDS = {
+    "snapshots": (_check_index, snap_line, "_snapshot_fields"),
+    "edges": (_check_counter, edge_line, "_edge_fields"),
+}
+
+
+def _repeating_lines(line_fn):
+    """Two bodies on three dates, date-major, and a malformed line."""
+    other = [("owner" if line_fn is snap_line else "dependent_owner", "other")]
+    bodies = _body(line_fn(), []), _body(line_fn(), other)
+    lines = [_dated(day, body) for day in ("2023-03-01", "2023-03-02", "2023-03-03") for body in bodies]
+    lines.insert(3, _dated("2023-03-02", bodies[0][:-1] + ',"is_fork":null,"ecosystem":5}'))
+    return lines
+
+
+class TestOnePassRead:
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_a_last_line_with_no_newline_is_read(self, kind, tmp_path):
+        check, line_fn, _ = _KINDS[kind]
+        lines = _repeating_lines(line_fn)
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        rows, _ = check(lines, path)
+        assert rows[-1].snapshot_date == D("2023-03-03")
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_crlf_lines_read_as_lf_lines(self, kind, tmp_path):
+        check, line_fn, _ = _KINDS[kind]
+        lines = _repeating_lines(line_fn)
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        check(lines, path)
+        check(lines, [line + "\r\n" for line in lines])
+        with open(path, encoding="utf-8", newline="") as handle:  # lines end in "\r\n"
+            check(lines, handle)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_a_path_and_an_iterable_build_the_same_consumer(self, kind, tmp_path):
+        _, line_fn, _ = _KINDS[kind]
+        lines = _repeating_lines(line_fn)
+        path = tmp_path / "rows.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        built = []
+        for source in (path, lines, [line + "\n" for line in lines]):
+            if kind == "snapshots":
+                reader, index = read_repo_snapshots(source), RepoIndex()
+                index.extend(reader)
+                index.nearest("acme", "libfoo", D("2023-03-01"))  # closes it
+                state = (
+                    index._timelines,
+                    [list(column) for column in (*index._runs, index._bounds, index._stars, index._forks, index._forked, index._state_metas)],
+                    index._metas,
+                )
+            else:
+                counter = StreamingDependentCounter(RepoIndex())
+                counter.request("libfoo", "npm", D("2023-03-03"))
+                reader = read_dependent_edges(source)
+                counter.feed(reader)
+                state = counter._buckets, counter._coverage, counter._names
+            built.append((state, _violations(reader)))
+        assert built[0][1] == [(4, built[0][1][0][1])]
+        assert built[1] == built[0] and built[2] == built[0]
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_a_reader_behind_a_proxy_is_read_through_its_attributes(self, kind):
+        check, line_fn, _ = _KINDS[kind]
+        lines = _repeating_lines(line_fn)
+        with pytest.raises(AssertionError):
+            list(_Wrapped(read_repo_snapshots(lines)))
+        _, violations = check(lines)  # through _Wrapped
+        assert [line_no for line_no, _ in violations] == [4]
+
+    @pytest.mark.parametrize("source", ["iterable", "path"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_the_field_rule_runs_once_per_distinct_body_until_the_memo_drops(self, kind, source, monkeypatch, tmp_path):
+        check, line_fn, rule = _KINDS[kind]
+
+        def read_all(lines):
+            if source == "path":
+                path = tmp_path / "rows.jsonl"
+                path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+                lines = path
+            if kind == "snapshots":
+                RepoIndex().extend(read_repo_snapshots(lines))
+            else:
+                StreamingDependentCounter(RepoIndex()).feed(read_dependent_edges(lines))
+
+        lines = _stable_and_changing(line_fn)
+        calls = _field_rule_calls(monkeypatch, rule)
+        sizes = _memo_sizes(monkeypatch)
+        read_all(lines)
+        monkeypatch.undo()
+        # 3 bodies of the first 10 days, 45 new ones, and then every row of
+        # the last 10 days, which repeat the first: the 31st new body
+        # outnumbers the 27 hits and 3 first rows, and drops the memo
+        assert sizes.index(None) == 3 + 30
+        assert len(calls) == 3 + 45 + 30
+        check(lines)
+        # in a file whose bodies only repeat, each is read once
+        calls = _field_rule_calls(monkeypatch, rule)
+        read_all([line for i, line in enumerate(lines) if i // 3 not in range(10, 25)])
+        assert sorted(calls) == ["a", "b", "c"]
 
 
 # an integer literal longer than int() converts by default (4,300 digits)
@@ -1699,7 +1877,7 @@ class TestUnreadableLines:
         bad = good.replace('"libfoo"', '"lib\\ud800foo"', 1)
         days = ("2023-03-01", "2023-03-02", "2023-03-03", "2023-03-04")
         lines = [_dated(days[0], good), _dated(days[1], bad), _dated(days[2], bad), _dated(days[3], good)]
-        rows, violations = _read_compiled(read(lines))
+        rows, violations = (_check_index if kind == "snapshots" else _check_counter)(lines)
         assert [row.snapshot_date for row in rows] == [D(days[0]), D(days[3])]
         assert violations == [(2, "invalid UTF-8: lone surrogate U+D800"), (3, "invalid UTF-8: lone surrogate U+D800")]
 

@@ -7,10 +7,11 @@ the seed 3 world and rewrites its snapshot and edge files into other shapes:
 shuffled rows, repository-major order by name, dropped days with gaps past
 the 7-day join window, late same-day re-crawls that change a repository's
 counts or fork flag, exact re-crawls days late, duplicated and dropped edges,
-bodies that never repeat, and malformed lines. For each shape it runs the
-CLI's ``all`` and ``naive_pipeline.run_pipeline`` over the valid rows, and
-compares every filter stage report, the survivors, each record and every
-log-difference sample. For three of the shapes it also runs the four stages
+bodies that never repeat, malformed lines, CRLF line ends and no final
+newline. For each shape it runs the CLI's ``all`` and
+``naive_pipeline.run_pipeline`` over the valid rows, and compares every
+filter stage report, the survivors, each record and every log-difference
+sample. For three of the shapes it also runs the four stages
 one by one, each of which indexes only the repositories it can look up, and
 compares every file with what ``all`` wrote.
 """
@@ -162,6 +163,14 @@ def malformed_lines(snapshots, edges, rng):
     return snapshots, edges  # the lines are injected as the files are written
 
 
+def crlf_line_ends(snapshots, edges, rng):
+    return snapshots, edges  # every line ends in CRLF as the files are written
+
+
+def no_final_newline(snapshots, edges, rng):
+    return snapshots, edges  # the files are written without their last "\n"
+
+
 SHAPES = {
     shape.__name__: shape
     for shape in (
@@ -173,6 +182,8 @@ SHAPES = {
         edges_duplicated_and_dropped,
         bodies_never_repeat,
         malformed_lines,
+        crlf_line_ends,
+        no_final_newline,
     )
 }
 
@@ -202,16 +213,20 @@ def _broken(row):
     ]
 
 
-def _write(path, header, rows, rng, inject):
-    """Write ``header`` and ``rows``; with ``inject``, malformed lines go in at
-    random places. Returns the number of malformed lines."""
+def _write(path, header, rows, rng, name):
+    """Write ``header`` and ``rows`` as the shape ``name`` has them: for
+    ``malformed_lines``, malformed lines go in at random places; for
+    ``crlf_line_ends`` every line ends in CRLF, and for
+    ``no_final_newline`` the last has no line end. Returns the number of
+    malformed lines."""
     lines = [_line(row) for row in rows]
     broken = []
-    if inject:
+    if name == "malformed_lines":
         broken = [line for row in rng.sample(rows, 4) for line in _broken(row)]
         for line in broken:
             lines.insert(rng.randrange(len(lines) + 1), line)
-    path.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
+    text = header + "\n".join(lines) + ("" if name == "no_final_newline" else "\n")
+    path.write_bytes(text.replace("\n", "\r\n" if name == "crlf_line_ends" else "\n").encode("utf-8"))
     return len(broken)
 
 
@@ -224,10 +239,9 @@ def test_reshaped_world_matches_oracle(world, tmp_path, name):
     rng = random.Random(f"reshape {name}")
     snapshots, edges = SHAPES[name](world[SNAPSHOTS][2], world[EDGES][2], rng)
     releases_path, _, releases = world[RELEASES]
-    inject = name == "malformed_lines"
     injected = {
-        SNAPSHOTS: _write(tmp_path / "snapshots.jsonl", world[SNAPSHOTS][1], snapshots, rng, inject),
-        EDGES: _write(tmp_path / "edges.jsonl", world[EDGES][1], edges, rng, inject),
+        SNAPSHOTS: _write(tmp_path / "snapshots.jsonl", world[SNAPSHOTS][1], snapshots, rng, name),
+        EDGES: _write(tmp_path / "edges.jsonl", world[EDGES][1], edges, rng, name),
     }
     if name == "dropped_days":  # the shape holds gaps past the join window
         days = {}
